@@ -17,8 +17,8 @@ import numpy as np
 
 from skewbeta.densities import logpdf_positive_spectrum
 from skewbeta.ensembles import antisym_tridiagonal_batch
+from skewbeta.spectral import positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.verify import positive_spectrum_batch
 
 
 def main() -> None:

@@ -14,10 +14,10 @@ import json
 
 from skewbeta.chain import chain_sample_batch
 from skewbeta.ensembles import antisym_tridiagonal_batch
+from skewbeta.spectral import positive_spectrum_batch
 from skewbeta.stats import ks_two_sample
 from skewbeta.streams import RandomStream
 from skewbeta.transform import laguerre_map_batch
-from skewbeta.verify import positive_spectrum_batch
 
 
 def main() -> None:

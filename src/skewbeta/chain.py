@@ -4,11 +4,14 @@ A size-(n+1) matrix is obtained from a size-n one by adding a border row
 and column; the new positive eigenvalues are the roots of an explicit
 random rational function in the squared variable.  The reverse move (a
 random corank-1 projection with Dirichlet weights) is also provided.
+
+Every root solve goes through :func:`secular_roots`, which works on a batch
+of rational functions at once; the single-matrix functions are its one-row
+case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +20,7 @@ from .streams import ParameterError, RandomStream, sample_dirichlet, sample_gamm
 
 
 class RootBracketError(RuntimeError):
-    """A root bracket failed its sign condition (invariant violation)."""
+    """A secular root did not converge or failed its residual check."""
 
 
 @dataclass(frozen=True)
@@ -60,117 +63,260 @@ class ChainState:
     lam: np.ndarray
 
 
-def _bisect_signed(f, lo: float, hi: float, sign_lo: float) -> float:
-    """Bisection on an open interval; the limit signs of ``f`` at the two
-    endpoints are known and opposite, and the endpoints themselves are
-    never evaluated."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if math.copysign(1.0, f(mid)) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_EPS = np.finfo(float).eps
+# bisection floor for a bracket end at the anchor itself (a zero weight)
+_TINY = np.nextafter(0.0, 1.0)
+# below this offset or gap the float grid is absolute: a gap this narrow
+# holds no resolvable root and a residual test says nothing
+_NORMAL = np.finfo(float).tiny
+_MAX_ITER = 100
+# rows * p * max(p, 8) elements per block of rows; bounds the solver's
+# temporaries and so its peak memory
+_BLOCK = 1 << 15
 
 
-def _root_near_anchor(constant: int, a: np.ndarray, c: np.ndarray,
-                      anchor: float, dlo: float, dhi: float,
-                      sign_lo: float, check: bool) -> float:
-    """Root of the rational function inside ``(anchor+dlo, anchor+dhi)``.
+def secular_roots(constant: int, poles, weights) -> np.ndarray:
+    """Roots of ``constant - sum_j c_j / (y - a_j)`` for every row of the
+    ``(rows, p)`` arrays ``poles`` (descending per row) and ``weights``
+    (positive; one that underflowed to 0 is allowed).
 
-    The search runs in the offset ``delta = y - anchor`` so the difference
-    to the anchoring pole stays fully precise even when the root is
-    exponentially close to it; the other pole distances are formed from
-    exact pole-to-pole gaps.  With ``check`` the residual at the solution
-    is validated against a locally scaled tolerance.
+    Returns ``(rows, p)`` roots for ``constant = 1`` (one above the top
+    pole, one per pole gap) and ``(rows, p - 1)`` for ``constant = 0``,
+    descending per row.  A gap of zero width (a repeated pole), or one
+    narrower than the smallest normal double, returns its lower pole.
+    Each root is solved on its offset from the nearer pole of its gap (the
+    top pole for the root above it) by a safeguarded rational iteration;
+    see :func:`_iterate`.  Raises :class:`RootBracketError` if a root does
+    not converge or fails the final residual check.
     """
-    base = anchor - a
+    a = np.asarray(poles, dtype=float)
+    c = np.asarray(weights, dtype=float)
+    if a.ndim != 2 or a.shape != c.shape or a.shape[1] == 0:
+        raise ParameterError("poles and weights must be (rows, p) arrays with p >= 1")
+    if not (np.all(np.diff(a, axis=1) <= 0) and np.all(c >= 0)):
+        raise ParameterError("poles must descend and weights be nonnegative")
+    rows, p = a.shape
+    roots = np.empty((rows, p - 1 + constant))
+    # each root also carries a few dozen per-root temporaries, so a row
+    # counts as at least 8 poles wide
+    step = max(1, _BLOCK // (p * max(p, 8)))
+    for s in range(0, rows, step):
+        roots[s:s + step] = _solve_block(constant, a[s:s + step], c[s:s + step])
+    return roots
 
-    def f(delta: float) -> float:
-        return constant - float(np.sum(c / (base + delta)))
 
-    delta = _bisect_signed(f, dlo, dhi, sign_lo)
-    if check:
-        local = 1.0 + float(np.sum(c / np.abs(base + delta)))
-        if abs(f(delta)) > 1e-12 * local:
-            raise RootBracketError(
-                f"root residual too large near y={anchor + delta}")
-    return anchor + delta
+def _terms(constant, tau, D, c, E):
+    """The secular function at the anchor offsets ``tau``.
+
+    Returns ``f``, ``psi`` (the terms of the poles at or below the root's
+    gap), ``phi`` (those above it) and the products
+    ``gL = (a_L - y) psi'`` and ``gU = (a_U - y) phi'`` with the poles
+    ``a_L`` and ``a_U`` that bound the gap.  A pole lies below the root
+    exactly when its term ``r = c / (y - a)`` is positive.  ``E`` holds
+    ``a_L - a_j`` for the poles below and ``a_U - a_j`` for those above;
+    ``(a_L - y) / (y - a_j) = -1 + (a_L - a_j) / (y - a_j)`` with the last
+    ratio in [0, 1), so nothing overflows when the root hugs its anchor.
+    """
+    t = tau[:, None] - D  # y - a_j, exactly tau at the anchor pole
+    r = c / t
+    np.divide(E, t, out=t)
+    t *= r  # r (a_side - a_j) / (y - a_j), of the sign of r
+    part = np.maximum(r, 0.0)
+    psi = -np.einsum("ij->i", part)
+    phi = -np.einsum("ij->i", np.minimum(r, 0.0, out=part))
+    gL = psi + np.einsum("ij->i", np.maximum(t, 0.0, out=part))
+    gU = phi + np.einsum("ij->i", np.minimum(t, 0.0, out=part))
+    return constant + psi + phi, psi, phi, gL, gU
 
 
-def _gap_root(constant: int, a: np.ndarray, c: np.ndarray,
-              lo: float, hi: float, sign_lo: float) -> float:
-    """Root inside the pole gap (lo, hi), anchored at the nearer endpoint."""
-    coarse = _root_near_anchor(constant, a, c, lo, 0.0, hi - lo, sign_lo,
-                               check=False)
-    if coarse - lo <= hi - coarse:
-        return _root_near_anchor(constant, a, c, lo, 0.0, hi - lo, sign_lo,
-                                 check=True)
-    # re-anchor at the upper pole for full precision near it
-    return _root_near_anchor(constant, a, c, hi, -(hi - lo), 0.0, sign_lo,
-                             check=True)
+def _positive_or_inf(x: np.ndarray) -> np.ndarray:
+    """``x`` where positive, else inf: a bound ``c / x`` becomes 0."""
+    return np.where(x > 0, x, np.inf)
+
+
+def _solve_block(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Roots of one block of rows, flattened to (row, root) pairs; see
+    :func:`secular_roots`."""
+    rows, p = a.shape
+    lowest = 1 - constant
+    row = np.repeat(np.arange(rows), p - lowest)
+    low = np.tile(np.arange(lowest, p), rows)  # pole just below each root
+    up = np.maximum(low - 1, 0)                # pole just above (none for the top)
+    roots = a[row, low]
+    top = low == 0
+    # half the gap; for the top root its whole bracket width sum(c)
+    half = np.where(top, c.sum(axis=1)[row], 0.5 * (a[row, up] - roots))
+    # a gap of zero (or subnormal) width keeps its lower pole as its root
+    live = np.flatnonzero(half >= _NORMAL)
+    row, low, up, top, half = row[live], low[live], up[live], top[live], half[live]
+    ar, cw = a[row], c[row]
+    n = np.arange(live.size)
+    side = np.where(np.arange(p) >= low[:, None], low[:, None], up[:, None])
+    E = np.take_along_axis(ar, side, axis=1) - ar
+    # start at the gap midpoint (the top root at sum(c)), offsets from the
+    # lower pole; the top root 1 - c_0/tau - (terms < 0) = 0 has c_0 <= tau
+    D = ar - ar[n, low][:, None]
+    at_low = np.ones(live.size, dtype=bool)  # anchored at the pole below the gap
+    d = D[n, up]  # offset of the gap's other pole from the anchor (0: top root)
+    tau = half.copy()
+    f, psi, phi, gL, gU = _terms(constant, tau, D, cw, E)
+    lo, hi = cw[n, low] / _positive_or_inf(constant + phi), half.copy()
+    # a gap root above the midpoint is anchored at the upper pole; as psi
+    # grows with y, c_U / (-C - psi(mid)) bounds its offset from below,
+    # as c_L / (C + phi(mid)) does below the midpoint
+    sw = np.flatnonzero(~top & ~(f > 0))
+    if sw.size:
+        D[sw] = ar[sw] - ar[sw, up[sw]][:, None]  # exact pole differences
+        at_low[sw], d[sw] = False, D[sw, low[sw]]
+        tau[sw] = lo[sw] = -half[sw]
+        hi[sw] = -cw[sw, up[sw]] / _positive_or_inf(phi - f)[sw]
+    tau = _iterate(constant, D, cw, E, d, at_low, top, tau, lo, hi, (f, psi, phi, gL, gU))
+    roots[live] = ar[n, np.where(at_low, low, up)] + tau
+    return roots.reshape(rows, p - lowest)
+
+
+def _iterate(constant, D, c, E, d, at_low, top, tau, lo, hi, terms) -> np.ndarray:
+    """Safeguarded rational iteration on the offsets ``tau`` of each root
+    from its anchor pole, starting from the evaluated ``terms`` at ``tau``.
+
+    ``D`` holds every pole's offset from the anchor, ``d`` that of the
+    gap's other pole, and ``at_low`` marks roots anchored at the pole below
+    their gap.  Each step takes the new offset from :func:`_model_step`; a
+    step that leaves the sign bracket ``[lo, hi]`` is replaced by
+    geometric bisection.  A root stops on its residual, on a step of a few
+    ulps or when its bracket collapses, and leaves the active set.
+    """
+    p = D.shape[1]
+    res_tol = 4.0 * p * _EPS
+    out = np.empty_like(tau)
+    idx = np.arange(tau.size)
+    f, psi, phi, gL, gU = terms
+    for _ in range(_MAX_ITER):
+        converged = np.abs(f) <= res_tol * (constant + phi - psi)
+        step, ok = _model_step(f, gL, gU, tau, d, at_low, top)
+        inside = ok & (step > lo) & (step < hi)
+        small = inside & (np.abs(step - tau) <= 4.0 * _EPS * np.abs(tau))
+        mid = np.copysign(np.sqrt(np.maximum(np.abs(lo), _TINY))
+                          * np.sqrt(np.maximum(np.abs(hi), _TINY)), lo + hi)
+        step = np.where(inside, step, mid)
+        collapsed = ~inside & ((mid <= lo) | (mid >= hi))
+        done = converged | small | collapsed
+        if done.any():
+            out[idx[done]] = np.where(converged, tau, step)[done]
+            check = np.flatnonzero(done & ~converged)
+            if check.size:
+                _check_residual(constant, step[check], D[check], c[check], E[check], res_tol)
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return out
+            idx, step, lo, hi, d, at_low, top = (
+                x[keep] for x in (idx, step, lo, hi, d, at_low, top))
+            D, c, E = D[keep], c[keep], E[keep]
+        tau = step
+        f, psi, phi, gL, gU = _terms(constant, tau, D, c, E)
+        lo = np.where(f < 0, tau, lo)
+        hi = np.where(f > 0, tau, hi)
+    raise RootBracketError(
+        f"secular solver: {idx.size} roots unconverged after {_MAX_ITER} iterations")
+
+
+def _model_step(f, gL, gU, tau, d, at_low, top):
+    """New anchor offsets from the model ``A + s/(a_L - y) + S/(a_U - y)``
+    that matches ``psi``, ``psi'`` on the pole below the gap and ``phi``,
+    ``phi'`` on the pole above (Bunch, Nielsen and Sorensen 1978; R.-C. Li,
+    LAWN 89), and the mask of roots where it has a solution.
+
+    The model is solved for the new offset z itself, so a root far closer
+    to its anchor than the current iterate loses nothing to cancellation.
+    With ``w0`` the model weight on the anchor and ``w1`` that on the other
+    pole at offset ``d``, z solves ``A z^2 - B z + w0 d = 0`` with
+    ``B = A d + w0 + w1``; the top root has no pole above and z = w0 / A.
+    Products are ordered so that none leaves the normal range.
+    """
+    A = f - gL - gU
+    w0 = -np.where(at_low, gL, gU) * tau
+    w1 = np.where(at_low, gU, gL) * (d - tau)
+    B = A * d + w0 + w1
+    ok = B != 0
+    Bs = np.where(ok, B, 1.0)
+    e = 1.0 + np.sqrt(np.abs(1.0 - (4.0 * A * d / Bs) * (w0 / Bs)))
+    num = np.where(top, w0, np.where(B > 0, 2.0 * (w0 / Bs) * d, B * e))
+    den = np.where(top, A, np.where(B > 0, e, 2.0 * A))
+    ok &= den != 0
+    return num / np.where(ok, den, 1.0), ok
+
+
+def _check_residual(constant, tau, D, c, E, res_tol) -> None:
+    """Raise unless every root stopped by a small step or a collapsed
+    bracket has a residual within 16 times the stopping tolerance (offsets
+    below the normal range are exempt: there the float grid is absolute)."""
+    f, psi, phi, _, _ = _terms(constant, tau, D, c, E)
+    bad = ~(np.abs(f) <= 16.0 * res_tol * (constant + phi - psi)) & (np.abs(tau) >= _NORMAL)
+    if bad.any():
+        raise RootBracketError(
+            f"secular solver: {int(bad.sum())} roots fail the residual check")
 
 
 def rational_roots(r: RandomRational) -> np.ndarray:
-    """All real roots of ``r``, descending; each strictly interlaces the poles."""
-    a, c = r.a, r.c
-    roots = []
-    if r.constant == 1:
-        # one root above the top pole: 1 - sum(c)/(y - a_1) bounds r from below
-        width = float(np.sum(c)) + 1.0
-        roots.append(_root_near_anchor(1, a, c, a[0], 0.0, width, sign_lo=-1.0,
-                                       check=True))
-        for i in range(1, a.size):
-            roots.append(_gap_root(1, a, c, a[i], a[i - 1], sign_lo=-1.0))
-    else:
-        for i in range(1, a.size):
-            roots.append(_gap_root(0, a, c, a[i], a[i - 1], sign_lo=-1.0))
-    return np.asarray(roots)
+    """All real roots of ``r``, descending; each interlaces the poles.
+    The one-row case of :func:`secular_roots`."""
+    return secular_roots(r.constant, r.a[None, :], r.c[None, :])[0]
+
+
+def _step_up_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream) -> np.ndarray:
+    """One border step of every row of ``lam_sq`` (squared positive spectra
+    of size-m matrices); returns the squared spectra of size m+1.
+
+    Each pole pair gets a squared border weight ``2w^2 ~ Gamma[beta/2, 1]``;
+    for odd ``m`` the zero eigenvalue carries ``b^2 ~ Gamma[beta/4, 1]``.
+    """
+    reps, k = lam_sq.shape
+    weights = sample_gamma(beta / 2.0, stream, size=(reps, k)) if k \
+        else np.zeros((reps, 0))
+    poles = lam_sq
+    if m % 2 == 1:
+        poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
+        weights = np.concatenate(
+            [weights, sample_gamma(beta / 4.0, stream, size=(reps, 1))], axis=1)
+    return secular_roots(1, poles, weights)
+
+
+def _chain_sq(n: int, beta: float, stream: RandomStream, reps: int):
+    """Squared positive spectra of sizes 1 through n, shape ``(reps, m//2)``."""
+    if n < 2:
+        raise ParameterError("need n >= 2")
+    if reps < 1:
+        raise ParameterError("need reps >= 1")
+    lam_sq = np.zeros((reps, 0))
+    yield lam_sq
+    for m in range(1, n):
+        lam_sq = _step_up_sq(lam_sq, m, beta, stream)
+        yield lam_sq
 
 
 def chain_step_up(lam_prev, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     """Positive eigenvalues of the bordered size-(n+1) matrix given those of
-    the size-n matrix.
-
-    Each pole pair gets a squared border weight ``2w^2 ~ Gamma[beta/2, 1]``;
-    for odd ``n`` the zero eigenvalue carries ``b^2 ~ Gamma[beta/4, 1]``.
-    """
+    the size-n matrix (strictly descending); one row of the batch step."""
     lam_prev = np.atleast_1d(np.asarray(lam_prev, dtype=float)) if np.size(lam_prev) \
         else np.zeros(0)
     k = n // 2
     if lam_prev.size != k:
         raise ParameterError(f"expected {k} eigenvalues for step n={n}")
-    weights = sample_gamma(beta / 2.0, stream, size=k) if k else np.zeros(0)
-    poles = lam_prev ** 2
-    if n % 2 == 1:
-        poles = np.concatenate([poles, [0.0]])
-        weights = np.concatenate([weights, [sample_gamma(beta / 4.0, stream)]])
-    rr = RandomRational(constant=1, a=poles, c=weights)
-    return np.sqrt(rational_roots(rr))
+    if np.any(np.diff(lam_prev) >= 0):
+        raise ParameterError("eigenvalues must be strictly descending")
+    return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, stream)[0])
 
 
 def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
-    """Positive spectrum of the size-n ensemble, built one border at a time."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    lam = np.zeros(0)
-    for m in range(1, n):
-        lam = chain_step_up(lam, m, beta, stream)
-    return lam
+    """Positive spectrum of the size-n ensemble, built one border at a time;
+    row 0 of ``chain_sample_batch(n, beta, stream, 1)``."""
+    return chain_sample_batch(n, beta, stream, 1)[0]
 
 
 def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[ChainState]:
     """All intermediate positive spectra of the chain, sizes 1 through n."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    lam = np.zeros(0)
-    out = [ChainState(m=1, lam=lam)]
-    for m in range(1, n):
-        lam = chain_step_up(lam, m, beta, stream)
-        out.append(ChainState(m=m + 1, lam=lam))
-    return out
+    return [ChainState(m=m, lam=np.sqrt(lam_sq[0]))
+            for m, lam_sq in enumerate(_chain_sq(n, beta, stream, 1), start=1)]
 
 
 def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
@@ -235,41 +381,11 @@ def border_matrix_check(lam_prev, w, b: float | None) -> float:
     return float(np.max(np.abs(dense_pos - rational_pos))) if dense_pos.size else 0.0
 
 
-def _batch_roots_constant1(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for the ``constant = 1`` rational function.
-
-    ``poles`` and ``weights`` have shape (reps, p) with poles descending per
-    row; returns the (reps, p) array of roots, descending per row.
-    """
-    total = np.sum(weights, axis=1, keepdims=True)
-    lo = poles.copy()
-    hi = np.concatenate([poles[:, :1] + total + 1.0, poles[:, :-1]], axis=1)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        f = 1.0 - np.sum(weights[:, None, :] / (mid[:, :, None] - poles[:, None, :]),
-                         axis=2)
-        below = f < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def chain_sample_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
     """``reps`` independent positive spectra of the size-n ensemble, shape
-    ``(reps, n//2)``, via vectorized bisection on every border step."""
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    if reps < 1:
-        raise ParameterError("need reps >= 1")
-    lam_sq = np.zeros((reps, 0))
-    for m in range(1, n):
-        k = m // 2
-        weights = sample_gamma(beta / 2.0, stream, size=(reps, k)) if k \
-            else np.zeros((reps, 0))
-        poles = lam_sq
-        if m % 2 == 1:
-            poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
-            weights = np.concatenate(
-                [weights, sample_gamma(beta / 4.0, stream, size=(reps, 1))], axis=1)
-        lam_sq = _batch_roots_constant1(poles, weights)
-    return np.sqrt(lam_sq)
+    ``(reps, n//2)``; every border step solves all rows at once."""
+    for lam_sq in _chain_sq(n, beta, stream, reps):
+        pass
+    # in place: a fresh output array allocated after the last step's
+    # temporaries fragments the heap and raises the caller's peak memory
+    return np.sqrt(lam_sq, out=lam_sq)

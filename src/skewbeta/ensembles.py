@@ -96,9 +96,6 @@ class DenseAntisym:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(repr(v) for v in row) for row in self.a)
-
 
 @dataclass(frozen=True)
 class LowerBidiagonal:

@@ -197,6 +197,35 @@ def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
     return SpectralData(n=n, lam=lam, q=q, z=z)
 
 
+def _counterpart_batch(b_batch: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal counterparts of ``i*T`` for a batch of
+    off-diagonal sequences, shape ``(reps, n-1)`` -> ``(reps, n, n)``."""
+    reps, m = b_batch.shape
+    mats = np.zeros((reps, m + 1, m + 1))
+    idx = np.arange(m)
+    sup = b_batch[:, ::-1]
+    mats[:, idx, idx + 1] = sup
+    mats[:, idx + 1, idx] = sup
+    return mats
+
+
+def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:
+    """Positive eigenvalues (descending) for a batch of off-diagonal
+    sequences, shape ``(reps, n-1)`` -> ``(reps, n//2)``."""
+    n = b_batch.shape[1] + 1
+    eig = np.linalg.eigvalsh(_counterpart_batch(b_batch))
+    return eig[:, ::-1][:, :n // 2]
+
+
+def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
+    """``2 q_1^2`` (squared top first-eigenvector component, doubled) for a
+    batch of off-diagonal sequences."""
+    vals, vecs = np.linalg.eigh(_counterpart_batch(b_batch))
+    top = np.argmax(vals, axis=1)
+    first = vecs[np.arange(b_batch.shape[0]), 0, top]
+    return 2.0 * first ** 2
+
+
 def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
     """Inverse map: Lanczos on the diagonal matrix of the full spectrum with
     the first-component weights as starting vector.

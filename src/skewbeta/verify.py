@@ -15,8 +15,9 @@ from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
                         antisym_tridiagonal_batch, build_antisym_tridiagonal,
                         build_c_matrix, build_dense_antisym_gue,
                         householder_reduce)
-from .spectral import (DegeneracyError, moment_equations_check,
-                       positive_spectrum, secular_check)
+from .spectral import (DegeneracyError, _first_component_sq_batch,
+                       moment_equations_check, positive_spectrum,
+                       positive_spectrum_batch, secular_check)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
                     moment_test, quadrature_cdf)
 from .streams import RandomStream, sample_gamma
@@ -32,20 +33,6 @@ def tolerance(default: float) -> float:
     if raw is None:
         return default
     return float(raw)
-
-
-def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:
-    """Positive eigenvalues (descending) for a batch of off-diagonal
-    sequences, shape ``(reps, n-1)`` -> ``(reps, n//2)``."""
-    reps, m = b_batch.shape
-    n = m + 1
-    mats = np.zeros((reps, n, n))
-    idx = np.arange(n - 1)
-    sup = b_batch[:, ::-1]
-    mats[:, idx, idx + 1] = sup
-    mats[:, idx + 1, idx] = sup
-    eig = np.linalg.eigvalsh(mats)
-    return eig[:, ::-1][:, :n // 2]
 
 
 def _draw_with_spectrum(n: int, beta: float, stream: RandomStream,
@@ -98,7 +85,7 @@ def run_identities(seed: int, count: int = 200) -> VerificationReport:
         worst["vandermonde"] = max(worst["vandermonde"],
                                    transform.vandermonde_identity_check(t, sd))
         worst["secular"] = max(worst["secular"],
-                               _secular_residual(t, sd, rng))
+                               secular_check(t, sd, rng))
         worst["first-components"] = max(worst["first-components"],
                                         _first_component_residual(t, sd))
         worst["frobenius"] = max(worst["frobenius"], _frobenius_residual(t, sd))
@@ -126,10 +113,6 @@ def _random_square_bidiagonal(k: int, stream: RandomStream) -> LowerBidiagonal:
     d = 0.25 + stream.generator.random(k)
     e = 0.25 + stream.generator.random(k - 1)
     return LowerBidiagonal(d, e, rows=k)
-
-
-def _secular_residual(t: AntisymTridiagonal, sd, rng) -> float:
-    return secular_check(t, sd, rng)
 
 
 def _first_component_residual(t: AntisymTridiagonal, sd) -> float:
@@ -266,22 +249,6 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
     report.add("n=3 2q1^2 beta(1,1/2)", res.p_value >= P_THRESHOLD,
                statistic=res.statistic, tolerance=P_THRESHOLD, p_value=res.p_value)
     return report
-
-
-def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
-    """``2 q_1^2`` (squared top first-eigenvector component, doubled) for a
-    batch of off-diagonal sequences."""
-    reps, m = b_batch.shape
-    n = m + 1
-    mats = np.zeros((reps, n, n))
-    idx = np.arange(n - 1)
-    sup = b_batch[:, ::-1]
-    mats[:, idx, idx + 1] = sup
-    mats[:, idx + 1, idx] = sup
-    vals, vecs = np.linalg.eigh(mats)
-    top = np.argmax(vals, axis=1)
-    first = vecs[np.arange(reps), 0, top]
-    return 2.0 * first ** 2
 
 
 def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:

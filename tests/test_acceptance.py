@@ -17,10 +17,10 @@ from skewbeta.chain import chain_sample_batch
 from skewbeta.densities import logpdf_positive_spectrum
 from skewbeta.ensembles import (antisym_tridiagonal_batch,
                                 build_dense_antisym_gue, householder_reduce)
+from skewbeta.spectral import _first_component_sq_batch, positive_spectrum_batch
 from skewbeta.stats import ks_one_sample, ks_two_sample, moment_test, quadrature_cdf
 from skewbeta.streams import RandomStream, sample_gamma
 from skewbeta.transform import laguerre_map_batch
-from skewbeta.verify import positive_spectrum_batch
 
 SEED = 20260823
 P_MIN = 1e-3
@@ -110,10 +110,10 @@ def test_criterion_5_first_component_marginals():
     reps = 100000
     root = RandomStream(SEED, (102,))
     b4 = antisym_tridiagonal_batch(4, 2.0, root.split(0), reps)
-    u = verify._first_component_sq_batch(b4)
+    u = _first_component_sq_batch(b4)
     res4 = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
     b3 = antisym_tridiagonal_batch(3, 2.0, root.split(1), reps)
-    v = verify._first_component_sq_batch(b3)
+    v = _first_component_sq_batch(b3)
     res3 = ks_one_sample(v, lambda x: betainc(1.0, 0.5, np.clip(x, 0.0, 1.0)))
     passed = res4.p_value >= P_MIN and res3.p_value >= P_MIN
     _report_line(5, "doubled first-component laws", passed,

@@ -1,16 +1,21 @@
 """Tests for the bordered-matrix chain sampler and its rational-root solver."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewbeta import chain
 from skewbeta.chain import (ChainState, RandomRational, RootBracketError,
                             border_matrix_check, chain_sample,
                             chain_sample_batch, chain_step_up,
-                            chain_trajectory, rational_roots, step_down)
+                            chain_trajectory, rational_roots, secular_roots,
+                            step_down)
 from skewbeta.stats import moment_test
-from skewbeta.streams import ParameterError, RandomStream
+from skewbeta.streams import ParameterError, RandomStream, sample_gamma
 
 
 class TestRandomRational:
@@ -163,3 +168,111 @@ class TestBatchSampler:
     def test_invalid_reps(self):
         with pytest.raises(ParameterError):
             chain_sample_batch(4, 2.0, RandomStream(0), 0)
+
+
+def _oracle_root(constant, a, c, i):
+    """Root of ``constant - sum c_j/(y - a_j)`` just above pole ``i`` (above
+    the top pole for ``i = 0``) by bisection in 60-digit arithmetic on the
+    offset from the nearer pole, geometric while the bracket spans more
+    than a factor of 4."""
+    with mp.workdps(60):
+        A = [mp.mpf(float(x)) for x in a]
+        C = [mp.mpf(float(x)) for x in c]
+
+        def f(k, tau):
+            return constant - mp.fsum(cj / (tau - (aj - A[k])) for aj, cj in zip(A, C))
+
+        floor = mp.mpf(10) ** -400  # below every double offset
+        if i == 0:
+            k, lo, hi = 0, floor, mp.fsum(C)
+        else:
+            half = (A[i - 1] - A[i]) / 2
+            k, lo, hi = (i, floor, half) if f(i, half) > 0 else (i - 1, -half, -floor)
+        while abs(hi - lo) > mp.mpf(10) ** -45 * min(abs(lo), abs(hi)):
+            if max(abs(lo), abs(hi)) > 4 * min(abs(lo), abs(hi)):
+                mid = mp.sqrt(lo * hi) * mp.sign(lo)
+            else:
+                mid = (lo + hi) / 2
+            if f(k, mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return A[k] + (lo + hi) / 2
+
+
+def _assert_matches_oracle(constant, poles, weights):
+    roots = secular_roots(constant, poles, weights)
+    assert roots.shape == (poles.shape[0], poles.shape[1] - 1 + constant)
+    for a, c, row in zip(poles, weights, roots):
+        for i, got in zip(range(1 - constant, a.size), row):
+            ref = _oracle_root(constant, a, c, i)
+            assert float(abs(mp.mpf(float(got)) - ref) / abs(ref)) <= 1e-13
+    return roots
+
+
+class TestSharedSolver:
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_random_weights_match_oracle(self, beta, constant):
+        # chain-like rows: squared spectra over a zero pole, border weights
+        # Gamma(beta/2) on each pair and Gamma(beta/4) on the zero pole
+        stream = RandomStream(31, (int(100 * beta), constant))
+        rows, p = 6, 6
+        poles = np.zeros((rows, p))
+        poles[:, :-1] = -np.sort(-sample_gamma(2.0 * beta, stream, size=(rows, p - 1)), axis=1)
+        weights = np.concatenate([sample_gamma(beta / 2.0, stream, size=(rows, p - 1)),
+                                  sample_gamma(beta / 4.0, stream, size=(rows, 1))], axis=1)
+        assert np.all(weights > 0) and np.all(np.diff(poles, axis=1) < 0)
+        _assert_matches_oracle(constant, poles, weights)
+
+    @pytest.mark.parametrize("constant,a,c", [
+        (1, [1.69, 0.0], [1.0, 1e-14]),             # hugs the zero pole
+        (1, [3.0, 1.0, 0.0], [0.5, 1e-15, 0.7]),    # hugs an interior pole
+        (0, [4.41, 0.81, 0.0], [1e-15, 1.0, 0.3]),  # hugs the upper pole
+        (0, [2.0, 1e-20, 0.0], [1.0, 1e-30, 1.0]),  # inside a gap of 1e-20
+    ])
+    def test_roots_near_poles_match_oracle(self, constant, a, c):
+        poles, weights = np.array([a]), np.array([c])
+        roots = _assert_matches_oracle(constant, poles, weights)
+        assert np.min(np.abs(roots[0][:, None] - poles[0][None, :])) < 1e-13
+
+    def test_zero_width_gap_returns_the_pole(self):
+        roots = secular_roots(1, np.array([[2.0, 1.0, 1.0, 0.0]]),
+                              np.array([[0.5, 0.3, 0.4, 0.2]]))
+        assert roots[0, 2] == 1.0
+        assert roots[0, 1] > 1.0 > roots[0, 3] > 0.0
+
+    def test_zero_weight_root_sits_on_its_pole(self):
+        # an underflowed weight: the root it would carry falls onto the pole
+        roots = secular_roots(1, np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
+        assert roots[0, 0] == pytest.approx(2.0, rel=1e-14)  # 1 - 1/(y - 1) = 0
+        assert 0.0 <= roots[0, 1] < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("a,c", [
+        ([[1.0, 2.0]], [[1.0, 1.0]]),   # ascending poles
+        ([[2.0, 1.0]], [[1.0, -1.0]]),  # negative weight
+        ([[2.0, 1.0]], [[1.0]]),        # shape mismatch
+    ])
+    def test_rejects_malformed_input(self, a, c):
+        with pytest.raises(ParameterError):
+            secular_roots(1, np.array(a), np.array(c))
+
+    def test_unconverged_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(chain, "_MAX_ITER", 1)
+        with pytest.raises(RootBracketError):
+            secular_roots(1, np.array([[3.0, 1.0, 0.0]]), np.array([[0.5, 1.5, 0.25]]))
+
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5])
+    def test_batch_chain_emits_no_runtime_warning(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = chain_sample_batch(24, beta, RandomStream(8), 2000)
+        assert np.all(np.isfinite(out)) and np.all(out > 0)
+        assert np.all(np.diff(out, axis=1) < 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 11])
+    def test_scalar_chain_is_row_zero_of_batch(self, n):
+        for seed in range(3):
+            lam = chain_sample(n, 0.5, RandomStream(seed))
+            assert np.array_equal(lam, chain_sample_batch(n, 0.5, RandomStream(seed), 1)[0])
+            assert np.array_equal(lam, chain_trajectory(n, 0.5, RandomStream(seed))[-1].lam)

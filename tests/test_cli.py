@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from skewbeta.chain import chain_sample
 from skewbeta.cli import main
+from skewbeta.streams import RandomStream
 
 
 def run(capsys, *argv):
@@ -46,6 +49,16 @@ class TestSample:
                            "--n", n, "--seed", "0", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["rows"][0]) == cols
+
+    def test_chain_rows_use_split_streams(self, capsys):
+        # replicate i of `sample --ensemble chain` is chain_sample on root.split(i)
+        code, out, _ = run(capsys, "sample", "--ensemble", "chain", "--n", "7",
+                           "--beta", "0.5", "--reps", "4", "--seed", "3",
+                           "--format", "json")
+        assert code == 0
+        root = RandomStream(3)
+        for i, row in enumerate(json.loads(out)["rows"]):
+            assert np.array_equal(row, chain_sample(7, 0.5, root.split(i)))
 
     def test_laguerre_requires_valid_a(self, capsys):
         code, _, err = run(capsys, "sample", "--ensemble", "laguerre-bidiag",

@@ -5,7 +5,7 @@ import pytest
 
 from skewbeta import verify
 from skewbeta.ensembles import antisym_tridiagonal_batch
-from skewbeta.spectral import positive_spectrum
+from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.ensembles import AntisymTridiagonal
 from skewbeta.streams import RandomStream
 
@@ -15,7 +15,7 @@ SEED = 20260823
 class TestHelpers:
     def test_positive_spectrum_batch_matches_scalar(self):
         b = antisym_tridiagonal_batch(5, 2.0, RandomStream(0), 16)
-        batch = verify.positive_spectrum_batch(b)
+        batch = positive_spectrum_batch(b)
         for i in range(16):
             sd = positive_spectrum(AntisymTridiagonal(b[i]))
             assert np.allclose(batch[i], sd.lam, atol=1e-12)

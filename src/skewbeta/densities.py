@@ -8,8 +8,8 @@ descending positive sequences.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +42,10 @@ def _log_vandermonde_sq(x_sq: np.ndarray, power: float) -> float:
     return float(power * np.sum(np.log(diffs[iu])))
 
 
+@functools.cache
 def log_normalization_C(n: int, beta: float) -> float:
-    """Log of the eigenvalue-density normalization constant."""
+    """Log of the eigenvalue-density normalization constant (memoized: the
+    quadrature checks evaluate the density thousands of times per order)."""
     if n < 2:
         raise ParameterError("need n >= 2")
     if not beta > 0:
@@ -78,32 +80,6 @@ def selberg_consistency_check(beta: float, m: int) -> tuple[float, float]:
     return even, odd
 
 
-class NormalizationTable:
-    """Memo of log C and log W values; safe for concurrent initialization."""
-
-    def __init__(self) -> None:
-        self._c: dict[tuple[int, float], float] = {}
-        self._w: dict[tuple[float, float, int], float] = {}
-        self._lock = threading.Lock()
-
-    def log_c(self, n: int, beta: float) -> float:
-        key = (n, beta)
-        with self._lock:
-            if key not in self._c:
-                self._c[key] = log_normalization_C(n, beta)
-            return self._c[key]
-
-    def log_w(self, a: float, beta: float, m: int) -> float:
-        key = (a, beta, m)
-        with self._lock:
-            if key not in self._w:
-                self._w[key] = log_selberg_W(a, beta, m)
-            return self._w[key]
-
-
-_TABLE = NormalizationTable()
-
-
 def logpdf_positive_spectrum(lam, n: int, beta: float) -> LogDensityValue:
     """Joint log-density of the descending positive eigenvalues of the
     anti-symmetric tridiagonal beta-ensemble of order ``n``."""
@@ -114,7 +90,7 @@ def logpdf_positive_spectrum(lam, n: int, beta: float) -> LogDensityValue:
     if not _strictly_descending_positive(lam):
         return LogDensityValue.out_of_support()
     expo = beta / 2.0 - 1.0 if n % 2 == 0 else 3.0 * beta / 2.0 - 1.0
-    val = (-_TABLE.log_c(n, beta)
+    val = (-log_normalization_C(n, beta)
            + expo * float(np.sum(np.log(lam)))
            - float(np.sum(lam ** 2))
            + _log_vandermonde_sq(lam ** 2, beta))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import ParameterError, RandomStream, sample_chi_tilde, sample_gamma, \
-    sample_normal, sample_standard_chi
+from .streams import ParameterError, RandomStream, sample_gamma, sample_normal, \
+    sample_standard_chi
 
 
 class SizeError(ValueError):
@@ -50,13 +50,7 @@ class AntisymTridiagonal:
         return self.b[::-1]
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        t = np.zeros((n, n))
-        sup = self.superdiagonal_top_down()
-        for i in range(n - 1):
-            t[i, i + 1] = sup[i]
-            t[i + 1, i] = -sup[i]
-        return t
+        return dense_tridiagonal(self.superdiagonal_top_down(), -1.0)
 
     def symmetric_counterpart(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the symmetric tridiagonal matrix with
@@ -128,10 +122,10 @@ class LowerBidiagonal:
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.rows, self.cols))
-        for i, v in enumerate(self.d):
-            m[i, i] = v
-        for i, v in enumerate(self.e):
-            m[i + 1, i] = v
+        i = np.arange(self.cols)
+        m[i, i] = self.d
+        j = np.arange(self.e.size)
+        m[j + 1, j] = self.e
         return m
 
 
@@ -165,22 +159,36 @@ class EnsembleSpec:
             raise SizeError("matrix order must be at least 2")
 
 
+def dense_tridiagonal(sup: np.ndarray, lower_sign: float) -> np.ndarray:
+    """Zero-diagonal tridiagonal matrices from superdiagonals read top-down,
+    shape ``(..., m)`` -> ``(..., m+1, m+1)``; the subdiagonal is
+    ``lower_sign * sup`` (-1 gives ``T`` itself, +1 the symmetric
+    counterpart of ``i*T``)."""
+    m = sup.shape[-1]
+    mats = np.zeros(sup.shape[:-1] + (m + 1, m + 1))
+    idx = np.arange(m)
+    mats[..., idx, idx + 1] = sup
+    mats[..., idx + 1, idx] = lower_sign * sup
+    return mats
+
+
 def build_antisym_tridiagonal(n: int, beta: float, stream: RandomStream) -> AntisymTridiagonal:
     """Sample the anti-symmetric tridiagonal beta-ensemble: ``b[k-1]`` is a
     chi-tilde variable with ``k * beta / 2`` degrees, i.e. ``b_k**2`` is
     gamma distributed with shape ``k * beta / 4``."""
+    return AntisymTridiagonal(antisym_tridiagonal_batch(n, beta, stream, None))
+
+
+def antisym_tridiagonal_batch(n: int, beta: float, stream: RandomStream,
+                              reps: int | None) -> np.ndarray:
+    """Vectorized batch of off-diagonal sequences, shape ``(reps, n-1)``;
+    ``reps=None`` draws one sequence, shape ``(n-1,)``."""
     if n < 2:
         raise SizeError(f"need n >= 2, got {n}")
     if not beta > 0:
         raise ParameterError("beta must be positive")
-    b = np.array([sample_chi_tilde(k * beta / 2.0, stream) for k in range(1, n)])
-    return AntisymTridiagonal(b)
-
-
-def antisym_tridiagonal_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
-    """Vectorized batch of off-diagonal sequences, shape ``(reps, n-1)``."""
     cols = [np.sqrt(sample_gamma(k * beta / 4.0, stream, size=reps)) for k in range(1, n)]
-    return np.stack(cols, axis=1)
+    return np.array(cols).T
 
 
 def build_dense_antisym_gue(n: int, stream: RandomStream) -> DenseAntisym:
@@ -223,18 +231,10 @@ def householder_reduce(dense: DenseAntisym) -> AntisymTridiagonal:
         sub -= 2.0 * np.outer(sub @ v, v)
         a[j + 1:, j] = w
         a[j, j + 1:] = -w
-    sup = np.array([a[i, i + 1] for i in range(n - 1)])
-    # diagonal +-1 similarity to enforce positive superdiagonal
-    sign = 1.0
-    for i in range(n - 1):
-        sup[i] *= sign
-        if sup[i] < 0:
-            sup[i] = -sup[i]
-            sign = -sign
-        elif sup[i] == 0.0:
-            raise DegenerateInputError("exact zero off-diagonal produced")
-        else:
-            sign = 1.0 * sign
+    # a diagonal +-1 similarity makes every superdiagonal entry positive
+    sup = np.abs(np.diag(a, 1))
+    if np.any(sup == 0.0):
+        raise DegenerateInputError("exact zero off-diagonal produced")
     return AntisymTridiagonal(sup[::-1])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .ensembles import AntisymTridiagonal
+from .ensembles import AntisymTridiagonal, dense_tridiagonal
 
 
 class DegeneracyError(ValueError):
@@ -197,30 +197,18 @@ def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
     return SpectralData(n=n, lam=lam, q=q, z=z)
 
 
-def _counterpart_batch(b_batch: np.ndarray) -> np.ndarray:
-    """Dense symmetric tridiagonal counterparts of ``i*T`` for a batch of
-    off-diagonal sequences, shape ``(reps, n-1)`` -> ``(reps, n, n)``."""
-    reps, m = b_batch.shape
-    mats = np.zeros((reps, m + 1, m + 1))
-    idx = np.arange(m)
-    sup = b_batch[:, ::-1]
-    mats[:, idx, idx + 1] = sup
-    mats[:, idx + 1, idx] = sup
-    return mats
-
-
 def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:
     """Positive eigenvalues (descending) for a batch of off-diagonal
     sequences, shape ``(reps, n-1)`` -> ``(reps, n//2)``."""
     n = b_batch.shape[1] + 1
-    eig = np.linalg.eigvalsh(_counterpart_batch(b_batch))
+    eig = np.linalg.eigvalsh(dense_tridiagonal(b_batch[:, ::-1], 1.0))
     return eig[:, ::-1][:, :n // 2]
 
 
 def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     """``2 q_1^2`` (squared top first-eigenvector component, doubled) for a
     batch of off-diagonal sequences."""
-    vals, vecs = np.linalg.eigh(_counterpart_batch(b_batch))
+    vals, vecs = np.linalg.eigh(dense_tridiagonal(b_batch[:, ::-1], 1.0))
     top = np.argmax(vals, axis=1)
     first = vecs[np.arange(b_batch.shape[0]), 0, top]
     return 2.0 * first ** 2

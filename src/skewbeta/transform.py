@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal, SizeError,
-                        build_c_matrix, build_laguerre_bidiagonal)
+                        build_c_matrix, build_laguerre_bidiagonal,
+                        dense_tridiagonal)
 from .spectral import SpectralData, reconstruct_tridiagonal
 from .streams import ParameterError, RandomStream, sample_standard_chi
 
@@ -98,13 +99,7 @@ def _interleave(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def tridiagonal_from_bidiagonal(b: LowerBidiagonal) -> np.ndarray:
     """Dense reduced-form tridiagonal whose superdiagonal (top-down) reads
     the bidiagonal entries interleaved: d_0, e_0, d_1, e_1, ..."""
-    sup = _interleave(b.d, b.e)
-    m = sup.size + 1
-    t = np.zeros((m, m))
-    for i in range(m - 1):
-        t[i, i + 1] = sup[i]
-        t[i + 1, i] = -sup[i]
-    return t
+    return dense_tridiagonal(_interleave(b.d, b.e), -1.0)
 
 
 def shuffle_conjugation_check(b: LowerBidiagonal) -> float:

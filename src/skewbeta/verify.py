@@ -4,7 +4,6 @@ statistical reproductions, each producing a :class:`VerificationReport`."""
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -18,21 +17,12 @@ from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
 from .spectral import (DegeneracyError, _first_component_sq_batch,
                        moment_equations_check, positive_spectrum,
                        positive_spectrum_batch, secular_check)
-from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
-                    moment_test, quadrature_cdf)
+from .stats import VerificationReport, ks_one_sample, ks_two_sample
 from .streams import RandomStream, sample_gamma
 
 P_THRESHOLD = 1e-3
 
 _BETAS = (0.5, 1.0, 2.0, 4.0)
-
-
-def tolerance(default: float) -> float:
-    """Default tolerance, overridable through SKEWBETA_TOL_OVERRIDE (testing)."""
-    raw = os.environ.get("SKEWBETA_TOL_OVERRIDE")
-    if raw is None:
-        return default
-    return float(raw)
 
 
 def _draw_with_spectrum(n: int, beta: float, stream: RandomStream,
@@ -99,10 +89,8 @@ def run_identities(seed: int, count: int = 200) -> VerificationReport:
         top = sample_gamma((2 * k + 1) * beta / 4.0, stream)
         worst["cholesky"] = max(worst["cholesky"],
                                 transform.reversed_cholesky_residual(c, top))
-    bounds = {"vandermonde": tolerance(1e-9), "secular": tolerance(1e-9),
-              "first-components": tolerance(1e-8), "frobenius": tolerance(1e-10),
-              "moments": tolerance(1e-9), "shuffle": tolerance(0.0),
-              "cholesky": tolerance(1e-12)}
+    bounds = {"vandermonde": 1e-9, "secular": 1e-9, "first-components": 1e-8,
+              "frobenius": 1e-10, "moments": 1e-9, "shuffle": 0.0, "cholesky": 1e-12}
     for name, value in worst.items():
         report.add(name, value <= bounds[name], statistic=value,
                    tolerance=bounds[name])
@@ -146,9 +134,9 @@ def run_shuffle(seed: int, count: int = 50) -> VerificationReport:
         blk = _random_square_bidiagonal(k, root.split(i))
         worst_resid = max(worst_resid, transform.shuffle_conjugation_check(blk))
     report.add("orthogonality", worst_orth == 0, statistic=float(worst_orth),
-               tolerance=tolerance(0.0))
-    report.add("conjugation", worst_resid <= tolerance(0.0), statistic=worst_resid,
-               tolerance=tolerance(0.0))
+               tolerance=0.0)
+    report.add("conjugation", worst_resid <= 0.0, statistic=worst_resid,
+               tolerance=0.0)
     return report
 
 
@@ -163,7 +151,7 @@ def run_cholesky(seed: int, count: int = 100) -> VerificationReport:
         c = build_c_matrix(k, beta, stream)
         top = sample_gamma((2 * k + 1) * beta / 4.0, stream)
         worst = max(worst, transform.reversed_cholesky_residual(c, top))
-    bound = tolerance(1e-12)
+    bound = 1e-12
     report.add("reindex-vs-direct", worst <= bound, statistic=worst, tolerance=bound)
     return report
 
@@ -182,7 +170,7 @@ def _jacobian_point(n: int, beta: float, stream: RandomStream):
 def run_jacobian(seed: int, count: int = 50) -> VerificationReport:
     report = VerificationReport(suite="jacobian", seed=seed)
     root = RandomStream(seed, (3,))
-    bound = tolerance(1e-5)
+    bound = 1e-5
     for n in (2, 3, 4, 5):
         worst = 0.0
         for i in range(count):
@@ -204,7 +192,7 @@ def run_vandermonde(seed: int, count: int = 200) -> VerificationReport:
     for i, (n, beta) in enumerate(_random_pairs(rng, count)):
         t, sd = _draw_with_spectrum(n, beta, root.split(i), min_relgap=1e-6)
         worst = max(worst, transform.vandermonde_identity_check(t, sd))
-    bound = tolerance(1e-9)
+    bound = 1e-9
     report.add("log-residual", worst <= bound, statistic=worst, tolerance=bound)
     return report
 
@@ -265,7 +253,7 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
         if sturm.count_positive_leq(t, mu) != expected:
             mismatches += 1
     report.add("eigenvalue-count", mismatches == 0, statistic=float(mismatches),
-               tolerance=tolerance(0.0))
+               tolerance=0.0)
 
     anchor_worst = 0.0
     monotone_ok = True
@@ -282,16 +270,16 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
         stacked = np.stack([p.theta for p in phases])
         if np.any(np.diff(stacked, axis=0) >= 0):
             monotone_ok = False
-    report.add("anchor-phases", anchor_worst <= tolerance(1e-9),
-               statistic=anchor_worst, tolerance=tolerance(1e-9))
+    report.add("anchor-phases", anchor_worst <= 1e-9,
+               statistic=anchor_worst, tolerance=1e-9)
     report.add("monotone-decrease", monotone_ok,
-               statistic=0.0 if monotone_ok else 1.0, tolerance=tolerance(0.0))
+               statistic=0.0 if monotone_ok else 1.0, tolerance=0.0)
     return report
 
 
 def run_dixon_anderson(seed: int) -> VerificationReport:
     report = VerificationReport(suite="dixon-anderson", seed=seed)
-    bound = tolerance(1e-6)
+    bound = 1e-6
     cases = [
         ("arcsine m=1", [1.0, 0.0], [0.5, 0.5]),
         ("m=1 generic", [2.0, 0.5], [1.5, 0.75]),
@@ -311,14 +299,14 @@ def run_dixon_anderson(seed: int) -> VerificationReport:
 
 def run_normalization(seed: int) -> VerificationReport:
     report = VerificationReport(suite="normalization", seed=seed)
-    mass_bound = tolerance(1e-4)
+    mass_bound = 1e-4
     for n in (2, 3, 4):
         for beta in (1.0, 2.0, 4.0):
             mass = densities.eigenvalue_density_total_mass(n, beta)
             report.add(f"total-mass n={n} beta={beta:g}",
                        abs(mass - 1.0) <= mass_bound,
                        statistic=abs(mass - 1.0), tolerance=mass_bound)
-    selberg_bound = tolerance(1e-12)
+    selberg_bound = 1e-12
     worst = 0.0
     for beta in _BETAS:
         for m in range(1, 21):

@@ -5,7 +5,6 @@ tolerances; the statistical criteria run at full scale (1e5 replicates,
 1e4 reductions) with fixed seeds.
 """
 
-import math
 import time
 
 import numpy as np

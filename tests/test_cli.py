@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from skewbeta import transform
 from skewbeta.chain import chain_sample
 from skewbeta.cli import main
+from skewbeta.ensembles import build_antisym_tridiagonal
+from skewbeta.spectral import positive_spectrum
 from skewbeta.streams import RandomStream
 
 
@@ -50,15 +53,21 @@ class TestSample:
         assert code == 0
         assert len(json.loads(out)["rows"][0]) == cols
 
-    def test_chain_rows_use_split_streams(self, capsys):
-        # replicate i of `sample --ensemble chain` is chain_sample on root.split(i)
-        code, out, _ = run(capsys, "sample", "--ensemble", "chain", "--n", "7",
+    @pytest.mark.parametrize("ensemble", ["chain", "antisym-trid"])
+    def test_rows_use_split_streams(self, capsys, ensemble):
+        # replicate i of `sample` draws its matrix or chain from root.split(i)
+        code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", "7",
                            "--beta", "0.5", "--reps", "4", "--seed", "3",
                            "--format", "json")
         assert code == 0
         root = RandomStream(3)
         for i, row in enumerate(json.loads(out)["rows"]):
-            assert np.array_equal(row, chain_sample(7, 0.5, root.split(i)))
+            if ensemble == "chain":
+                expected = chain_sample(7, 0.5, root.split(i))
+            else:
+                sd = positive_spectrum(build_antisym_tridiagonal(7, 0.5, root.split(i)))
+                expected = [*sd.lam, *sd.q, sd.z]
+            assert np.array_equal(row, expected)
 
     def test_laguerre_requires_valid_a(self, capsys):
         code, _, err = run(capsys, "sample", "--ensemble", "laguerre-bidiag",
@@ -83,7 +92,8 @@ class TestVerify:
         assert all(c["status"] == "pass" for c in doc["reports"][0]["cases"])
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("SKEWBETA_TOL_OVERRIDE", "-1.0")
+        monkeypatch.setattr(transform, "reversed_cholesky_residual",
+                            lambda c, top: 1.0)
         code, out, _ = run(capsys, "verify", "--suite", "cholesky",
                            "--seed", "20260823")
         assert code == 1

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from skewbeta.densities import (LogDensityValue, QuadratureError,
-                                conditional_logpdf_down, conditional_logpdf_up,
+from skewbeta.densities import (LogDensityValue, conditional_logpdf_down,
+                                conditional_logpdf_up,
                                 dirichlet_logpdf, dixon_anderson_check,
                                 log_normalization_C, log_selberg_W,
                                 logpdf_laguerre, logpdf_singular_values,

@@ -1,5 +1,7 @@
 """Tests for matrix constructors and the Householder reduction."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,18 @@ class TestBuilders:
         b = antisym_tridiagonal_batch(4, 1.0, RandomStream(2), 100)
         assert b.shape == (100, 3) and np.all(b > 0)
 
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 4.0])
+    def test_builder_is_batch_row(self, beta):
+        # at beta=4 every gamma shape k*beta/4 is >= 1 and the draws agree
+        # exactly; smaller shapes take the boost, whose power of a size-1
+        # array may round an ulp away from the scalar's
+        rtol = 0.0 if beta == 4.0 else 1e-15
+        for n in (2, 3, 6, 11):
+            for seed in range(10):
+                b = build_antisym_tridiagonal(n, beta, RandomStream(seed)).b
+                row = antisym_tridiagonal_batch(n, beta, RandomStream(seed), 1)[0]
+                assert np.max(np.abs(b - row) / row) <= rtol
+
     def test_dense_gue_variance(self):
         vals = np.concatenate([
             build_dense_antisym_gue(8, RandomStream(3).split(i)).a[
@@ -127,6 +141,8 @@ class TestBuilders:
         (build_antisym_tridiagonal, (1, 2.0)),
         (build_dense_antisym_gue, (1,)),
         (build_c_matrix, (0, 2.0)),
+        pytest.param(partial(antisym_tridiagonal_batch, reps=3), (1, 2.0),
+                     id="antisym_tridiagonal_batch-args3"),
     ])
     def test_size_errors(self, builder, args):
         with pytest.raises(SizeError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewbeta import verify
+from skewbeta import transform, verify
 from skewbeta.ensembles import antisym_tridiagonal_batch
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.ensembles import AntisymTridiagonal
@@ -26,12 +26,6 @@ class TestHelpers:
         lam_sq = sd.lam ** 2
         assert np.min(-np.diff(lam_sq)) >= 1e-6 * lam_sq[0]
         assert np.min(sd.q) >= 1e-2
-
-    def test_tolerance_override(self, monkeypatch):
-        monkeypatch.setenv("SKEWBETA_TOL_OVERRIDE", "0.125")
-        assert verify.tolerance(1e-9) == 0.125
-        monkeypatch.delenv("SKEWBETA_TOL_OVERRIDE")
-        assert verify.tolerance(1e-9) == 1e-9
 
 
 class TestSuitesPass:
@@ -58,8 +52,9 @@ class TestSuitesPass:
 
 class TestFailureInjection:
     def test_impossible_tolerance_reports_failure(self, monkeypatch):
-        # residuals are tiny but nonzero, so a negative bound must fail
-        monkeypatch.setenv("SKEWBETA_TOL_OVERRIDE", "-1.0")
+        # a residual far above the 1e-12 bound must fail the case
+        monkeypatch.setattr(transform, "reversed_cholesky_residual",
+                            lambda c, top: 1.0)
         report = verify.run_cholesky(SEED, count=5)
         assert report.failures == 1 and not report.all_passed
 

@@ -11,6 +11,7 @@ component of the null vector, normalized so that
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,26 +96,25 @@ class CharPolySequence:
     trailing principal submatrices of ``i*T``, in sign/log-magnitude form.
 
     ``P_0 = 1``, ``P_1 = x`` and ``P_{m+1} = x*P_m - b_m**2 * P_{m-1}`` with
-    ``b`` indexed from the bottom corner.
+    ``b`` indexed from the bottom corner.  For a scalar ``x`` the arrays have
+    shape ``(n+1,)``; for a 1-d array of points, ``(n+1, points)``.
     """
 
-    x: float
+    x: float | np.ndarray
     signs: np.ndarray
     logmags: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.signs.size - 1
+        return self.signs.shape[0] - 1
 
-    def value(self, m: int) -> float:
-        """Plain float value of ``P_m(x)`` (may overflow to +-inf)."""
-        if self.signs[m] == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            return float(self.signs[m] * np.exp(self.logmags[m]))
+    def value(self, m: int) -> float | np.ndarray:
+        """Plain value of ``P_m(x)`` (may overflow to +-inf)."""
+        v = _plain(self.signs[m], self.logmags[m])
+        return float(v) if v.ndim == 0 else v
 
     def values(self) -> np.ndarray:
-        return np.array([self.value(m) for m in range(self.n + 1)])
+        return _plain(self.signs, self.logmags)
 
     def log_ratio(self, num: int, den: int) -> tuple[float, float]:
         """Sign and log-magnitude of ``P_num(x) / P_den(x)``."""
@@ -126,45 +126,59 @@ class CharPolySequence:
         return s * np.exp(lm)
 
 
-def charpoly_sequence(t: AntisymTridiagonal, x: float) -> CharPolySequence:
-    """Evaluate the three-term recurrence in overflow-safe scaled form."""
-    b = t.b
-    n = t.n
-    signs = np.zeros(n + 1)
-    logmags = np.full(n + 1, -np.inf)
-    signs[0], logmags[0] = 1.0, 0.0
-    if x != 0.0:
-        signs[1], logmags[1] = np.sign(x), np.log(abs(x))
-    # scaled pair (prev, cur) with common log-scale `shift`
-    prev, cur, shift = 1.0, x, 0.0
-    for m in range(1, n):
-        nxt = x * cur - b[m - 1] ** 2 * prev
-        prev, cur = cur, nxt
-        mag = max(abs(prev), abs(cur))
-        if mag > 1e150 or (0.0 < mag < 1e-150):
-            prev /= mag
-            cur /= mag
-            shift += np.log(mag)
-        if cur != 0.0:
-            signs[m + 1] = np.sign(cur)
-            logmags[m + 1] = np.log(abs(cur)) + shift
-        else:
-            signs[m + 1] = 0.0
+def _plain(signs: np.ndarray, logmags: np.ndarray) -> np.ndarray:
+    """``sign * exp(logmag)``, overflowing to +-inf, exactly 0 for a zero sign."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is masked
+        return np.where(signs == 0, 0.0, signs * np.exp(logmags))
+
+
+def _charpoly(b: np.ndarray, x: np.ndarray,
+              rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and log-magnitudes of ``P_m(x)`` for each ``m`` in ``rows`` at
+    every point of the 1-d array ``x``, shape ``(len(rows), x.size)``.
+
+    One pass of the recurrence over all points.  Each point carries its
+    scaled pair ``(P_{m-1}, P_m)`` and log-scale ``shift``; a pair whose
+    larger magnitude ``mag`` leaves [1e-150, 1e150] is divided by it.  Working
+    memory is O(n + len(rows) * x.size).
+    """
+    slot = {m: j for j, m in enumerate(rows)}
+    vals = np.empty((len(slot), x.size))
+    shifts = np.zeros((len(slot), x.size))
+    b2 = b ** 2
+    shift = np.zeros(x.size)
+    prev, cur = shift + 1.0, x.copy()  # P_0, P_1
+    for m in range(max(slot) + 1):
+        if m > 1:
+            prev, cur = cur, x * cur - b2[m - 2] * prev
+            # |prev| <= 1e150 after the previous step (for m = 2, prev = x and
+            # |x| > 1e150 makes |cur| large too), so only a large |cur| or a
+            # small pair can leave the range; a NaN takes the slow test
+            size = np.abs(cur)
+            if x.size and not (size.max() <= 1e150 and size.min() >= 1e-150):
+                mag = np.maximum(np.abs(prev), size)
+                big = (mag > 1e150) | ((0.0 < mag) & (mag < 1e-150))
+                prev[big] /= mag[big]
+                cur[big] /= mag[big]
+                shift[big] += np.log(mag[big])
+        j = slot.get(m)
+        if j is not None:
+            vals[j] = prev if m == 0 else cur
+            shifts[j] = shift
+    with np.errstate(divide="ignore"):  # log 0 = -inf where P_m vanishes
+        return np.sign(vals), np.log(np.abs(vals)) + shifts
+
+
+def charpoly_sequence(t: AntisymTridiagonal, x: float | np.ndarray) -> CharPolySequence:
+    """Evaluate the three-term recurrence in overflow-safe scaled form at a
+    scalar ``x`` or at every point of a 1-d array ``x``."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-d array of points")
+    signs, logmags = _charpoly(t.b, pts.reshape(-1), range(t.n + 1))
+    if pts.ndim == 0:
+        signs, logmags = signs[:, 0], logmags[:, 0]
     return CharPolySequence(x=x, signs=signs, logmags=logmags)
-
-
-def _log_abs_derivative(lam_all_sq: np.ndarray, i: int | None, n: int) -> float:
-    """log |P_n'(mu)| at mu = lam_i (or mu = 0 for ``i is None``, n odd),
-    from the product-over-roots form."""
-    lam_sq = lam_all_sq
-    if i is None:
-        # |P_n'(0)| = prod lam_j**2
-        return float(np.sum(np.log(lam_sq)))
-    diffs = np.abs(lam_sq[i] - np.delete(lam_sq, i))
-    acc = float(np.sum(np.log(diffs)))
-    if n % 2 == 0:
-        return np.log(2.0) + 0.5 * np.log(lam_sq[i]) + acc
-    return np.log(2.0) + np.log(lam_sq[i]) + acc
 
 
 def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
@@ -172,7 +186,11 @@ def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
 
     Eigenvalues come from the similar symmetric tridiagonal matrix;
     first components from the characteristic-polynomial ratio
-    ``q_i**2 = |P_{n-1}(lam_i) / P_n'(lam_i)|`` with log-scaled recurrences.
+    ``q_i**2 = |P_{n-1}(lam_i) / P_n'(lam_i)|``, with ``P_{n-1}`` from one
+    scaled recurrence over all eigenvalues (and 0, n odd) and
+    ``P_n(x) = x**(n%2) prod_j (x**2 - lam_j**2)`` giving
+    ``|P_n'(lam_i)| = 2 lam_i**(1 + n%2) prod_{j != i} |lam_i**2 - lam_j**2|``
+    and ``|P_n'(0)| = prod_j lam_j**2``.
     """
     n = t.n
     k = n // 2
@@ -184,16 +202,24 @@ def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
     if lam.size and lam[-1] < DEGENERACY_RTOL * lam[0]:
         raise DegeneracyError("positive eigenvalue too close to zero")
     lam_sq = lam ** 2
-    q = np.empty(k)
-    for i in range(k):
-        cp = charpoly_sequence(t, lam[i])
-        log_q2 = cp.logmags[n - 1] - _log_abs_derivative(lam_sq, i, n)
-        q[i] = np.exp(0.5 * log_q2)
+    log_lam_sq = np.log(lam_sq)
+    pts = np.concatenate((lam, [0.0])) if n % 2 else lam
+    _, log_p = _charpoly(t.b, pts, (n - 1,))
+    log_deriv = np.log(2.0) + (1.0 if n % 2 else 0.5) * log_lam_sq
+    if k > 1:
+        # row sums of the k x k matrix log |lam_i^2 - lam_j^2| (0 on the
+        # diagonal), in row blocks of about 2**15 elements so that n = 1000
+        # needs no 2 MiB buffer
+        step = max(1, 2 ** 15 // k)
+        for lo in range(0, k, step):
+            gaps = lam_sq[lo:lo + step, None] - lam_sq
+            np.abs(gaps, out=gaps)
+            gaps.ravel()[lo::k + 1] = 1.0
+            log_deriv[lo:lo + step] += np.log(gaps, out=gaps).sum(axis=1)
+    q = np.exp(0.5 * (log_p[0, :k] - log_deriv))
     z = None
     if n % 2 == 1:
-        cp0 = charpoly_sequence(t, 0.0)
-        log_z2 = cp0.logmags[n - 1] - _log_abs_derivative(lam_sq, None, n)
-        z = float(np.exp(0.5 * log_z2))
+        z = float(np.exp(0.5 * (log_p[0, k] - log_lam_sq.sum())))
     return SpectralData(n=n, lam=lam, q=q, z=z)
 
 
@@ -248,16 +274,13 @@ def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
     return AntisymTridiagonal(np.asarray(b_top_down)[::-1])
 
 
-def _secular_sum(sd: SpectralData, x: float) -> float:
-    mu = sd.full_spectrum()
-    c = sd.full_weights()
-    return float(np.sum(c / (x - mu)))
-
-
 def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
                   rng: np.random.Generator | None = None, points: int = 10) -> float:
     """Max relative residual of ``P_{n-1}(x)/P_n(x) = sum_i c_i/(x - mu_i)``
-    at random real evaluation points away from the spectrum."""
+    at random real evaluation points away from the spectrum.
+
+    Points are drawn one at a time from ``rng``, rejecting any within
+    ``1e-3 * lam_max`` of the spectrum, and then evaluated together."""
     if sd is None:
         sd = positive_spectrum(t)
     if rng is None:
@@ -265,19 +288,18 @@ def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
     n = t.n
     lam_max = sd.lam[0]
     mu = sd.full_spectrum()
-    worst = 0.0
-    drawn = 0
-    while drawn < points:
+    xs = []
+    while len(xs) < points:
         x = float(rng.uniform(-2.0 * lam_max, 2.0 * lam_max))
         if np.min(np.abs(x - mu)) < 1e-3 * lam_max:
             continue
-        drawn += 1
-        cp = charpoly_sequence(t, x)
-        lhs = cp.ratio(n - 1, n)
-        rhs = _secular_sum(sd, x)
-        denom = max(abs(lhs), abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+        xs.append(x)
+    xs = np.array(xs)
+    signs, logmags = _charpoly(t.b, xs, (n - 1, n))
+    lhs = signs[0] * signs[1] * np.exp(logmags[0] - logmags[1])
+    rhs = np.sum(sd.full_weights() / (xs[:, None] - mu), axis=1)
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+    return float(np.max(rel, initial=0.0))
 
 
 def resolvent_check(t: AntisymTridiagonal, sd: SpectralData | None = None,

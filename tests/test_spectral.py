@@ -1,14 +1,47 @@
 """Tests for the spectrum/first-component decomposition and its inverse."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from skewbeta.ensembles import AntisymTridiagonal, build_antisym_tridiagonal
-from skewbeta.spectral import (DegeneracyError, SpectralData, charpoly_sequence,
-                               moment_equations_check, positive_spectrum,
-                               reconstruct_tridiagonal, resolvent_check,
-                               secular_check)
+from skewbeta.spectral import (CharPolySequence, DegeneracyError, SpectralData,
+                               charpoly_sequence, moment_equations_check,
+                               positive_spectrum, reconstruct_tridiagonal,
+                               resolvent_check, secular_check)
 from skewbeta.streams import RandomStream
+from skewbeta.verify import _draw_with_spectrum
+
+
+def _loop_sequence(b, x):
+    """Reference: the scalar scaled recurrence, one point, one step at a time."""
+    n = b.size + 1
+    signs = np.zeros(n + 1)
+    logmags = np.full(n + 1, -np.inf)
+    signs[0], logmags[0] = 1.0, 0.0
+    if x != 0.0:
+        signs[1], logmags[1] = np.sign(x), np.log(abs(x))
+    prev, cur, shift = 1.0, x, 0.0
+    for m in range(1, n):
+        nxt = x * cur - b[m - 1] ** 2 * prev
+        prev, cur = cur, nxt
+        mag = max(abs(prev), abs(cur))
+        if mag > 1e150 or (0.0 < mag < 1e-150):
+            prev /= mag
+            cur /= mag
+            shift += np.log(mag)
+        if cur != 0.0:
+            signs[m + 1] = np.sign(cur)
+            logmags[m + 1] = np.log(abs(cur)) + shift
+    return signs, logmags
+
+
+# n = 400 with b = 0.6: |P_m(x)| stays within [1e-150, 1e150] for |x| < 1.2
+# (oscillating, |P_m| ~ 0.6**m >= 1e-89) and grows past 1e150 for |x| = 3
+MIXED_B = np.full(399, 0.6)
+MIXED_QUIET = [0.0, 0.3, -0.7, 1.1]
+MIXED_LOUD = [3.0, -3.0, 25.0]
 
 
 class TestSpectralData:
@@ -64,6 +97,76 @@ class TestCharpolySequence:
         cp = charpoly_sequence(AntisymTridiagonal(b), 7.0)
         assert np.isfinite(cp.logmags[-1])
 
+    @pytest.mark.parametrize("b,xs", [
+        (np.array([1.3]), [0.0, 1.3, -0.4]),
+        (np.array([0.8, 1.3, 0.6, 2.2]), [0.0, 1.7, -1.7, 1e-3]),
+        (build_antisym_tridiagonal(12, 2.0, RandomStream(3)).b, [0.0, -2.5, 0.9, 6.0]),
+        (MIXED_B, MIXED_QUIET + MIXED_LOUD),
+        (np.full(400, 3.0), [7.0, -7.0, 0.0, 1e-200]),
+        (np.full(399, 1e-3), [1e-4, -5e-4, 0.0]),  # pairs fall below 1e-150
+    ])
+    def test_scalar_matches_loop(self, b, xs):
+        for x in xs:
+            cp = charpoly_sequence(AntisymTridiagonal(b), x)
+            signs, logmags = _loop_sequence(b, x)
+            assert np.array_equal(cp.signs, signs)
+            assert np.array_equal(cp.logmags, logmags)
+
+    @pytest.mark.parametrize("b,xs", [
+        (build_antisym_tridiagonal(12, 2.0, RandomStream(3)).b,
+         [0.0, -2.5, 0.9, 6.0, -0.0, -1e-3]),
+        (MIXED_B, MIXED_QUIET + MIXED_LOUD),
+    ])
+    def test_points_match_scalar(self, b, xs):
+        t = AntisymTridiagonal(b)
+        many = charpoly_sequence(t, np.array(xs))
+        assert many.signs.shape == many.logmags.shape == (t.n + 1, len(xs))
+        for j, x in enumerate(xs):
+            one = charpoly_sequence(t, x)
+            assert np.array_equal(many.signs[:, j], one.signs)
+            assert np.array_equal(many.logmags[:, j], one.logmags)
+
+    def test_mixed_rescaling(self):
+        # the n = 400 case really has points that rescale and points that do not
+        cp = charpoly_sequence(AntisymTridiagonal(MIXED_B), np.array(MIXED_QUIET + MIXED_LOUD))
+        top = np.max(np.abs(np.where(np.isfinite(cp.logmags), cp.logmags, 0.0)), axis=0)
+        quiet = len(MIXED_QUIET)
+        assert np.all(top[:quiet] < np.log(1e150))
+        assert np.all(top[quiet:] > np.log(1e150))
+        assert np.all(np.isfinite(cp.logmags[-1]))
+
+    def test_scalar_shapes(self):
+        t = AntisymTridiagonal([1.0, 2.0, 0.5, 1.5])
+        cp = charpoly_sequence(t, 0.9)
+        assert cp.x == 0.9 and cp.n == t.n
+        assert cp.signs.shape == cp.logmags.shape == cp.values().shape == (t.n + 1,)
+        assert all(type(cp.value(m)) is float for m in range(t.n + 1))
+        many = charpoly_sequence(t, np.array([0.9, -0.2]))
+        assert many.n == t.n and many.values().shape == (t.n + 1, 2)
+        assert many.value(t.n).shape == (2,)
+        with pytest.raises(ValueError):
+            charpoly_sequence(t, np.ones((2, 2)))
+
+    def test_values_overflow_and_zero(self):
+        # P_m is odd in x for odd m, so P_m(0) = 0 exactly; at x = +-20 the
+        # top values (about 19.5**401) overflow a double with the sign of x**m
+        t = AntisymTridiagonal(np.full(400, 3.0))
+        cp = charpoly_sequence(t, np.array([20.0, -20.0, 0.0]))
+        vals = cp.values()
+        assert vals[-1, 0] == np.inf and vals[-1, 1] == -np.inf
+        assert np.all(vals[1::2, 2] == 0.0) and not np.any(np.signbit(vals[1::2, 2]))
+        with np.errstate(over="ignore"):
+            loop = np.array([[0.0 if s == 0 else s * np.exp(lm)
+                              for s, lm in zip(srow, lrow)]
+                             for srow, lrow in zip(cp.signs, cp.logmags)])
+        assert np.array_equal(vals, loop)
+        assert np.array_equal(cp.value(t.n), vals[-1])
+        # a zero sign means 0 whatever the log-magnitude holds
+        odd = CharPolySequence(x=0.0, signs=np.array([1.0, -0.0]),
+                               logmags=np.array([0.0, np.inf]))
+        assert np.array_equal(odd.values(), [1.0, 0.0]) and odd.value(1) == 0.0
+        assert not np.signbit(odd.value(1))
+
 
 class TestPositiveSpectrum:
     def test_n2_closed_form(self):
@@ -106,11 +209,82 @@ class TestPositiveSpectrum:
             reconstruct_tridiagonal(sd)
 
 
+def _oracle_components(t: AntisymTridiagonal, lam: np.ndarray) -> np.ndarray:
+    """First components (q, then z for n odd) at 50 digits: each eigenvalue
+    refined as a root of the last row of ``J v = mu v`` (``J`` the symmetric
+    counterpart, ``v`` solved downwards from ``v_0 = 1``), then ``1/|v|``."""
+    n = t.n
+    with mp.workdps(50):
+        e = [mp.mpf(float(v)) for v in t.superdiagonal_top_down()]
+
+        def shoot(mu):
+            v = [mp.mpf(1), mu / e[0]]
+            for m in range(1, n - 1):
+                v.append((mu * v[m] - e[m - 1] * v[m - 1]) / e[m])
+            return v
+
+        def last_row(mu):
+            v = shoot(mu)
+            return e[n - 2] * v[n - 2] - mu * v[n - 1]
+
+        mus = [mp.findroot(last_row, mp.mpf(float(x))) for x in lam]
+        if n % 2:
+            mus.append(mp.mpf(0))
+        return np.array([float(1 / mp.sqrt(mp.fsum(c * c for c in shoot(mu))))
+                         for mu in mus])
+
+
+class TestFirstComponents:
+    @pytest.mark.parametrize("n,draws", [(200, 3), (1000, 1)])
+    def test_matches_eigenvectors(self, n, draws):
+        # an independent route: the first row of LAPACK's eigenvectors
+        for i in range(draws):
+            t = build_antisym_tridiagonal(n, 2.0, RandomStream(n).split(i))
+            sd = positive_spectrum(t)
+            d, e = t.symmetric_counterpart()
+            vals, vecs = eigh_tridiagonal(d, e)
+            first = np.abs(vecs[0, np.argsort(vals)[::-1][:n // 2]])
+            resolved = sd.q >= 1e-6
+            assert np.all(np.abs(sd.q - first)[resolved] <= 1e-8 * first[resolved])
+            assert sd.normalization_defect() <= 1e-10
+
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_mpmath_oracle(self, n, beta):
+        # draws conditioned as in the identities suite: relative squared-
+        # eigenvalue gaps >= 1e-6 and first components >= 1e-2
+        for i in range(3):
+            t, sd = _draw_with_spectrum(n, beta, RandomStream(7 * n).split(i), min_relgap=1e-6)
+            ref = _oracle_components(t, sd.lam)
+            got = np.append(sd.q, [sd.z] if n % 2 else [])
+            assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+
+
 class TestResidualChecks:
     @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 2.0), (6, 1.0), (9, 4.0)])
     def test_secular(self, n, beta):
         t = build_antisym_tridiagonal(n, beta, RandomStream(30 + n))
         assert secular_check(t) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_secular_matches_pointwise(self, n):
+        # same rng draws in the same order, same residual as one point at a time
+        t = build_antisym_tridiagonal(n, 2.0, RandomStream(60 + n))
+        sd = positive_spectrum(t)
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = secular_check(t, sd, rng, points=25)
+        mu, c = sd.full_spectrum(), sd.full_weights()
+        worst, drawn = 0.0, 0
+        while drawn < 25:
+            x = float(ref_rng.uniform(-2.0 * sd.lam[0], 2.0 * sd.lam[0]))
+            if np.min(np.abs(x - mu)) < 1e-3 * sd.lam[0]:
+                continue
+            drawn += 1
+            lhs = charpoly_sequence(t, x).ratio(n - 1, n)
+            rhs = float(np.sum(c / (x - mu)))
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        assert got == worst
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("n", [3, 4, 7])
     def test_resolvent(self, n):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import ParameterError, RandomStream, sample_gamma, sample_normal, \
+from .streams import ParameterError, RandomStream, sample_chi_tilde, sample_normal, \
     sample_standard_chi
 
 
@@ -187,7 +187,7 @@ def antisym_tridiagonal_batch(n: int, beta: float, stream: RandomStream,
         raise SizeError(f"need n >= 2, got {n}")
     if not beta > 0:
         raise ParameterError("beta must be positive")
-    cols = [np.sqrt(sample_gamma(k * beta / 4.0, stream, size=reps)) for k in range(1, n)]
+    cols = [sample_chi_tilde(k * beta / 2.0, stream, size=reps) for k in range(1, n)]
     return np.array(cols).T
 
 

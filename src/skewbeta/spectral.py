@@ -10,26 +10,28 @@ component of the null vector, normalized so that
 
 from __future__ import annotations
 
+import ctypes
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
 
-from .ensembles import AntisymTridiagonal, dense_tridiagonal
+from .ensembles import AntisymTridiagonal
 
 
 class DegeneracyError(ValueError):
-    """Positive eigenvalues closer than the separation tolerance."""
+    """Computed positive eigenvalues that tie in floating point."""
 
 
 class ConditioningError(ValueError):
     """Loss of positivity while reconstructing a tridiagonal matrix."""
 
 
-# eigenvalues closer than this fraction of lambda_max are declared degenerate
-DEGENERACY_RTOL = 1e-12
+class ConvergenceError(np.linalg.LinAlgError):
+    """LAPACK's bidiagonal QR iteration did not converge."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,9 @@ class SpectralData:
         k = self.n // 2
         if lam.size != k or q.size != k:
             raise ValueError(f"expected {k} positive eigenvalues/components for n={self.n}")
-        if np.any(np.diff(lam) >= 0) or np.any(lam <= 0):
+        if (np.diff(lam) >= 0).any() or (lam <= 0).any():
             raise ValueError("eigenvalues must be strictly decreasing and positive")
-        if np.any(q <= 0):
+        if (q <= 0).any():
             raise ValueError("first components must be positive")
         if self.n % 2 == 1 and (self.z is None or self.z <= 0):
             raise ValueError("odd order requires a positive null-vector component z")
@@ -181,63 +183,108 @@ def charpoly_sequence(t: AntisymTridiagonal, x: float | np.ndarray) -> CharPolyS
     return CharPolySequence(x=x, signs=signs, logmags=logmags)
 
 
-def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
-    """Decompose ``T`` into ``(lambda, q[, z])``.
+def _capsule_pointer(capsule) -> int:
+    """Address of the C function a ``__pyx_capi__`` capsule holds."""
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return get_pointer(capsule, get_name(capsule))
 
-    Eigenvalues come from the similar symmetric tridiagonal matrix;
-    first components from the characteristic-polynomial ratio
-    ``q_i**2 = |P_{n-1}(lam_i) / P_n'(lam_i)|``, with ``P_{n-1}`` from one
-    scaled recurrence over all eigenvalues (and 0, n odd) and
-    ``P_n(x) = x**(n%2) prod_j (x**2 - lam_j**2)`` giving
-    ``|P_n'(lam_i)| = 2 lam_i**(1 + n%2) prod_{j != i} |lam_i**2 - lam_j**2|``
-    and ``|P_n'(0)| = prod_j lam_j**2``.
+
+# LAPACK dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work,
+# info), every argument passed by address
+_dbdsqr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(
+    _capsule_pointer(cython_lapack.__pyx_capi__["dbdsqr"]))
+_UPLO = ctypes.c_char(b"U")  # B is upper bidiagonal; read-only
+
+
+def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive eigenvalues ``lam`` (descending), first components ``q`` and
+    null-vector components ``z`` for a batch of off-diagonal sequences:
+    ``(reps, n-1)`` -> ``(reps, n//2)``, ``(reps, n//2)``, ``(reps,)`` (``z``
+    is NaN for even n).
+
+    The shuffle conjugates the symmetric counterpart of ``i*T`` to
+    ``[[0, B^T], [B, 0]]`` with ``B`` the upper bidiagonal of diagonal
+    ``s[0::2]`` and superdiagonal ``s[1::2]``, where ``s = b[::-1]`` is the
+    top-down superdiagonal (one 0 appended for odd n, which splits off the
+    zero eigenvalue).  So ``lam`` are the singular values of ``B`` and ``q``
+    the first entries of its right singular vectors over sqrt(2).  LAPACK's
+    ``dbdsqr`` computes the singular values to high relative accuracy
+    (implicit zero-shift QR) and the singular vectors to absolute accuracy;
+    with ``NCVT=1`` on ``VT = e_1`` it rotates that one row only, O(k^2) time
+    and O(k) memory per row.  ``z`` is ``1/|x|`` for the closed-form null
+    vector ``x`` (``x_0 = 1``, zero at odd positions,
+    ``x_{2j+2} = -x_{2j} s_{2j} / s_{2j+1}``), summed in log space, so it is
+    relatively accurate.
+
+    A row with a non-finite entry comes back as NaN, because ``dbdsqr`` never
+    returns on one.
     """
-    n = t.n
-    k = n // 2
-    d, e = t.symmetric_counterpart()
-    vals = eigh_tridiagonal(d, e, eigvals_only=True)
-    lam = np.sort(vals)[::-1][:k].copy()
-    if lam.size > 1 and np.min(-np.diff(lam)) < DEGENERACY_RTOL * lam[0]:
-        raise DegeneracyError("positive eigenvalues below separation tolerance")
-    if lam.size and lam[-1] < DEGENERACY_RTOL * lam[0]:
-        raise DegeneracyError("positive eigenvalue too close to zero")
-    lam_sq = lam ** 2
-    log_lam_sq = np.log(lam_sq)
-    pts = np.concatenate((lam, [0.0])) if n % 2 else lam
-    _, log_p = _charpoly(t.b, pts, (n - 1,))
-    log_deriv = np.log(2.0) + (1.0 if n % 2 else 0.5) * log_lam_sq
-    if k > 1:
-        # row sums of the k x k matrix log |lam_i^2 - lam_j^2| (0 on the
-        # diagonal), in row blocks of about 2**15 elements so that n = 1000
-        # needs no 2 MiB buffer
-        step = max(1, 2 ** 15 // k)
-        for lo in range(0, k, step):
-            gaps = lam_sq[lo:lo + step, None] - lam_sq
-            np.abs(gaps, out=gaps)
-            gaps.ravel()[lo::k + 1] = 1.0
-            log_deriv[lo:lo + step] += np.log(gaps, out=gaps).sum(axis=1)
-    q = np.exp(0.5 * (log_p[0, :k] - log_deriv))
-    z = None
-    if n % 2 == 1:
-        z = float(np.exp(0.5 * (log_p[0, k] - log_lam_sq.sum())))
-    return SpectralData(n=n, lam=lam, q=q, z=z)
+    b_batch = np.asarray(b_batch, dtype=float)
+    reps, m = b_batch.shape
+    k, order = (m + 1) // 2, m // 2 + 1  # positive eigenvalues, order of B
+    s = b_batch[:, ::-1]
+    # one float buffer: per row B's diagonal, superdiagonal (one slot spare)
+    # and VT, which dbdsqr overwrites with the singular values and P^T e_1;
+    # then the work array.  One int buffer: n, ncvt, nru, ncc, ldvt, 1, then
+    # one info per row.
+    buf = np.zeros((3 * reps + 4) * order)
+    rows = buf[:3 * reps * order].reshape(reps, 3, order)
+    rows[:, 0, :k] = s[:, 0::2]
+    rows[:, 1, :order - 1] = s[:, 1::2]
+    rows[:, 2, 0] = 1.0
+    ints = np.zeros(6 + reps, dtype=np.intc)
+    ints[:6] = order, 1, 0, 0, order, 1
+    finite = np.isfinite(b_batch).all(axis=1)
+    good = np.flatnonzero(finite)
+    stride, p_buf, p_int = 8 * order, buf.ctypes.data, ints.ctypes.data
+    p_n, p_ncvt, p_nru, p_ncc, p_ldvt, p_one = range(p_int, p_int + 24, 4)
+    p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * reps * stride
+    call = _dbdsqr
+    for d, info in zip((p_buf + 3 * stride * good).tolist(), (p_int + 24 + 4 * good).tolist()):
+        call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,
+             p_work, p_one, p_work, p_one, p_work, info)
+    if ints[6:].any():
+        raise ConvergenceError(f"dbdsqr did not converge on {np.count_nonzero(ints[6:])} "
+                               f"of {reps} rows")
+    lam = rows[:, 0, :k].copy()
+    q = np.abs(rows[:, 2, :k]) / math.sqrt(2.0)
+    z = np.full(reps, np.nan)
+    if m % 2 == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows
+            log_s = np.log(s)
+            log_x = np.zeros((reps, k + 1))  # log |x_{2j}|
+            np.cumsum(log_s[:, 0::2] - log_s[:, 1::2], axis=1, out=log_x[:, 1:])
+            z = np.exp(-0.5 * np.logaddexp.reduce(2.0 * log_x, axis=1))
+    if good.size < reps:
+        lam[~finite] = q[~finite] = z[~finite] = np.nan
+    return lam, q, z
+
+
+def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
+    """Decompose ``T`` into ``(lambda, q[, z])``: the one-row case of
+    :func:`_bidiagonal_svd`.  Raises :class:`DegeneracyError` only when two
+    computed eigenvalues tie in floating point (or one is 0)."""
+    if not np.isfinite(t.b).all():
+        raise ValueError("off-diagonal sequence must be finite")
+    lam, q, z = (a[0] for a in _bidiagonal_svd(t.b[None, :]))
+    if lam.size and (lam[-1] <= 0 or (lam[1:] >= lam[:-1]).any()):
+        raise DegeneracyError("computed positive eigenvalues are not distinct")
+    return SpectralData(n=t.n, lam=lam, q=q, z=float(z) if t.n % 2 else None)
 
 
 def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:
     """Positive eigenvalues (descending) for a batch of off-diagonal
     sequences, shape ``(reps, n-1)`` -> ``(reps, n//2)``."""
-    n = b_batch.shape[1] + 1
-    eig = np.linalg.eigvalsh(dense_tridiagonal(b_batch[:, ::-1], 1.0))
-    return eig[:, ::-1][:, :n // 2]
+    return _bidiagonal_svd(b_batch)[0]
 
 
 def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     """``2 q_1^2`` (squared top first-eigenvector component, doubled) for a
     batch of off-diagonal sequences."""
-    vals, vecs = np.linalg.eigh(dense_tridiagonal(b_batch[:, ::-1], 1.0))
-    top = np.argmax(vals, axis=1)
-    first = vecs[np.arange(b_batch.shape[0]), 0, top]
-    return 2.0 * first ** 2
+    return 2.0 * _bidiagonal_svd(b_batch)[1][:, 0] ** 2
 
 
 def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:

@@ -68,12 +68,25 @@ def sample_gamma(shape, stream: RandomStream, size=None):
     return boost * u ** (1.0 / shape)
 
 
+def _sqrt_gamma(shape: float, scale: float, stream: RandomStream, size):
+    """``sqrt(scale * G)`` for ``G`` a rate-1 gamma of the given shape, with the
+    generator calls of :func:`sample_gamma`.  Below shape 1 the boost is taken
+    in log space, ``exp((log(scale * boost) + log(u) / shape) / 2)``, so the
+    result never underflows to 0 where ``u**(1/shape)`` would."""
+    gen = stream.generator
+    if shape >= 1.0:
+        return np.sqrt(scale * gen.gamma(shape, size=size))
+    boost = gen.gamma(shape + 1.0, size=size)
+    u = gen.random(size=size)
+    return np.exp(0.5 * (np.log(scale * boost) + np.log(u) / shape))
+
+
 def sample_chi_tilde(k, stream: RandomStream, size=None):
     """Square root of a rate-1 gamma with shape ``k/2``; ``E[x**2] = k/2``."""
     k = float(k)
     if not k > 0:
         raise ParameterError(f"chi-tilde degrees must be positive, got {k}")
-    return np.sqrt(sample_gamma(k / 2.0, stream, size=size))
+    return _sqrt_gamma(k / 2.0, 1.0, stream, size)
 
 
 def sample_standard_chi(k, stream: RandomStream, size=None):
@@ -81,7 +94,7 @@ def sample_standard_chi(k, stream: RandomStream, size=None):
     k = float(k)
     if not k > 0:
         raise ParameterError(f"chi degrees must be positive, got {k}")
-    return np.sqrt(2.0 * sample_gamma(k / 2.0, stream, size=size))
+    return _sqrt_gamma(k / 2.0, 2.0, stream, size)
 
 
 def sample_dirichlet(s, stream: RandomStream, size=None):

@@ -49,8 +49,10 @@ def _draw_with_spectrum(n: int, beta: float, stream: RandomStream,
             if lam_sq[-1] < min_relgap * scale or \
                     (gaps.size and np.min(gaps) < min_relgap * scale):
                 continue
-            # tiny first components are equally ill-conditioned: the
-            # characteristic-polynomial ratio evaluates near a root
+            # tiny first components are kept out too: the reference routes
+            # the identities compare them against (the eigenvectors of
+            # _first_component_residual, the secular sum) resolve them only
+            # to absolute accuracy
             if np.min(sd.q) < 1e-2 or (sd.z is not None and sd.z < 1e-2):
                 continue
         return t, sd

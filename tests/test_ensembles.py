@@ -102,6 +102,12 @@ class TestBuilders:
         b = antisym_tridiagonal_batch(4, 1.0, RandomStream(2), 100)
         assert b.shape == (100, 3) and np.all(b > 0)
 
+    def test_small_beta_batch_has_no_zero(self):
+        # b_1**2 has gamma shape 0.0125 at beta = 0.05; drawn through
+        # u**(1/shape) it underflowed to 0 in 2 of these 20000 rows
+        b = antisym_tridiagonal_batch(12, 0.05, RandomStream(1), 20000)
+        assert np.all(b > 0)
+
     @pytest.mark.parametrize("beta", [0.05, 0.5, 4.0])
     def test_builder_is_batch_row(self, beta):
         # at beta=4 every gamma shape k*beta/4 is >= 1 and the draws agree

@@ -1,15 +1,23 @@
 """Tests for the spectrum/first-component decomposition and its inverse."""
 
+import os
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from skewbeta.ensembles import AntisymTridiagonal, build_antisym_tridiagonal
+import skewbeta
+from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
+                                build_antisym_tridiagonal)
 from skewbeta.spectral import (CharPolySequence, DegeneracyError, SpectralData,
+                               _bidiagonal_svd, _first_component_sq_batch,
                                charpoly_sequence, moment_equations_check,
-                               positive_spectrum, reconstruct_tridiagonal,
-                               resolvent_check, secular_check)
+                               positive_spectrum, positive_spectrum_batch,
+                               reconstruct_tridiagonal, resolvent_check,
+                               secular_check)
 from skewbeta.streams import RandomStream
 from skewbeta.verify import _draw_with_spectrum
 
@@ -209,13 +217,17 @@ class TestPositiveSpectrum:
             reconstruct_tridiagonal(sd)
 
 
-def _oracle_components(t: AntisymTridiagonal, lam: np.ndarray) -> np.ndarray:
-    """First components (q, then z for n odd) at 50 digits: each eigenvalue
-    refined as a root of the last row of ``J v = mu v`` (``J`` the symmetric
-    counterpart, ``v`` solved downwards from ``v_0 = 1``), then ``1/|v|``."""
-    n = t.n
-    with mp.workdps(50):
-        e = [mp.mpf(float(v)) for v in t.superdiagonal_top_down()]
+def _oracle_spectrum(b: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, first components and (n odd) z at 120 digits plus the
+    total decimal range of ``b``: each float eigenvalue is bracketed within a
+    quarter of its relative gaps (at most 1e-6 relative), refined as a root of
+    the last row of ``J v = mu v`` (``v`` shot downwards from ``v_0 = 1``) and
+    checked to change sign within 1e-40 relative; then ``q = 1/|v(mu)|`` and
+    ``z = 1/|v(0)|``."""
+    s = b[::-1]
+    n = s.size + 1
+    with mp.workdps(120 + int(np.sum(np.abs(np.log10(s))))):
+        e = [mp.mpf(float(v)) for v in s]
 
         def shoot(mu):
             v = [mp.mpf(1), mu / e[0]]
@@ -227,11 +239,22 @@ def _oracle_components(t: AntisymTridiagonal, lam: np.ndarray) -> np.ndarray:
             v = shoot(mu)
             return e[n - 2] * v[n - 2] - mu * v[n - 1]
 
-        mus = [mp.findroot(last_row, mp.mpf(float(x))) for x in lam]
-        if n % 2:
-            mus.append(mp.mpf(0))
-        return np.array([float(1 / mp.sqrt(mp.fsum(c * c for c in shoot(mu))))
-                         for mu in mus])
+        mus = []
+        for i, x in enumerate(lam):
+            gaps = [abs(x - lam[j]) / x for j in (i - 1, i + 1) if 0 <= j < lam.size]
+            delta = mp.mpf(min([1e-6] + [g / 4 for g in gaps]))
+            lo, hi = mp.mpf(float(x)) * (1 - delta), mp.mpf(float(x)) * (1 + delta)
+            assert last_row(lo) * last_row(hi) <= 0, f"no root within {float(delta):.1e} of {x}"
+            mu = mp.findroot(last_row, (lo, hi), solver="anderson", verify=False, maxsteps=500)
+            tiny = mp.mpf(10) ** -40
+            assert last_row(mu * (1 - tiny)) * last_row(mu * (1 + tiny)) <= 0
+            mus.append(mu)
+
+        def first(mu):
+            return float(1 / mp.sqrt(mp.fsum(c * c for c in shoot(mu))))
+
+        z = first(mp.mpf(0)) if n % 2 else float("nan")
+        return np.array([float(mu) for mu in mus]), np.array([first(mu) for mu in mus]), z
 
 
 class TestFirstComponents:
@@ -255,9 +278,98 @@ class TestFirstComponents:
         # eigenvalue gaps >= 1e-6 and first components >= 1e-2
         for i in range(3):
             t, sd = _draw_with_spectrum(n, beta, RandomStream(7 * n).split(i), min_relgap=1e-6)
-            ref = _oracle_components(t, sd.lam)
+            _, ref_q, ref_z = _oracle_spectrum(t.b, sd.lam)
             got = np.append(sd.q, [sd.z] if n % 2 else [])
+            ref = np.append(ref_q, [ref_z] if n % 2 else [])
             assert np.all(np.abs(got - ref) <= 1e-10 * ref)
+
+
+def _run_guarded(code: str) -> str:
+    """Run ``code`` in a fresh interpreter and return its output; a run that
+    has not finished within a minute fails the test (LAPACK's dbdsqr never
+    returns on a non-finite entry, so a hang is what a lost guard looks like)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewbeta.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestBidiagonalCore:
+    @pytest.mark.parametrize("n", [12, 13, 40, 41])
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0, 2.0])
+    def test_mpmath_oracle_unfiltered(self, n, beta):
+        # every draw, none filtered.  lam is relatively accurate (worst
+        # 9.8e-15 on 800 draws scanned over these sizes and beta 0.05-2).
+        # dbdsqr's rotations make q only absolutely accurate (worst 1.7e-13;
+        # a deflated component comes back as exactly 0, true values below
+        # 2.3e-17), so q's bound is 1e-10 relative plus 1e-12 absolute.  z is
+        # the closed-form null vector, relatively accurate (worst 1.9e-14).
+        stream = RandomStream(n).split(int(100 * beta))
+        for i in range(4):
+            b = build_antisym_tridiagonal(n, beta, stream.split(i)).b
+            lam, q, z = (a[0] for a in _bidiagonal_svd(b[None, :]))
+            ref_lam, ref_q, ref_z = _oracle_spectrum(b, lam)
+            assert np.all(np.abs(lam - ref_lam) <= 1e-14 * ref_lam)
+            assert np.all(np.abs(q - ref_q) <= 1e-10 * ref_q + 1e-12)
+            if n % 2:
+                assert abs(z - ref_z) <= 1e-13 * ref_z
+
+    @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 0.5), (12, 0.25), (41, 1.0)])
+    def test_batch_rows_equal_scalar(self, n, beta):
+        b = antisym_tridiagonal_batch(n, beta, RandomStream(3), 64)
+        lam, top = positive_spectrum_batch(b), _first_component_sq_batch(b)
+        for i in range(b.shape[0]):
+            sd = positive_spectrum(AntisymTridiagonal(b[i]))
+            assert np.array_equal(lam[i], sd.lam)
+            assert top[i] == 2.0 * sd.q[0] ** 2
+
+    @pytest.mark.parametrize("n", [12, 40, 200])
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])
+    def test_no_degeneracy_error(self, n, beta):
+        # SpectralData still rejects a q that dbdsqr deflated to exactly 0
+        # (about 12-16% of draws at beta = 0.05, 0-0.2% at 0.25); that must
+        # be the only failure
+        for row in antisym_tridiagonal_batch(n, beta, RandomStream(n).split(1), 200):
+            try:
+                positive_spectrum(AntisymTridiagonal(row))
+            except DegeneracyError:
+                raise
+            except ValueError:
+                assert np.any(_bidiagonal_svd(row[None, :])[1] == 0)
+
+    @pytest.mark.parametrize("n", [13, 41])
+    def test_odd_z_positive_at_small_beta(self, n):
+        # a z read off dbdsqr's zero singular vector came back as 0 here
+        z = _bidiagonal_svd(antisym_tridiagonal_batch(n, 0.05, RandomStream(n).split(2), 200))[2]
+        assert np.all(np.isfinite(z)) and np.all(z > 0)
+
+    def test_even_z_is_nan(self):
+        assert np.all(np.isnan(_bidiagonal_svd(np.ones((3, 5)))[2]))
+
+    def test_nonfinite_batch_rows_are_nan(self):
+        out = _run_guarded(
+            "import numpy as np\n"
+            "from skewbeta.spectral import _bidiagonal_svd\n"
+            "b = np.array([[1.0, np.inf, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],"
+            " [1.0, 2.0, np.nan, 4.0], [-np.inf, 1.0, 1.0, 1.0]])\n"
+            "lam, q, z = _bidiagonal_svd(b)\n"
+            "one = _bidiagonal_svd(b[1:2])\n"
+            "bad = [0, 2, 3]\n"
+            "print(np.isnan(lam[bad]).all() and np.isnan(q[bad]).all() and np.isnan(z[bad]).all(),"
+            " np.array_equal(lam[1], one[0][0]) and np.array_equal(q[1], one[1][0]))\n")
+        assert out == "True True"
+
+    def test_nonfinite_scalar_raises(self):
+        out = _run_guarded(
+            "from skewbeta.ensembles import AntisymTridiagonal\n"
+            "from skewbeta.spectral import positive_spectrum\n"
+            "try:\n"
+            "    positive_spectrum(AntisymTridiagonal([1.0, float('inf'), 2.0]))\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__)\n")
+        assert out == "ValueError"
 
 
 class TestResidualChecks:

@@ -72,6 +72,34 @@ class TestChiConventions:
         std = sample_standard_chi(4.0, RandomStream(5), size=200000)
         assert np.mean(std) == pytest.approx(np.sqrt(2.0) * np.mean(tilde), rel=0.02)
 
+    @pytest.mark.parametrize("shape", [0.0125, 0.125, 0.5, 1.0, 2.5])
+    def test_chi_follow_gamma_draws(self, shape):
+        # the generator calls of sample_gamma, in the same order: bit-equal
+        # square roots from shape 1 up; below it the boost is taken in log
+        # space, which moves a value by ulps (up to about eps*|log g|)
+        streams = [RandomStream(11) for _ in range(3)]
+        g = sample_gamma(shape, streams[0], size=20000)
+        tilde = sample_chi_tilde(2.0 * shape, streams[1], size=20000)
+        std = sample_standard_chi(2.0 * shape, streams[2], size=20000)
+        assert len({s.generator.random() for s in streams}) == 1
+        if shape >= 1.0:
+            assert np.array_equal(tilde, np.sqrt(g))
+            assert np.array_equal(std, np.sqrt(2.0 * g))
+        else:
+            normal = g >= np.finfo(float).tiny
+            assert np.allclose(tilde[normal], np.sqrt(g[normal]), rtol=1e-12, atol=0.0)
+            assert np.allclose(std[normal], np.sqrt(2.0 * g[normal]), rtol=1e-12, atol=0.0)
+
+    def test_small_shape_never_underflows(self):
+        # shape 0.0125 is beta = 0.05 on the first off-diagonal: u**80
+        # underflows to 0 on about 1e-4 of draws, its log-space square root
+        # does not
+        g = sample_gamma(0.0125, RandomStream(12), size=200000)
+        tilde = sample_chi_tilde(0.025, RandomStream(12), size=200000)
+        std = sample_standard_chi(0.025, RandomStream(12), size=200000)
+        assert np.count_nonzero(g == 0.0) > 0
+        assert np.all(tilde > 0) and np.all(std > 0)
+
     def test_invalid_degrees(self):
         with pytest.raises(ParameterError):
             sample_chi_tilde(0.0, RandomStream(0))

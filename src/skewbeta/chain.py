@@ -263,26 +263,38 @@ def rational_roots(r: RandomRational) -> np.ndarray:
     return secular_roots(r.constant, r.a[None, :], r.c[None, :])[0]
 
 
-def _step_up_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream) -> np.ndarray:
+def _step_up_sq(lam_sq: np.ndarray, m: int, beta: float, draw) -> np.ndarray:
     """One border step of every row of ``lam_sq`` (squared positive spectra
     of size-m matrices); returns the squared spectra of size m+1.
 
     Each pole pair gets a squared border weight ``2w^2 ~ Gamma[beta/2, 1]``;
     for odd ``m`` the zero eigenvalue carries ``b^2 ~ Gamma[beta/4, 1]``.
+    ``draw(shape, cols)`` returns ``(reps, cols)`` such gammas.
     """
     reps, k = lam_sq.shape
-    weights = sample_gamma(beta / 2.0, stream, size=(reps, k)) if k \
-        else np.zeros((reps, 0))
+    weights = draw(beta / 2.0, k) if k else np.zeros((reps, 0))
     poles = lam_sq
     if m % 2 == 1:
         poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
-        weights = np.concatenate(
-            [weights, sample_gamma(beta / 4.0, stream, size=(reps, 1))], axis=1)
+        weights = np.concatenate([weights, draw(beta / 4.0, 1)], axis=1)
     return secular_roots(1, poles, weights)
 
 
-def _chain_sq(n: int, beta: float, stream: RandomStream, reps: int):
-    """Squared positive spectra of sizes 1 through n, shape ``(reps, m//2)``."""
+def _one_stream(stream: RandomStream, reps: int):
+    """Border weights for all rows from one stream, one call per step."""
+    return lambda shape, cols: sample_gamma(shape, stream, size=(reps, cols))
+
+
+def _stream_per_row(streams):
+    """Border weights for row ``i`` from ``streams[i]``, with the calls the
+    one-row chain makes on it."""
+    return lambda shape, cols: np.concatenate(
+        [sample_gamma(shape, s, size=(1, cols)) for s in streams])
+
+
+def _chain_sq(n: int, beta: float, draw, reps: int):
+    """Squared positive spectra of sizes 1 through n, shape ``(reps, m//2)``,
+    with border weights from ``draw`` (see :func:`_step_up_sq`)."""
     if n < 2:
         raise ParameterError("need n >= 2")
     if reps < 1:
@@ -290,7 +302,7 @@ def _chain_sq(n: int, beta: float, stream: RandomStream, reps: int):
     lam_sq = np.zeros((reps, 0))
     yield lam_sq
     for m in range(1, n):
-        lam_sq = _step_up_sq(lam_sq, m, beta, stream)
+        lam_sq = _step_up_sq(lam_sq, m, beta, draw)
         yield lam_sq
 
 
@@ -304,7 +316,7 @@ def chain_step_up(lam_prev, n: int, beta: float, stream: RandomStream) -> np.nda
         raise ParameterError(f"expected {k} eigenvalues for step n={n}")
     if np.any(np.diff(lam_prev) >= 0):
         raise ParameterError("eigenvalues must be strictly descending")
-    return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, stream)[0])
+    return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, _one_stream(stream, 1))[0])
 
 
 def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
@@ -316,7 +328,8 @@ def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
 def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[ChainState]:
     """All intermediate positive spectra of the chain, sizes 1 through n."""
     return [ChainState(m=m, lam=np.sqrt(lam_sq[0]))
-            for m, lam_sq in enumerate(_chain_sq(n, beta, stream, 1), start=1)]
+            for m, lam_sq in enumerate(_chain_sq(n, beta, _one_stream(stream, 1), 1),
+                                       start=1)]
 
 
 def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
@@ -384,7 +397,18 @@ def border_matrix_check(lam_prev, w, b: float | None) -> float:
 def chain_sample_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
     """``reps`` independent positive spectra of the size-n ensemble, shape
     ``(reps, n//2)``; every border step solves all rows at once."""
-    for lam_sq in _chain_sq(n, beta, stream, reps):
+    return _last_sqrt(_chain_sq(n, beta, _one_stream(stream, reps), reps))
+
+
+def chain_sample_rows(n: int, beta: float, streams) -> np.ndarray:
+    """One positive spectrum per stream, shape ``(len(streams), n//2)``: row
+    ``i`` equals ``chain_sample(n, beta, streams[i])`` exactly, and every
+    border step solves all rows at once."""
+    return _last_sqrt(_chain_sq(n, beta, _stream_per_row(streams), len(streams)))
+
+
+def _last_sqrt(chain) -> np.ndarray:
+    for lam_sq in chain:
         pass
     # in place: a fresh output array allocated after the last step's
     # temporaries fragments the heap and raises the caller's peak memory

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, chain, densities, sturm, verify
-from .ensembles import (EnsembleSpec, SizeError, build_antisym_tridiagonal,
-                        build_c_matrix, build_dense_antisym_gue,
-                        build_laguerre_bidiagonal, householder_reduce)
-from .spectral import positive_spectrum
+from .ensembles import (EnsembleSpec, SizeError, antisym_tridiagonal_batch,
+                        build_antisym_tridiagonal, build_dense_antisym_gue,
+                        c_matrix_rows, dense_antisym_gue_rows, householder_reduce,
+                        householder_reduce_batch, laguerre_bidiagonal_rows)
+from .spectral import spectral_rows
 from .streams import ParameterError, RandomStream
 
 
@@ -49,27 +50,27 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _csv_document(config: RunConfig, header: list[str], rows: list[list[float]]) -> str:
+def _csv_document(config: RunConfig, header: list[str], table: np.ndarray) -> str:
     lines = [f"# {json.dumps(config.provenance(), sort_keys=True)}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def _json_document(config: RunConfig, header: list[str], rows: list[list[float]]) -> str:
+def _json_document(config: RunConfig, header: list[str], table: np.ndarray) -> str:
     return json.dumps({
         "provenance": config.provenance(),
         "columns": header,
-        "rows": [[float(v) for v in row] for row in rows],
+        "rows": table.tolist(),
     }, indent=2)
 
 
-def _emit_table(config: RunConfig, header: list[str], rows: list[list[float]]) -> None:
+def _emit_table(config: RunConfig, header: list[str], table: np.ndarray) -> None:
+    """Write a ``(rows, len(header))`` float array as CSV or JSON."""
     if config.fmt == "json":
-        _write(_json_document(config, header, rows), config.out)
+        _write(_json_document(config, header, table), config.out)
     else:
-        _write(_csv_document(config, header, rows), config.out)
+        _write(_csv_document(config, header, table), config.out)
 
 
 def _spectral_header(n: int) -> list[str]:
@@ -81,47 +82,49 @@ def _spectral_header(n: int) -> list[str]:
     return cols
 
 
-def _sample_rows(config: RunConfig) -> tuple[list[str], list[list[float]]]:
+def _spectral_table(b: np.ndarray) -> np.ndarray:
+    """Rows ``(lambda, q[, z])`` for a batch of off-diagonal sequences; a
+    row that fails a check of the spectral map raises."""
+    lam, q, z = spectral_rows(b)
+    parts = [lam, q] + ([z[:, None]] if b.shape[1] % 2 == 0 else [])
+    return np.concatenate(parts, axis=1)
+
+
+def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
+    """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
+    draws on ``root.split(i)`` with the calls of the one-replicate builder;
+    the draws are then solved in one batch."""
     spec = EnsembleSpec(kind=config.ensemble, n=config.n, beta=config.beta,
                         a=config.a)
-    root = RandomStream(config.seed)
-    rows: list[list[float]] = []
+    n = spec.n
     if spec.kind in ("antisym-trid", "antisym-dense-gue"):
-        header = _spectral_header(spec.n)
-        for i in range(config.reps):
-            stream = root.split(i)
-            if spec.kind == "antisym-trid":
-                t = build_antisym_tridiagonal(spec.n, spec.beta, stream)
-            else:
-                t = householder_reduce(build_dense_antisym_gue(spec.n, stream))
-            sd = positive_spectrum(t)
-            row = list(sd.lam) + list(sd.q)
-            if sd.z is not None:
-                row.append(sd.z)
-            rows.append(row)
+        header = _spectral_header(n)
     elif spec.kind == "chain":
-        k = spec.n // 2
-        header = [f"lambda_{i}" for i in range(1, k + 1)]
-        for i in range(config.reps):
-            rows.append(list(chain.chain_sample(spec.n, spec.beta, root.split(i))))
+        header = [f"lambda_{i}" for i in range(1, n // 2 + 1)]
+    else:
+        header = [f"sigma_{i}" for i in range(1, n + 1)]
+    root = RandomStream(config.seed)
+    streams = [root.split(i) for i in range(config.reps)]
+    if not streams:
+        return header, np.empty((0, len(header)))
+    if spec.kind == "antisym-trid":
+        table = _spectral_table(np.array(
+            [antisym_tridiagonal_batch(n, spec.beta, s, None) for s in streams]))
+    elif spec.kind == "antisym-dense-gue":
+        table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
+    elif spec.kind == "chain":
+        table = chain.chain_sample_rows(n, spec.beta, streams)
     elif spec.kind == "laguerre-bidiag":
-        header = [f"sigma_{i}" for i in range(1, spec.n + 1)]
-        for i in range(config.reps):
-            blk = build_laguerre_bidiagonal(spec.n, spec.a, spec.beta, root.split(i))
-            sigma = np.linalg.svd(blk.to_dense(), compute_uv=False)
-            rows.append(list(sigma))
+        table = np.linalg.svd(laguerre_bidiagonal_rows(n, spec.a, spec.beta, streams),
+                              compute_uv=False)
     else:  # c-matrix
-        header = [f"sigma_{i}" for i in range(1, spec.n + 1)]
-        for i in range(config.reps):
-            blk = build_c_matrix(spec.n, spec.beta, root.split(i))
-            sigma = np.linalg.svd(blk.to_dense(), compute_uv=False)
-            rows.append(list(sigma))
-    return header, rows
+        table = np.linalg.svd(c_matrix_rows(n, spec.beta, streams), compute_uv=False)
+    return header, table
 
 
 def cmd_sample(config: RunConfig) -> int:
-    header, rows = _sample_rows(config)
-    _emit_table(config, header, rows)
+    header, table = _sample_rows(config)
+    _emit_table(config, header, table)
     return 0
 
 
@@ -158,8 +161,8 @@ def cmd_prufer(config: RunConfig, grid_text: str) -> int:
     t = build_antisym_tridiagonal(config.n, config.beta, RandomStream(config.seed))
     phases = sturm.prufer_phases(t, grid)
     header = ["mu"] + [f"theta_{i}" for i in range(2, config.n + 1)]
-    rows = [[p.mu] + list(p.theta) for p in phases]
-    _emit_table(config, header, rows)
+    table = np.array([[p.mu, *p.theta] for p in phases]).reshape(-1, len(header))
+    _emit_table(config, header, table)
     return 0
 
 

@@ -121,12 +121,7 @@ class LowerBidiagonal:
         return self.d.size
 
     def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.rows, self.cols))
-        i = np.arange(self.cols)
-        m[i, i] = self.d
-        j = np.arange(self.e.size)
-        m[j + 1, j] = self.e
-        return m
+        return dense_lower_bidiagonal(self.d, self.e, self.rows)
 
 
 @dataclass(frozen=True)
@@ -172,6 +167,18 @@ def dense_tridiagonal(sup: np.ndarray, lower_sign: float) -> np.ndarray:
     return mats
 
 
+def dense_lower_bidiagonal(d: np.ndarray, e: np.ndarray, rows: int) -> np.ndarray:
+    """Lower bidiagonal matrices from diagonals ``d`` of shape ``(..., cols)``
+    and subdiagonals ``e`` of shape ``(..., rows - 1)``: ``(..., rows, cols)``."""
+    cols = d.shape[-1]
+    mats = np.zeros(d.shape[:-1] + (rows, cols))
+    i = np.arange(cols)
+    mats[..., i, i] = d
+    j = np.arange(e.shape[-1])
+    mats[..., j + 1, j] = e
+    return mats
+
+
 def build_antisym_tridiagonal(n: int, beta: float, stream: RandomStream) -> AntisymTridiagonal:
     """Sample the anti-symmetric tridiagonal beta-ensemble: ``b[k-1]`` is a
     chi-tilde variable with ``k * beta / 2`` degrees, i.e. ``b_k**2`` is
@@ -198,49 +205,76 @@ def build_dense_antisym_gue(n: int, stream: RandomStream) -> DenseAntisym:
     gamma with shape (n-1)/2, so the Householder reduction lands exactly on
     the tridiagonal model at beta = 2.
     """
+    return DenseAntisym(dense_antisym_gue_rows(n, [stream])[0])
+
+
+def dense_antisym_gue_rows(n: int, streams) -> np.ndarray:
+    """``(len(streams), n, n)`` dense draws; matrix ``i`` is
+    ``build_dense_antisym_gue(n, streams[i]).a``, filled directly."""
     if n < 2:
         raise SizeError(f"need n >= 2, got {n}")
-    a = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
-    a[iu] = sample_normal(0.0, 0.5, stream, size=iu[0].size)
-    return DenseAntisym(a - a.T)
+    upper = np.array([sample_normal(0.0, 0.5, s, size=iu[0].size) for s in streams])
+    a = np.zeros((len(streams), n, n))
+    a[:, iu[0], iu[1]] = upper
+    a[:, iu[1], iu[0]] = -upper
+    return a
 
 
 def householder_reduce(dense: DenseAntisym) -> AntisymTridiagonal:
     """Reduce a dense anti-symmetric matrix to reduced tridiagonal form by
-    orthogonal similarity.
+    orthogonal similarity: the one-row case of
+    :func:`householder_reduce_batch`."""
+    return AntisymTridiagonal(householder_reduce_batch(dense.a[None])[0])
 
-    Each reflector uses ``v = x + sign(x_1) * ||x|| * e_1`` for stability;
-    a final diagonal sign similarity makes every superdiagonal entry
-    positive.
+
+def householder_reduce_batch(a: np.ndarray) -> np.ndarray:
+    """Off-diagonal sequences ``b`` (bottom-up), shape ``(reps, n-1)``, of the
+    reduced forms of a batch of dense anti-symmetric matrices ``(reps, n, n)``.
+
+    One column at a time, vectorized over the batch.  Each reflector uses
+    ``v = x + sign(x_1) * ||x|| * e_1`` for stability; a final diagonal sign
+    similarity makes every superdiagonal entry positive.  Raises
+    :class:`DegenerateInputError` if any matrix has a zero pivot column or
+    ends with a zero off-diagonal.
     """
-    a = dense.a.copy()
-    n = dense.n
+    a = np.array(a, dtype=float)
+    n = a.shape[-1]
     for j in range(n - 2):
-        x = a[j + 1:, j].copy()
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
+        x = a[:, j + 1:, j].copy()
+        norm = np.sqrt(np.einsum("ri,ri->r", x, x))
+        if (norm == 0.0).any():
             raise DegenerateInputError(f"zero pivot column at step {j}")
         v = x.copy()
-        v[0] += np.copysign(norm, x[0]) if x[0] != 0 else norm
-        v /= np.linalg.norm(v)
-        sub = a[j + 1:, j + 1:]
+        v[:, 0] += np.where(x[:, 0] != 0, np.copysign(norm, x[:, 0]), norm)
+        v /= np.sqrt(np.einsum("ri,ri->r", v, v))[:, None]
+        sub = a[:, j + 1:, j + 1:]
         # two-sided reflector application; anti-symmetry is preserved exactly
-        w = a[j + 1:, j] - 2.0 * v * (v @ a[j + 1:, j])
-        sub -= 2.0 * np.outer(v, v @ sub)
-        sub -= 2.0 * np.outer(sub @ v, v)
-        a[j + 1:, j] = w
-        a[j, j + 1:] = -w
+        w = x - 2.0 * v * np.einsum("ri,ri->r", v, x)[:, None]
+        sub -= 2.0 * v[:, :, None] * np.einsum("ri,rij->rj", v, sub)[:, None, :]
+        sub -= 2.0 * np.einsum("rij,rj->ri", sub, v)[:, :, None] * v[:, None, :]
+        a[:, j + 1:, j] = w
+        a[:, j, j + 1:] = -w
     # a diagonal +-1 similarity makes every superdiagonal entry positive
-    sup = np.abs(np.diag(a, 1))
-    if np.any(sup == 0.0):
+    sup = np.abs(np.diagonal(a, 1, axis1=1, axis2=2))
+    if (sup == 0.0).any():
         raise DegenerateInputError("exact zero off-diagonal produced")
-    return AntisymTridiagonal(sup[::-1])
+    return sup[:, ::-1]
 
 
 def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStream) -> LowerBidiagonal:
     """Square bidiagonal chi matrix: diagonal ``chi_{2a}, chi_{2a-beta}, ...``,
     subdiagonal ``chi_{(n-1)beta}, ..., chi_beta`` (standard chi convention)."""
+    return LowerBidiagonal(*_laguerre_chis(n, a, beta, stream), rows=n)
+
+
+def laguerre_bidiagonal_rows(n: int, a: float, beta: float, streams) -> np.ndarray:
+    """``(len(streams), n, n)``; matrix ``i`` is
+    ``build_laguerre_bidiagonal(n, a, beta, streams[i]).to_dense()``."""
+    return _bidiagonal_rows([_laguerre_chis(n, a, beta, s) for s in streams], n)
+
+
+def _laguerre_chis(n: int, a: float, beta: float, stream: RandomStream):
     if n < 1:
         raise SizeError("need n >= 1")
     if not beta > 0:
@@ -249,7 +283,7 @@ def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStrea
         raise ParameterError("need 2a - (n-1)*beta > 0")
     d = np.array([sample_standard_chi(2 * a - j * beta, stream) for j in range(n)])
     e = np.array([sample_standard_chi((n - 1 - j) * beta, stream) for j in range(n - 1)])
-    return LowerBidiagonal(d, e, rows=n)
+    return d, e
 
 
 def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal:
@@ -257,10 +291,28 @@ def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal
     construction after removing the trailing zero column: diagonal
     ``chi_{k*beta}, ..., chi_beta``, subdiagonal ``chi_{(2k-1)beta/2}, ..., chi_{beta/2}``.
     """
+    return LowerBidiagonal(*_c_matrix_chis(k, beta, stream), rows=k + 1)
+
+
+def c_matrix_rows(k: int, beta: float, streams) -> np.ndarray:
+    """``(len(streams), k + 1, k)``; matrix ``i`` is
+    ``build_c_matrix(k, beta, streams[i]).to_dense()``."""
+    return _bidiagonal_rows([_c_matrix_chis(k, beta, s) for s in streams], k + 1)
+
+
+def _c_matrix_chis(k: int, beta: float, stream: RandomStream):
     if k < 1:
         raise SizeError("need k >= 1")
     if not beta > 0:
         raise ParameterError("beta must be positive")
     d = np.array([sample_standard_chi((k - j) * beta, stream) for j in range(k)])
     e = np.array([sample_standard_chi((2 * (k - j) - 1) * beta / 2.0, stream) for j in range(k)])
-    return LowerBidiagonal(d, e, rows=k + 1)
+    return d, e
+
+
+def _bidiagonal_rows(chis, rows: int) -> np.ndarray:
+    """Stack per-matrix ``(d, e)`` chi draws into dense lower bidiagonals.
+    The draws are nonnegative, which is all :class:`LowerBidiagonal` checks
+    of them."""
+    d, e = (np.array(part) for part in zip(*chis))
+    return dense_lower_bidiagonal(d, e, rows)

@@ -254,7 +254,10 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     z = np.full(reps, np.nan)
     if m % 2 == 0:
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows
-            log_s = np.log(s)
+            # log of the contiguous array, then reverse: numpy's strided and
+            # contiguous log loops can differ by an ulp, and which one a
+            # reversed view takes depends on the number of rows
+            log_s = np.log(b_batch)[:, ::-1]
             log_x = np.zeros((reps, k + 1))  # log |x_{2j}|
             np.cumsum(log_s[:, 0::2] - log_s[:, 1::2], axis=1, out=log_x[:, 1:])
             z = np.exp(-0.5 * np.logaddexp.reduce(2.0 * log_x, axis=1))
@@ -263,15 +266,44 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return lam, q, z
 
 
+def spectral_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lam``, ``q`` and ``z`` of every row of ``b_batch`` as
+    :func:`_bidiagonal_svd` returns them, with the checks of
+    :class:`~skewbeta.ensembles.AntisymTridiagonal`, :func:`positive_spectrum`
+    and :class:`SpectralData` applied to each row.  The first failing row
+    raises what the one-row path raises for it: ``ValueError`` for an
+    off-diagonal that is not positive or not finite, :class:`DegeneracyError`
+    for tied (or zero) eigenvalues, ``ValueError`` for a first component
+    ``q <= 0`` or, at odd n, a null-vector component ``z <= 0``."""
+    b_batch = np.asarray(b_batch, dtype=float)
+    lam, q, z = _bidiagonal_svd(b_batch)
+    # whole-batch test first (a non-finite row has NaN lam and fails it);
+    # only a batch that fails it is scanned for its first bad row
+    if ((b_batch > 0).all() and (lam[:, -1:] > 0).all() and (lam[:, 1:] < lam[:, :-1]).all()
+            and (q > 0).all() and not (z <= 0).any()):
+        return lam, q, z
+    checks = (
+        (~(b_batch > 0).all(axis=1), ValueError,
+         "reduced form requires strictly positive off-diagonals"),
+        (~np.isfinite(b_batch).all(axis=1), ValueError,
+         "off-diagonal sequence must be finite"),
+        ((lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1),
+         DegeneracyError, "computed positive eigenvalues are not distinct"),
+        ((q <= 0).any(axis=1), ValueError, "first components must be positive"),
+        (z <= 0, ValueError,  # z is NaN, so never <= 0, at even n
+         "odd order requires a positive null-vector component z"),
+    )
+    bad = np.flatnonzero(np.any([fails for fails, _, _ in checks], axis=0))
+    if bad.size:
+        raise next(cls(msg) for fails, cls, msg in checks if fails[bad[0]])
+    return lam, q, z
+
+
 def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
     """Decompose ``T`` into ``(lambda, q[, z])``: the one-row case of
-    :func:`_bidiagonal_svd`.  Raises :class:`DegeneracyError` only when two
+    :func:`spectral_rows`.  Raises :class:`DegeneracyError` only when two
     computed eigenvalues tie in floating point (or one is 0)."""
-    if not np.isfinite(t.b).all():
-        raise ValueError("off-diagonal sequence must be finite")
-    lam, q, z = (a[0] for a in _bidiagonal_svd(t.b[None, :]))
-    if lam.size and (lam[-1] <= 0 or (lam[1:] >= lam[:-1]).any()):
-        raise DegeneracyError("computed positive eigenvalues are not distinct")
+    lam, q, z = (a[0] for a in spectral_rows(t.b[None, :]))
     return SpectralData(n=t.n, lam=lam, q=q, z=float(z) if t.n % 2 else None)
 
 

@@ -12,8 +12,8 @@ from scipy.special import betainc, gammainc
 from . import chain, densities, sturm, transform
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
                         antisym_tridiagonal_batch, build_antisym_tridiagonal,
-                        build_c_matrix, build_dense_antisym_gue,
-                        householder_reduce)
+                        build_c_matrix, dense_antisym_gue_rows,
+                        householder_reduce_batch)
 from .spectral import (DegeneracyError, _first_component_sq_batch,
                        moment_equations_check, positive_spectrum,
                        positive_spectrum_batch, secular_check)
@@ -324,10 +324,8 @@ def run_householder(seed: int, reps: int = 2000) -> VerificationReport:
     report = VerificationReport(suite="householder", seed=seed)
     root = RandomStream(seed, (10,))
     n = 6
-    b_sq = np.empty((reps, n - 1))
-    for i in range(reps):
-        dense = build_dense_antisym_gue(n, root.split(i))
-        b_sq[i] = householder_reduce(dense).b ** 2
+    dense = dense_antisym_gue_rows(n, [root.split(i) for i in range(reps)])
+    b_sq = householder_reduce_batch(dense) ** 2
     for k in range(1, n):
         res = ks_one_sample(b_sq[:, k - 1], lambda x, kk=k: gammainc(kk / 2.0, x))
         report.add(f"b_{k}^2 gamma({k}/2)", res.p_value >= P_THRESHOLD,

@@ -14,8 +14,8 @@ from scipy.special import betainc, gammainc
 from skewbeta import verify
 from skewbeta.chain import chain_sample_batch
 from skewbeta.densities import logpdf_positive_spectrum
-from skewbeta.ensembles import (antisym_tridiagonal_batch,
-                                build_dense_antisym_gue, householder_reduce)
+from skewbeta.ensembles import (antisym_tridiagonal_batch, dense_antisym_gue_rows,
+                                householder_reduce_batch)
 from skewbeta.spectral import _first_component_sq_batch, positive_spectrum_batch
 from skewbeta.stats import ks_one_sample, ks_two_sample, moment_test, quadrature_cdf
 from skewbeta.streams import RandomStream, sample_gamma
@@ -124,9 +124,8 @@ def test_criterion_5_first_component_marginals():
 def test_criterion_6_householder_reduction_law():
     reps, n = 10000, 8
     root = RandomStream(SEED, (103,))
-    b_sq = np.empty((reps, n - 1))
-    for i in range(reps):
-        b_sq[i] = householder_reduce(build_dense_antisym_gue(n, root.split(i))).b ** 2
+    dense = dense_antisym_gue_rows(n, [root.split(i) for i in range(reps)])
+    b_sq = householder_reduce_batch(dense) ** 2
     p_values = []
     for k in range(1, n):
         res = ks_one_sample(b_sq[:, k - 1], lambda x, kk=k: gammainc(kk / 2.0, x))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skewbeta import chain
 from skewbeta.chain import (ChainState, RandomRational, RootBracketError,
                             border_matrix_check, chain_sample,
-                            chain_sample_batch, chain_step_up,
+                            chain_sample_batch, chain_sample_rows, chain_step_up,
                             chain_trajectory, rational_roots, secular_roots,
                             step_down)
 from skewbeta.stats import moment_test
@@ -168,6 +168,18 @@ class TestBatchSampler:
     def test_invalid_reps(self):
         with pytest.raises(ParameterError):
             chain_sample_batch(4, 2.0, RandomStream(0), 0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    def test_rows_equal_one_stream_chains(self, n, beta):
+        # row i draws its border weights on streams[i] with the calls of
+        # the one-row chain, and the batched root solve is exact per row
+        root = RandomStream(5)
+        streams = [root.split(i) for i in range(16)]
+        rows = chain_sample_rows(n, beta, streams)
+        assert rows.shape == (16, n // 2)
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, chain_sample(n, beta, root.split(i)))
 
 
 def _oracle_root(constant, a, c, i):

@@ -8,7 +8,9 @@ import pytest
 from skewbeta import transform
 from skewbeta.chain import chain_sample
 from skewbeta.cli import main
-from skewbeta.ensembles import build_antisym_tridiagonal
+from skewbeta.ensembles import (build_antisym_tridiagonal, build_c_matrix,
+                                build_dense_antisym_gue, build_laguerre_bidiagonal,
+                                householder_reduce)
 from skewbeta.spectral import positive_spectrum
 from skewbeta.streams import RandomStream
 
@@ -68,6 +70,47 @@ class TestSample:
                 sd = positive_spectrum(build_antisym_tridiagonal(7, 0.5, root.split(i)))
                 expected = [*sd.lam, *sd.q, sd.z]
             assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("ensemble,n,extra", [
+        ("antisym-dense-gue", 7, ()),
+        ("antisym-dense-gue", 8, ()),
+        ("laguerre-bidiag", 5, ("--a", "6")),
+        ("c-matrix", 4, ()),
+    ])
+    def test_batched_rows_equal_scalar_route(self, capsys, ensemble, n, extra):
+        # row i is the one-replicate builder on root.split(i) plus its solve
+        code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", str(n),
+                           "--beta", "1.5", "--reps", "6", "--seed", "4",
+                           "--format", "json", *extra)
+        assert code == 0
+        root = RandomStream(4)
+        for i, row in enumerate(json.loads(out)["rows"]):
+            stream = root.split(i)
+            if ensemble == "antisym-dense-gue":
+                sd = positive_spectrum(householder_reduce(build_dense_antisym_gue(n, stream)))
+                expected = [*sd.lam, *sd.q] + ([sd.z] if n % 2 else [])
+            elif ensemble == "laguerre-bidiag":
+                expected = np.linalg.svd(build_laguerre_bidiagonal(n, 6.0, 1.5, stream)
+                                         .to_dense(), compute_uv=False)
+            else:
+                expected = np.linalg.svd(build_c_matrix(n, 1.5, stream).to_dense(),
+                                         compute_uv=False)
+            assert np.array_equal(row, expected)
+
+    def test_rejected_row_exits_two_and_writes_nothing(self, capsys, tmp_path):
+        # at beta=0.05 some draw of the 200 has a first component that
+        # deflates to 0, which the spectral map rejects
+        target = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "sample", "--n", "12", "--beta", "0.05",
+                             "--reps", "200", "--seed", "1", "--out", str(target))
+        assert code == 2 and out == "" and "first components" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("ensemble", ["antisym-trid", "chain", "c-matrix"])
+    def test_zero_reps_writes_header_only(self, capsys, ensemble):
+        code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", "4",
+                           "--reps", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["rows"] == []
 
     def test_laguerre_requires_valid_a(self, capsys):
         code, _, err = run(capsys, "sample", "--ensemble", "laguerre-bidiag",

@@ -4,14 +4,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.linalg import hessenberg
 
 from skewbeta.ensembles import (AntisymTridiagonal, DegenerateInputError,
                                 DenseAntisym, EnsembleSpec, LowerBidiagonal,
                                 SizeError, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal, build_c_matrix,
                                 build_dense_antisym_gue,
-                                build_laguerre_bidiagonal, householder_reduce)
-from skewbeta.streams import ParameterError, RandomStream
+                                build_laguerre_bidiagonal, c_matrix_rows,
+                                dense_antisym_gue_rows, householder_reduce,
+                                householder_reduce_batch, laguerre_bidiagonal_rows)
+from skewbeta.streams import ParameterError, RandomStream, sample_normal
 
 
 class TestAntisymTridiagonal:
@@ -176,3 +179,66 @@ class TestHouseholderReduce:
     def test_degenerate_input_raises(self):
         with pytest.raises(DegenerateInputError):
             householder_reduce(DenseAntisym(np.zeros((4, 4))))
+
+
+class TestHouseholderReduceBatch:
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_rows_equal_one_row_calls(self, n):
+        root = RandomStream(21)
+        streams = [root.split(i) for i in range(25)]
+        b = householder_reduce_batch(dense_antisym_gue_rows(n, streams))
+        assert b.shape == (25, n - 1)
+        for i, row in enumerate(b):
+            one = householder_reduce(build_dense_antisym_gue(n, root.split(i)))
+            assert np.array_equal(row, one.b)
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_matches_scipy_hessenberg(self, n):
+        # the Hessenberg form of an anti-symmetric matrix is its tridiagonal
+        # reduction; the two reflector sequences agree to backward error
+        a = dense_antisym_gue_rows(n, [RandomStream(n).split(i) for i in range(8)])
+        b = householder_reduce_batch(a)
+        eps = np.finfo(float).eps
+        for mat, row in zip(a, b):
+            ref = np.abs(np.diag(hessenberg(mat), -1))[::-1]
+            assert np.max(np.abs(row - ref)) <= 64 * n * eps * np.linalg.norm(mat)
+
+    def test_zero_pivot_raises(self):
+        a = dense_antisym_gue_rows(5, [RandomStream(1), RandomStream(2)])
+        a[1] = 0.0
+        with pytest.raises(DegenerateInputError, match="zero pivot"):
+            householder_reduce_batch(a)
+
+    def test_zero_off_diagonal_raises(self):
+        # block diagonal: the first column is already reduced, and the
+        # trailing 2x2 block is zero
+        a = np.zeros((2, 3, 3))
+        a[:, 0, 1], a[:, 1, 0] = 1.0, -1.0
+        a[0, 1, 2], a[0, 2, 1] = 2.0, -2.0
+        with pytest.raises(DegenerateInputError, match="zero off-diagonal"):
+            householder_reduce_batch(a)
+
+
+class TestStreamRows:
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_dense_rows_equal_one_stream_fill(self, n):
+        # reference: fill the strict upper triangle from one stream, then
+        # subtract the transpose
+        root = RandomStream(8)
+        a = dense_antisym_gue_rows(n, [root.split(i) for i in range(5)])
+        iu = np.triu_indices(n, k=1)
+        for i, mat in enumerate(a):
+            ref = np.zeros((n, n))
+            ref[iu] = sample_normal(0.0, 0.5, root.split(i), size=iu[0].size)
+            assert np.array_equal(mat, ref - ref.T)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_bidiagonal_rows_equal_builders(self, n):
+        root = RandomStream(9)
+        lag = laguerre_bidiagonal_rows(n, 6.0, 1.5, [root.split(i) for i in range(5)])
+        cmat = c_matrix_rows(n, 1.5, [root.split(i) for i in range(5)])
+        assert lag.shape == (5, n, n) and cmat.shape == (5, n + 1, n)
+        for i in range(5):
+            assert np.array_equal(lag[i], build_laguerre_bidiagonal(
+                n, 6.0, 1.5, root.split(i)).to_dense())
+            assert np.array_equal(cmat[i], build_c_matrix(n, 1.5, root.split(i)).to_dense())

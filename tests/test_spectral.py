@@ -17,7 +17,7 @@ from skewbeta.spectral import (CharPolySequence, DegeneracyError, SpectralData,
                                charpoly_sequence, moment_equations_check,
                                positive_spectrum, positive_spectrum_batch,
                                reconstruct_tridiagonal, resolvent_check,
-                               secular_check)
+                               secular_check, spectral_rows)
 from skewbeta.streams import RandomStream
 from skewbeta.verify import _draw_with_spectrum
 
@@ -324,6 +324,46 @@ class TestBidiagonalCore:
             sd = positive_spectrum(AntisymTridiagonal(b[i]))
             assert np.array_equal(lam[i], sd.lam)
             assert top[i] == 2.0 * sd.q[0] ** 2
+
+    @pytest.mark.parametrize("n", [11, 13, 41])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_one_row_z_equals_batch_row_z(self, n, beta):
+        # the log of a reversed view once took numpy's strided loop for one
+        # row and its contiguous loop for many, and z moved by an ulp
+        b = antisym_tridiagonal_batch(n, beta, RandomStream(3), 1000)
+        lam, q, z = _bidiagonal_svd(b)
+        for i in range(b.shape[0]):
+            one = _bidiagonal_svd(b[i:i + 1])
+            assert np.array_equal(one[0][0], lam[i]) and np.array_equal(one[1][0], q[i])
+            assert one[2][0] == z[i]
+
+    @pytest.mark.parametrize("n,beta", [(12, 0.05), (13, 0.05), (7, 2.0)])
+    def test_spectral_rows_raises_as_first_bad_row(self, n, beta):
+        # the batch checks raise what positive_spectrum raises on the first
+        # row it rejects, and return the batch core's output otherwise
+        b = antisym_tridiagonal_batch(n, beta, RandomStream(n).split(4), 200)
+        for lo in range(0, 200, 40):
+            rows = b[lo:lo + 40]
+            expected = None
+            for row in rows:
+                try:
+                    positive_spectrum(AntisymTridiagonal(row))
+                except ValueError as exc:
+                    expected = exc
+                    break
+            if expected is None:
+                got = spectral_rows(rows)
+                for a, ref in zip(got, _bidiagonal_svd(rows)):
+                    assert np.array_equal(a, ref, equal_nan=True)
+            else:
+                with pytest.raises(type(expected), match=str(expected)):
+                    spectral_rows(rows)
+
+    def test_spectral_rows_rejects_nonpositive_b(self):
+        b = np.ones((3, 4))
+        b[1, 2] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            spectral_rows(b)
 
     @pytest.mark.parametrize("n", [12, 40, 200])
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])

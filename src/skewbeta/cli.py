@@ -94,6 +94,8 @@ def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
     draws on ``root.split(i)`` with the calls of the one-replicate builder;
     the draws are then solved in one batch."""
+    if config.reps < 0:
+        raise ParameterError(f"reps must be nonnegative, got {config.reps}")
     spec = EnsembleSpec(kind=config.ensemble, n=config.n, beta=config.beta,
                         a=config.a)
     n = spec.n

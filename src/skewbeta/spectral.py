@@ -136,13 +136,16 @@ def _plain(signs: np.ndarray, logmags: np.ndarray) -> np.ndarray:
 
 def _charpoly(b: np.ndarray, x: np.ndarray,
               rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log-magnitudes of ``P_m(x)`` for each ``m`` in ``rows`` at
-    every point of the 1-d array ``x``, shape ``(len(rows), x.size)``.
+    """Scaled values ``vals`` and log shifts ``shifts`` with
+    ``P_m(x) = vals * exp(shifts)`` for each ``m`` in ``rows`` at every point
+    of the 1-d array ``x``, both of shape ``(len(rows), x.size)``.
 
     One pass of the recurrence over all points.  Each point carries its
     scaled pair ``(P_{m-1}, P_m)`` and log-scale ``shift``; a pair whose
-    larger magnitude ``mag`` leaves [1e-150, 1e150] is divided by it.  Working
-    memory is O(n + len(rows) * x.size).
+    larger magnitude ``mag`` leaves [1e-150, 1e150] is divided by it, so a
+    point's shift grows by ``log(mag)`` in the step that rescales it.  Until a
+    point first rescales its shifts are 0 and its values are the plain
+    recurrence bit for bit.  Working memory is O(n + len(rows) * x.size).
     """
     slot = {m: j for j, m in enumerate(rows)}
     vals = np.empty((len(slot), x.size))
@@ -167,8 +170,7 @@ def _charpoly(b: np.ndarray, x: np.ndarray,
         if j is not None:
             vals[j] = prev if m == 0 else cur
             shifts[j] = shift
-    with np.errstate(divide="ignore"):  # log 0 = -inf where P_m vanishes
-        return np.sign(vals), np.log(np.abs(vals)) + shifts
+    return vals, shifts
 
 
 def charpoly_sequence(t: AntisymTridiagonal, x: float | np.ndarray) -> CharPolySequence:
@@ -177,7 +179,9 @@ def charpoly_sequence(t: AntisymTridiagonal, x: float | np.ndarray) -> CharPolyS
     pts = np.asarray(x, dtype=float)
     if pts.ndim > 1:
         raise ValueError("x must be a scalar or a 1-d array of points")
-    signs, logmags = _charpoly(t.b, pts.reshape(-1), range(t.n + 1))
+    vals, shifts = _charpoly(t.b, pts.reshape(-1), range(t.n + 1))
+    with np.errstate(divide="ignore"):  # log 0 = -inf where P_m vanishes
+        signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
     if pts.ndim == 0:
         signs, logmags = signs[:, 0], logmags[:, 0]
     return CharPolySequence(x=x, signs=signs, logmags=logmags)
@@ -374,7 +378,8 @@ def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
             continue
         xs.append(x)
     xs = np.array(xs)
-    signs, logmags = _charpoly(t.b, xs, (n - 1, n))
+    vals, shifts = _charpoly(t.b, xs, (n - 1, n))
+    signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
     lhs = signs[0] * signs[1] * np.exp(logmags[0] - logmags[1])
     rhs = np.sum(sd.full_weights() / (xs[:, None] - mu), axis=1)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))

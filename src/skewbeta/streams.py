@@ -117,12 +117,3 @@ def sample_normal(mean, variance, stream: RandomStream, size=None):
     if not variance > 0:
         raise ParameterError(f"variance must be positive, got {variance}")
     return stream.generator.normal(mean, np.sqrt(variance), size=size)
-
-
-def sample_beta(r, s, stream: RandomStream, size=None):
-    """Beta(r, s) via the gamma ratio, sharing the small-shape boost path."""
-    if not (r > 0 and s > 0):
-        raise ParameterError(f"beta parameters must be positive, got ({r}, {s})")
-    x = sample_gamma(r, stream, size=size)
-    y = sample_gamma(s, stream, size=size)
-    return x / (x + y)

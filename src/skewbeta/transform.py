@@ -54,11 +54,6 @@ class SignedPermutation:
         m[np.arange(self.size), self.col] = self.sign
         return m
 
-    def permutation_matrix(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size), dtype=np.int64)
-        m[np.arange(self.size), self.col] = 1
-        return m
-
 
 def asps(n: int) -> SignedPermutation:
     """Alternating-sign perfect shuffle of size 2n.

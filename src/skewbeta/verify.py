@@ -344,6 +344,7 @@ SUITES = {
     "sturm-prufer": run_sturm_prufer,
     "dixon-anderson": run_dixon_anderson,
     "normalization": run_normalization,
+    "householder": run_householder,
 }
 
 

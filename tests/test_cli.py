@@ -112,6 +112,10 @@ class TestSample:
                            "--reps", "0", "--format", "json")
         assert code == 0 and json.loads(out)["rows"] == []
 
+    def test_negative_reps_exits_two(self, capsys):
+        code, out, err = run(capsys, "sample", "--n", "4", "--reps", "-3")
+        assert code == 2 and out == "" and "reps" in err
+
     def test_laguerre_requires_valid_a(self, capsys):
         code, _, err = run(capsys, "sample", "--ensemble", "laguerre-bidiag",
                            "--n", "4", "--a", "1.0", "--seed", "0")

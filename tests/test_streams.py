@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbeta.streams import (ParameterError, RandomStream, sample_beta,
-                              sample_chi_tilde, sample_dirichlet, sample_gamma,
-                              sample_normal, sample_standard_chi)
+from skewbeta.streams import (ParameterError, RandomStream, sample_chi_tilde,
+                              sample_dirichlet, sample_gamma, sample_normal,
+                              sample_standard_chi)
 
 
 class TestRandomStream:
@@ -140,12 +140,3 @@ class TestNormalAndBeta:
     def test_normal_invalid_variance(self):
         with pytest.raises(ParameterError):
             sample_normal(0.0, 0.0, RandomStream(0))
-
-    def test_beta_support_and_mean(self):
-        x = sample_beta(2.0, 3.0, RandomStream(10), size=100000)
-        assert np.all((x > 0) & (x < 1))
-        assert np.mean(x) == pytest.approx(0.4, abs=0.01)
-
-    def test_beta_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            sample_beta(0.0, 1.0, RandomStream(0))

@@ -21,7 +21,6 @@ class TestSignedPermutation:
     def test_matrix_layout(self):
         p = SignedPermutation(2, [1, 0], [1, -1])
         assert np.array_equal(p.matrix(), [[0, 1], [-1, 0]])
-        assert np.array_equal(p.permutation_matrix(), [[0, 1], [1, 0]])
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -356,44 +356,6 @@ def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     return np.sqrt(rational_roots(rr))
 
 
-def border_matrix_check(lam_prev, w, b: float | None) -> float:
-    """Cross-check one border step against a dense eigensolver.
-
-    Builds the real symmetric arrowhead matrix equivalent (by a diagonal
-    unitary) to the bordered anti-symmetric matrix with eigenvalue pairs
-    ``+-lam_prev`` (plus 0 when ``b`` is given), border weights ``w`` on
-    each pair and ``b`` on the zero eigenvalue.  Returns the maximum
-    deviation between its positive spectrum and the rational-root route.
-    """
-    lam_prev = np.atleast_1d(np.asarray(lam_prev, dtype=float)) if np.size(lam_prev) \
-        else np.zeros(0)
-    w = np.atleast_1d(np.asarray(w, dtype=float)) if np.size(w) else np.zeros(0)
-    if lam_prev.size != w.size:
-        raise ParameterError("need one border weight per eigenvalue pair")
-    diag = np.concatenate([lam_prev, -lam_prev, [0.0]] if b is not None
-                          else [lam_prev, -lam_prev])
-    border = np.concatenate([w, w, [b]] if b is not None else [w, w])
-    m = diag.size + 1
-    arrow = np.zeros((m, m))
-    arrow[np.arange(m - 1), np.arange(m - 1)] = diag
-    arrow[:-1, -1] = border
-    arrow[-1, :-1] = border
-    eig = np.linalg.eigvalsh(arrow)
-    dense_pos = np.sort(eig[eig > 1e-13 * max(1.0, np.max(np.abs(eig)))])[::-1]
-
-    poles = lam_prev ** 2
-    weights = 2.0 * w ** 2
-    if b is not None:
-        poles = np.concatenate([poles, [0.0]])
-        weights = np.concatenate([weights, [b ** 2]])
-    order = np.argsort(poles)[::-1]
-    rr = RandomRational(constant=1, a=poles[order], c=weights[order])
-    rational_pos = np.sqrt(rational_roots(rr))
-    if dense_pos.size != rational_pos.size:
-        raise RootBracketError("positive-spectrum size mismatch between routes")
-    return float(np.max(np.abs(dense_pos - rational_pos))) if dense_pos.size else 0.0
-
-
 def chain_sample_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
     """``reps`` independent positive spectra of the size-n ensemble, shape
     ``(reps, n//2)``; every border step solves all rows at once."""

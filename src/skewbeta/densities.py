@@ -106,28 +106,6 @@ def log_laguerre_constant(n: int, a: float, beta: float) -> float:
                           - gammaln(a - beta * (n - js) / 2.0)))
 
 
-def logpdf_laguerre(lam, n: int, a: float, beta: float) -> LogDensityValue:
-    """Joint log-density of the descending eigenvalues of the beta-Laguerre
-    ensemble of size ``n`` and parameter ``a`` (chi-entry convention)."""
-    if not 2 * a - (n - 1) * beta > 0:
-        raise ParameterError("need 2a - (n-1)*beta > 0")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size != n:
-        raise ParameterError(f"expected {n} eigenvalues")
-    if not _strictly_descending_positive(lam):
-        return LogDensityValue.out_of_support()
-    diffs_log = 0.0
-    if n > 1:
-        d = np.abs(lam[:, None] - lam[None, :])
-        iu = np.triu_indices(n, k=1)
-        diffs_log = float(beta * np.sum(np.log(d[iu])))
-    val = (log_laguerre_constant(n, a, beta)
-           + diffs_log
-           + (a - (n - 1) * beta / 2.0 - 1.0) * float(np.sum(np.log(lam)))
-           - 0.5 * float(np.sum(lam)))
-    return LogDensityValue(val, True)
-
-
 def logpdf_singular_values(sigma, n: int, a: float, beta: float) -> LogDensityValue:
     """Joint log-density of the descending singular values of the Laguerre
     bidiagonal matrix (square-root change of variables of the eigenvalue law)."""
@@ -230,20 +208,6 @@ def conditional_logpdf_down(x, lam, n: int, beta: float) -> LogDensityValue:
                + _log_vandermonde_sq(x_sq, 1.0)
                - _log_vandermonde_sq(lam_sq, beta - 1.0)
                + (beta / 2.0 - 1.0) * cross)
-    return LogDensityValue(val, True)
-
-
-def dirichlet_logpdf(x, s) -> LogDensityValue:
-    """Standard Dirichlet log-density on the open simplex."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if x.size != s.size or s.size == 0:
-        raise ParameterError("point and parameter vectors must have equal nonzero length")
-    if not np.all(s > 0):
-        raise ParameterError("dirichlet parameters must be positive")
-    if np.any(x <= 0) or abs(np.sum(x) - 1.0) > 1e-9:
-        return LogDensityValue.out_of_support()
-    val = float(gammaln(np.sum(s)) - np.sum(gammaln(s)) + np.sum((s - 1.0) * np.log(x)))
     return LogDensityValue(val, True)
 
 

@@ -9,7 +9,6 @@ bottom, i.e. ``b[0]`` sits in the bottom-right 2x2 block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,20 +55,6 @@ class AntisymTridiagonal:
         """Diagonal and off-diagonal of the symmetric tridiagonal matrix with
         the same characteristic polynomial as ``i * T``."""
         return np.zeros(self.n), self.superdiagonal_top_down()
-
-    def to_json(self, beta: float | None = None) -> str:
-        rec = {"n": self.n, "b": self.b.tolist()}
-        if beta is not None:
-            rec["beta"] = beta
-        return json.dumps(rec)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AntisymTridiagonal":
-        rec = json.loads(text)
-        t = cls(np.asarray(rec["b"], dtype=float))
-        if t.n != rec["n"]:
-            raise ValueError("inconsistent size in serialized record")
-        return t
 
 
 @dataclass(frozen=True)
@@ -265,25 +250,27 @@ def householder_reduce_batch(a: np.ndarray) -> np.ndarray:
 def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStream) -> LowerBidiagonal:
     """Square bidiagonal chi matrix: diagonal ``chi_{2a}, chi_{2a-beta}, ...``,
     subdiagonal ``chi_{(n-1)beta}, ..., chi_beta`` (standard chi convention)."""
-    return LowerBidiagonal(*_laguerre_chis(n, a, beta, stream), rows=n)
+    return LowerBidiagonal(*_laguerre_chis(n, a, beta, stream, None), rows=n)
 
 
 def laguerre_bidiagonal_rows(n: int, a: float, beta: float, streams) -> np.ndarray:
     """``(len(streams), n, n)``; matrix ``i`` is
     ``build_laguerre_bidiagonal(n, a, beta, streams[i]).to_dense()``."""
-    return _bidiagonal_rows([_laguerre_chis(n, a, beta, s) for s in streams], n)
+    return _bidiagonal_rows([_laguerre_chis(n, a, beta, s, None) for s in streams], n)
 
 
-def _laguerre_chis(n: int, a: float, beta: float, stream: RandomStream):
+def _laguerre_chis(n: int, a: float, beta: float, stream: RandomStream, reps: int | None):
+    """Diagonal and subdiagonal chi draws of the square Laguerre block, shapes
+    ``(reps, n)`` and ``(reps, n-1)``; ``reps=None`` draws one block."""
     if n < 1:
         raise SizeError("need n >= 1")
     if not beta > 0:
         raise ParameterError("beta must be positive")
     if not 2 * a - (n - 1) * beta > 0:
         raise ParameterError("need 2a - (n-1)*beta > 0")
-    d = np.array([sample_standard_chi(2 * a - j * beta, stream) for j in range(n)])
-    e = np.array([sample_standard_chi((n - 1 - j) * beta, stream) for j in range(n - 1)])
-    return d, e
+    degrees = ([2 * a - j * beta for j in range(n)]
+               + [(n - 1 - j) * beta for j in range(n - 1)])
+    return _chi_block(degrees, n, stream, reps)
 
 
 def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal:
@@ -291,23 +278,32 @@ def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal
     construction after removing the trailing zero column: diagonal
     ``chi_{k*beta}, ..., chi_beta``, subdiagonal ``chi_{(2k-1)beta/2}, ..., chi_{beta/2}``.
     """
-    return LowerBidiagonal(*_c_matrix_chis(k, beta, stream), rows=k + 1)
+    return LowerBidiagonal(*_c_matrix_chis(k, beta, stream, None), rows=k + 1)
 
 
 def c_matrix_rows(k: int, beta: float, streams) -> np.ndarray:
     """``(len(streams), k + 1, k)``; matrix ``i`` is
     ``build_c_matrix(k, beta, streams[i]).to_dense()``."""
-    return _bidiagonal_rows([_c_matrix_chis(k, beta, s) for s in streams], k + 1)
+    return _bidiagonal_rows([_c_matrix_chis(k, beta, s, None) for s in streams], k + 1)
 
 
-def _c_matrix_chis(k: int, beta: float, stream: RandomStream):
+def _c_matrix_chis(k: int, beta: float, stream: RandomStream, reps: int | None):
+    """Diagonal and subdiagonal chi draws of the C-matrix, both of shape
+    ``(reps, k)``; ``reps=None`` draws one matrix."""
     if k < 1:
         raise SizeError("need k >= 1")
     if not beta > 0:
         raise ParameterError("beta must be positive")
-    d = np.array([sample_standard_chi((k - j) * beta, stream) for j in range(k)])
-    e = np.array([sample_standard_chi((2 * (k - j) - 1) * beta / 2.0, stream) for j in range(k)])
-    return d, e
+    degrees = ([(k - j) * beta for j in range(k)]
+               + [(2 * (k - j) - 1) * beta / 2.0 for j in range(k)])
+    return _chi_block(degrees, k, stream, reps)
+
+
+def _chi_block(degrees, cols: int, stream: RandomStream, reps: int | None):
+    """One standard-chi draw of ``size=reps`` per degree, in order, split
+    into the diagonal (the first ``cols``) and the subdiagonal."""
+    chis = np.array([sample_standard_chi(k, stream, size=reps) for k in degrees]).T
+    return chis[..., :cols], chis[..., cols:]
 
 
 def _bidiagonal_rows(chis, rows: int) -> np.ndarray:

@@ -11,7 +11,6 @@ component of the null vector, normalized so that
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -79,18 +78,6 @@ class SpectralData:
         if self.n % 2 == 1:
             parts.append(np.array([self.z ** 2]))
         return np.concatenate(parts)
-
-    def to_json(self) -> str:
-        rec = {"n": self.n, "lambda": self.lam.tolist(), "q": self.q.tolist()}
-        if self.z is not None:
-            rec["z"] = self.z
-        return json.dumps(rec)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralData":
-        rec = json.loads(text)
-        return cls(rec["n"], np.asarray(rec["lambda"]), np.asarray(rec["q"]), rec.get("z"))
-
 
 @dataclass(frozen=True)
 class CharPolySequence:
@@ -384,35 +371,6 @@ def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
     rhs = np.sum(sd.full_weights() / (xs[:, None] - mu), axis=1)
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
     return float(np.max(rel, initial=0.0))
-
-
-def resolvent_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
-                    rng: np.random.Generator | None = None, points: int = 10) -> float:
-    """Residual of the first resolvent entry against its partial-fraction form:
-    ``((I - s*iT)^{-1})_{11} = sum_j 2 q_j**2 / (1 - s**2 lam_j**2)`` with an
-    added ``z**2`` constant for n odd."""
-    if sd is None:
-        sd = positive_spectrum(t)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = t.n
-    it = 1j * t.to_dense()
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    lam_max = sd.lam[0]
-    worst = 0.0
-    drawn = 0
-    while drawn < points:
-        s = float(rng.uniform(-0.9, 0.9)) / lam_max
-        if np.min(np.abs(1.0 - (s * sd.lam) ** 2)) < 1e-3:
-            continue
-        drawn += 1
-        lhs = np.linalg.solve(np.eye(n) - s * it, e1)[0]
-        rhs = float(np.sum(2.0 * sd.q ** 2 / (1.0 - s ** 2 * sd.lam ** 2)))
-        if sd.z is not None:
-            rhs += sd.z ** 2
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 def moment_equations_check(t: AntisymTridiagonal, sd: SpectralData) -> np.ndarray:

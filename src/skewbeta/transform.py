@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal, SizeError,
-                        build_c_matrix, build_laguerre_bidiagonal,
-                        dense_tridiagonal)
+                        _c_matrix_chis, _laguerre_chis, dense_tridiagonal)
 from .spectral import SpectralData, reconstruct_tridiagonal
-from .streams import ParameterError, RandomStream, sample_standard_chi
-
-
-class ReindexError(ValueError):
-    """A reindexing recursion produced a non-positive intermediate."""
+from .streams import ParameterError, RandomStream
 
 
 class FiniteDifferenceError(RuntimeError):
@@ -84,10 +79,11 @@ def block_embedding(y: np.ndarray) -> np.ndarray:
 
 
 def _interleave(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(d_0, e_0, d_1, e_1, ...); ``e`` may be one shorter than ``d``."""
-    out = np.empty(d.size + e.size)
-    out[0::2] = d
-    out[1::2] = e
+    """(d_0, e_0, d_1, e_1, ...) along the last axis; ``e`` may be one
+    shorter than ``d``."""
+    out = np.empty(d.shape[:-1] + (d.shape[-1] + e.shape[-1],))
+    out[..., 0::2] = d
+    out[..., 1::2] = e
     return out
 
 
@@ -109,31 +105,27 @@ def shuffle_conjugation_check(b: LowerBidiagonal) -> float:
 
 
 def laguerre_map_sample(n: int, beta: float, stream: RandomStream) -> AntisymTridiagonal:
-    """Sample the reduced tridiagonal model of order ``n`` by reading entries
-    off a chi bidiagonal matrix (divided by sqrt(2)).
+    """The one-row case of :func:`laguerre_map_batch`."""
+    return AntisymTridiagonal(laguerre_map_batch(n, beta, stream, None))
 
-    Even ``n = 2k`` uses the square Laguerre bidiagonal with
-    ``a = (n-1) beta / 4``; odd ``n = 2k+1`` uses the (k+1) x k chi matrix
-    with its zero column dropped.
+
+def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
+                       reps: int | None) -> np.ndarray:
+    """Sample the reduced tridiagonal model of order ``n`` by reading its
+    entries off a chi bidiagonal block, divided by sqrt(2): shape
+    ``(reps, n-1)``, bottom-up indexing; ``reps=None`` gives one sequence.
+
+    Even ``n = 2k`` uses the square Laguerre block with ``a = (n-1) beta / 4``;
+    odd ``n = 2k+1`` uses the (k+1) x k C-matrix.  The superdiagonal reads
+    the block entries interleaved, ``d_0, e_0, d_1, ...``, top-down.
     """
     if n < 2:
         raise SizeError("need n >= 2")
     if n % 2 == 0:
-        blk = build_laguerre_bidiagonal(n // 2, (n - 1) * beta / 4.0, beta, stream)
+        d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, stream, reps)
     else:
-        blk = build_c_matrix(n // 2, beta, stream)
-    sup = _interleave(blk.d, blk.e) / math.sqrt(2.0)
-    return AntisymTridiagonal(sup[::-1])
-
-
-def laguerre_map_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
-    """Vectorized off-diagonal sequences from the bidiagonal read-off map,
-    shape ``(reps, n-1)``, bottom-up indexing."""
-    if n < 2:
-        raise SizeError("need n >= 2")
-    cols = [sample_standard_chi(k * beta / 2.0, stream, size=reps) / math.sqrt(2.0)
-            for k in range(n - 1, 0, -1)]
-    return np.stack(cols[::-1], axis=1)
+        d, e = _c_matrix_chis(n // 2, beta, stream, reps)
+    return _interleave(d, e)[..., ::-1] / math.sqrt(2.0)
 
 
 def cholesky_reindex(bsq) -> np.ndarray:
@@ -142,9 +134,13 @@ def cholesky_reindex(bsq) -> np.ndarray:
     Input: positive ``(b_1^2, ..., b_{2k+1}^2)``.  Output, in index order,
     ``(x_2^2, x_3^2, ..., x_{2k+1}^2)``:
 
-        x_3^2 = b_1^2 + b_2^2
-        x_{2i+1}^2 = b_{2i}^2 + b_{2i-1}^2 - x_{2i-2}^2   (i >= 2)
+        y_1 = b_1^2,   y_i = b_{2i-1}^2 y_{i-1} / x_{2i-1}^2   (i >= 2)
+        x_{2i+1}^2 = b_{2i}^2 + y_i
         x_{2i}^2 = b_{2i}^2 b_{2i+1}^2 / x_{2i+1}^2
+
+    This is ``x_{2i+1}^2 = b_{2i}^2 + b_{2i-1}^2 - x_{2i-2}^2`` without the
+    subtraction, so every intermediate is positive and keeps full relative
+    precision.
 
     The odd-index outputs are the squared diagonal (bottom-up) and the
     even-index outputs the squared subdiagonal of the reversed Cholesky
@@ -157,19 +153,18 @@ def cholesky_reindex(bsq) -> np.ndarray:
         raise ParameterError("squared entries must be positive")
     k = (bsq.size - 1) // 2
     x = np.empty(2 * k + 2)  # x[j] holds x_j^2; slots 0,1 unused
-    x[3] = bsq[0] + bsq[1]
-    x[2] = bsq[2] * bsq[1] / x[3]
-    for i in range(2, k + 1):
-        x[2 * i + 1] = bsq[2 * i - 1] + bsq[2 * i - 2] - x[2 * i - 2]
-        if x[2 * i + 1] <= 0:
-            raise ReindexError(f"non-positive diagonal entry x_{2 * i + 1}^2")
+    y = bsq[0]
+    for i in range(1, k + 1):
+        x[2 * i + 1] = bsq[2 * i - 1] + y
         x[2 * i] = bsq[2 * i - 1] * bsq[2 * i] / x[2 * i + 1]
+        y = bsq[2 * i] * y / x[2 * i + 1]
     return x[2:]
 
 
 def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
     """Relative residual between :func:`cholesky_reindex` and a direct
-    reversed-Cholesky factorization of the Gram matrix of ``c``.
+    reversed-Cholesky factor of the Gram matrix of ``c``, computed by
+    orthogonal rotations of ``c`` itself.
 
     ``c`` is the (k+1) x k chi bidiagonal block; ``b_top_sq`` supplies the
     extra squared entry ``b_{2k+1}^2`` the recursion consumes.  The factor
@@ -180,26 +175,30 @@ def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
     if c.rows != c.cols + 1:
         raise SizeError("expected a (k+1) x k bidiagonal block")
     k = c.cols
-    bsq = np.empty(2 * k + 1)
-    for j in range(k):
-        bsq[2 * (k - j) - 1] = c.d[j] ** 2
-        bsq[2 * (k - j) - 2] = c.e[j] ** 2
-    bsq[2 * k] = b_top_sq
-    x = cholesky_reindex(bsq)  # x[j] = x_{j+2}^2
+    # the bottom-up read-off of c, as in laguerre_map_batch, squared
+    x = cholesky_reindex(np.append(_interleave(c.d, c.e)[::-1] ** 2, b_top_sq))
 
-    gram = c.to_dense().T @ c.to_dense()
-    rev = np.flip(np.flip(gram, 0), 1)
-    lower = np.linalg.cholesky(rev)
-    factor = np.flip(np.flip(lower, 0), 1).T  # lower bidiagonal X
-    diag_sq = np.diag(factor) ** 2
-    sub_sq = np.diag(factor, -1) ** 2
+    # X = Q^T c for the Givens rotations that chase the last row of c up to
+    # the first: row j of X has hypot(d_j, g) on the diagonal and
+    # d_j e_{j-1} / X_jj below it, where the carried entry g starts at
+    # e_{k-1} and becomes g e_{j-1} / X_jj.  Every entry is a hypot, product
+    # or quotient of positive numbers, so tiny entries keep full relative
+    # accuracy; a dense QR or Cholesky factor resolves them only to
+    # eps * ||c||.
+    diag_sq = np.empty(k)
+    sub_sq = np.empty(k - 1)
+    g = c.e[k - 1]
+    for j in range(k - 1, -1, -1):
+        x_jj = math.hypot(c.d[j], g)
+        diag_sq[j] = x_jj ** 2
+        if j:
+            sub_sq[j - 1] = (c.d[j] * c.e[j - 1] / x_jj) ** 2
+            g *= c.e[j - 1] / x_jj
 
-    expected_diag = x[2 * k - 1::-2][:k]           # x_{2k+1}^2, x_{2k-1}^2, ...
-    expected_sub = x[2 * k - 4::-2][:k - 1] if k > 1 else np.zeros(0)
-    resid = float(np.max(np.abs(diag_sq - expected_diag) / expected_diag))
-    if k > 1:
-        resid = max(resid, float(np.max(np.abs(sub_sq - expected_sub) / expected_sub)))
-    return resid
+    # x[j] = x_{j+2}^2; x_{2k}^2 involves b_{2k+1}^2, which c does not hold
+    expected = np.concatenate([x[:-2:2], x[1::2]])
+    got = np.concatenate([diag_sq, sub_sq])[::-1]
+    return float(np.max(np.abs(got - expected) / expected))
 
 
 def vandermonde_identity_check(t: AntisymTridiagonal, sd: SpectralData) -> float:

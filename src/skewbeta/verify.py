@@ -211,34 +211,31 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
         via_map = positive_spectrum_batch(
             transform.laguerre_map_batch(n, beta, root.split(2, n), reps))
         for name, other in (("chain", via_chain), ("laguerre-map", via_map)):
-            res = ks_two_sample(direct[:, 0], other[:, 0])
-            report.add(f"lambda-max n={n} direct-vs-{name}",
-                       res.p_value >= P_THRESHOLD, statistic=res.statistic,
-                       tolerance=P_THRESHOLD, p_value=res.p_value)
-            res = ks_two_sample(direct[:, -1], other[:, -1])
-            report.add(f"lambda-min n={n} direct-vs-{name}",
-                       res.p_value >= P_THRESHOLD, statistic=res.statistic,
-                       tolerance=P_THRESHOLD, p_value=res.p_value)
+            for col, stat in ((0, "lambda-max"), (-1, "lambda-min")):
+                _add_ks(report, f"{stat} n={n} direct-vs-{name}",
+                        ks_two_sample(direct[:, col], other[:, col]))
 
     # n=2: the positive eigenvalue is the single off-diagonal entry
     beta = 2.0
-    lam2 = np.sqrt(sample_gamma(beta / 4.0, root.split(6), size=reps))
-    res = ks_one_sample(lam2, lambda x: gammainc(beta / 4.0, x ** 2))
-    report.add("n=2 marginal", res.p_value >= P_THRESHOLD, statistic=res.statistic,
-               tolerance=P_THRESHOLD, p_value=res.p_value)
+    lam2 = positive_spectrum_batch(
+        antisym_tridiagonal_batch(2, beta, root.split(6), reps))[:, 0]
+    _add_ks(report, "n=2 marginal",
+            ks_one_sample(lam2, lambda x: gammainc(beta / 4.0, x ** 2)))
 
     # Dirichlet first-component laws
     b4 = antisym_tridiagonal_batch(4, 2.0, root.split(7), reps)
-    q1_sq_doubled = _first_component_sq_batch(b4)
-    res = ks_one_sample(q1_sq_doubled, lambda x: np.clip(x, 0.0, 1.0))
-    report.add("n=4 2q1^2 uniform", res.p_value >= P_THRESHOLD,
-               statistic=res.statistic, tolerance=P_THRESHOLD, p_value=res.p_value)
+    _add_ks(report, "n=4 2q1^2 uniform",
+            ks_one_sample(_first_component_sq_batch(b4), lambda x: np.clip(x, 0.0, 1.0)))
     b3 = antisym_tridiagonal_batch(3, 2.0, root.split(8), reps)
-    res = ks_one_sample(_first_component_sq_batch(b3),
-                        lambda x: betainc(1.0, 0.5, np.clip(x, 0.0, 1.0)))
-    report.add("n=3 2q1^2 beta(1,1/2)", res.p_value >= P_THRESHOLD,
-               statistic=res.statistic, tolerance=P_THRESHOLD, p_value=res.p_value)
+    _add_ks(report, "n=3 2q1^2 beta(1,1/2)",
+            ks_one_sample(_first_component_sq_batch(b3),
+                          lambda x: betainc(1.0, 0.5, np.clip(x, 0.0, 1.0))))
     return report
+
+
+def _add_ks(report: VerificationReport, name: str, res) -> None:
+    report.add(name, res.p_value >= P_THRESHOLD, statistic=res.statistic,
+               tolerance=P_THRESHOLD, p_value=res.p_value)
 
 
 def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
@@ -316,7 +313,30 @@ def run_normalization(seed: int) -> VerificationReport:
             worst = max(worst, even, odd)
     report.add("selberg-consistency", worst <= selberg_bound, statistic=worst,
                tolerance=selberg_bound)
+    worst = max(_singular_value_residual(n, beta)
+                for n in range(2, 14) for beta in (0.05, 0.25, 0.5, 1.0, 2.0, 4.0))
+    report.add("laguerre singular values", worst <= 1e-12, statistic=worst,
+               tolerance=1e-12)
     return report
+
+
+def _singular_value_residual(n: int, beta: float) -> float:
+    """Worst difference, relative to ``max(1, |log density|)`` on a fixed grid,
+    between the singular-value law of the block that
+    :func:`transform.laguerre_map_batch` reads order ``n`` off and the
+    order-``n`` positive-spectrum law at ``sigma = sqrt(2) lam``.  The block
+    is Laguerre with ``a = (n-1) beta / 4`` for even ``n``; for odd ``n`` the
+    C-matrix has the Laguerre law with ``a = n beta / 4``."""
+    k = n // 2
+    a = (n - 1) * beta / 4.0 if n % 2 == 0 else n * beta / 4.0
+    worst = 0.0
+    for scale in np.linspace(0.4, 2.0, 5):
+        lam = scale * np.arange(k, 0, -1) / math.sqrt(k)
+        lhs = densities.logpdf_singular_values(math.sqrt(2.0) * lam, k, a, beta).log_value
+        rhs = (densities.logpdf_positive_spectrum(lam, n, beta).log_value
+               - k / 2.0 * math.log(2.0))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
 
 
 def run_householder(seed: int, reps: int = 2000) -> VerificationReport:
@@ -327,10 +347,8 @@ def run_householder(seed: int, reps: int = 2000) -> VerificationReport:
     dense = dense_antisym_gue_rows(n, [root.split(i) for i in range(reps)])
     b_sq = householder_reduce_batch(dense) ** 2
     for k in range(1, n):
-        res = ks_one_sample(b_sq[:, k - 1], lambda x, kk=k: gammainc(kk / 2.0, x))
-        report.add(f"b_{k}^2 gamma({k}/2)", res.p_value >= P_THRESHOLD,
-                   statistic=res.statistic, tolerance=P_THRESHOLD,
-                   p_value=res.p_value)
+        _add_ks(report, f"b_{k}^2 gamma({k}/2)",
+                ks_one_sample(b_sq[:, k - 1], lambda x, kk=k: gammainc(kk / 2.0, x)))
     return report
 
 

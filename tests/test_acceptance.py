@@ -18,7 +18,7 @@ from skewbeta.ensembles import (antisym_tridiagonal_batch, dense_antisym_gue_row
                                 householder_reduce_batch)
 from skewbeta.spectral import _first_component_sq_batch, positive_spectrum_batch
 from skewbeta.stats import ks_one_sample, ks_two_sample, moment_test, quadrature_cdf
-from skewbeta.streams import RandomStream, sample_gamma
+from skewbeta.streams import RandomStream
 from skewbeta.transform import laguerre_map_batch
 
 SEED = 20260823
@@ -91,7 +91,8 @@ def test_criterion_4_exact_marginals():
     root = RandomStream(SEED, (101,))
     # n=2: the positive eigenvalue has CDF gammainc(beta/4, x^2)
     beta = 2.0
-    lam2 = np.sqrt(sample_gamma(beta / 4.0, root.split(0), size=reps))
+    lam2 = positive_spectrum_batch(
+        antisym_tridiagonal_batch(2, beta, root.split(0), reps))[:, 0]
     res2 = ks_one_sample(lam2, lambda x: gammainc(beta / 4.0, x ** 2))
     # n=3, beta=2: eigenvalue vs the quadrature CDF of the closed-form density
     lam3 = positive_spectrum_batch(

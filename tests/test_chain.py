@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from skewbeta import chain
 from skewbeta.chain import (ChainState, RandomRational, RootBracketError,
-                            border_matrix_check, chain_sample,
-                            chain_sample_batch, chain_sample_rows, chain_step_up,
+                            chain_sample, chain_sample_batch,
+                            chain_sample_rows, chain_step_up,
                             chain_trajectory, rational_roots, secular_roots,
                             step_down)
 from skewbeta.stats import moment_test
@@ -136,6 +136,24 @@ class TestChainSteps:
             chain_sample(1, 2.0, RandomStream(0))
 
 
+def _dense_border_spectrum(lam_prev, w, b) -> np.ndarray:
+    """Reference for one border step: the positive eigenvalues, from a dense
+    eigensolver, of the real symmetric arrowhead matrix equivalent (by a
+    diagonal unitary) to the bordered anti-symmetric matrix with eigenvalue
+    pairs ``+-lam_prev`` (plus 0 when ``b`` is given), border weight ``w``
+    on each pair and ``b`` on the zero eigenvalue."""
+    lam_prev = np.asarray(lam_prev, dtype=float)
+    w = np.asarray(w, dtype=float)
+    tail_diag, tail_border = ([], []) if b is None else ([0.0], [b])
+    diag = np.concatenate([lam_prev, -lam_prev, tail_diag])
+    border = np.concatenate([w, w, tail_border])
+    arrow = np.diag(np.append(diag, 0.0))
+    arrow[:-1, -1] = border
+    arrow[-1, :-1] = border
+    eig = np.linalg.eigvalsh(arrow)
+    return np.sort(eig[eig > 1e-13 * max(1.0, np.max(np.abs(eig)))])[::-1]
+
+
 class TestBorderMatrixCheck:
     @pytest.mark.parametrize("lam,w,b", [
         ([1.5], [0.7], None),
@@ -144,11 +162,16 @@ class TestBorderMatrixCheck:
         ([], [], 0.9),
     ])
     def test_rational_route_matches_dense(self, lam, w, b):
-        assert border_matrix_check(lam, w, b) < 1e-10
-
-    def test_weight_mismatch(self):
-        with pytest.raises(ParameterError):
-            border_matrix_check([1.0], [0.5, 0.5], None)
+        # the squared roots of 1 - sum 2 w^2 / (y - lam^2) (- b^2 / y)
+        poles = np.asarray(lam, dtype=float) ** 2
+        weights = 2.0 * np.asarray(w, dtype=float) ** 2
+        if b is not None:
+            poles = np.append(poles, 0.0)
+            weights = np.append(weights, b ** 2)
+        got = np.sqrt(rational_roots(RandomRational(1, poles, weights)))
+        expected = _dense_border_spectrum(lam, w, b)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) < 1e-10
 
 
 class TestBatchSampler:

@@ -8,10 +8,9 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from skewbeta.densities import (LogDensityValue, conditional_logpdf_down,
-                                conditional_logpdf_up,
-                                dirichlet_logpdf, dixon_anderson_check,
+                                conditional_logpdf_up, dixon_anderson_check,
                                 log_normalization_C, log_selberg_W,
-                                logpdf_laguerre, logpdf_singular_values,
+                                logpdf_singular_values,
                                 logpdf_positive_spectrum, selberg_consistency_check,
                                 eigenvalue_density_total_mass)
 from skewbeta.streams import ParameterError
@@ -73,29 +72,34 @@ class TestNormalizationConstants:
 
 class TestLaguerreDensities:
     def test_n1_matches_gamma_density(self):
-        # one eigenvalue: density lam^(a-1) e^(-lam/2) / (2^a Gamma(a))
-        a, lam = 2.5, 3.0
-        expected = -a * math.log(2.0) - gammaln(a) + (a - 1) * math.log(lam) - lam / 2.0
-        assert logpdf_laguerre([lam], 1, a, 2.0).log_value == pytest.approx(
+        # one singular value sigma of a chi_{2a} entry: sigma^2 / 2 is a
+        # rate-1 gamma of shape a, so the density is sigma times the gamma
+        # density at sigma^2 / 2, i.e. the chi density
+        # sigma^(2a-1) e^(-sigma^2/2) / (2^(a-1) Gamma(a))
+        a, sigma = 2.5, 1.7
+        expected = ((1 - a) * math.log(2.0) - gammaln(a)
+                    + (2 * a - 1) * math.log(sigma) - sigma ** 2 / 2.0)
+        assert logpdf_singular_values([sigma], 1, a, 2.0).log_value == pytest.approx(
             expected, rel=1e-12)
 
     def test_singular_value_change_of_variables(self):
-        # sigma-density = eigenvalue-density at sigma^2 times prod(2 sigma)
+        # the even-order read-off block: sigma = sqrt(2) lam carries the
+        # positive-spectrum law of order 2k with a = (2k-1) beta / 4
         sigma = np.array([2.0, 1.1])
-        n, a, beta = 2, 3.0, 2.0
-        ev = logpdf_laguerre(sigma ** 2, n, a, beta).log_value
-        sv = logpdf_singular_values(sigma, n, a, beta).log_value
-        assert sv == pytest.approx(ev + float(np.sum(np.log(2.0 * sigma))), rel=1e-12)
+        n, beta = 4, 2.0
+        sv = logpdf_singular_values(sigma, 2, (n - 1) * beta / 4.0, beta).log_value
+        lam = logpdf_positive_spectrum(sigma / math.sqrt(2.0), n, beta).log_value
+        assert sv == pytest.approx(lam - math.log(2.0), rel=1e-12)
 
     def test_n1_total_mass(self):
         a = 1.75
-        val, _ = quad(lambda x: math.exp(logpdf_laguerre([x], 1, a, 2.0).log_value),
+        val, _ = quad(lambda x: math.exp(logpdf_singular_values([x], 1, a, 2.0).log_value),
                       0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_parameter_constraint(self):
         with pytest.raises(ParameterError):
-            logpdf_laguerre([1.0, 0.5], 2, 0.5, 2.0)
+            logpdf_singular_values([1.0, 0.5], 2, 0.5, 2.0)
 
 
 class TestConditionalDensities:
@@ -139,23 +143,6 @@ class TestConditionalDensities:
         # projecting a size-2 matrix leaves no positive eigenvalue
         val = conditional_logpdf_down(np.zeros(0), [1.0], 1, 2.0)
         assert val.in_support and val.log_value == 0.0
-
-
-class TestDirichletDensity:
-    def test_beta_marginal_value(self):
-        # D[1, 1/2] at (x, 1-x) equals the Beta(1, 1/2) density at x
-        x = 0.3
-        expected = (gammaln(1.5) - gammaln(1.0) - gammaln(0.5)
-                    - 0.5 * math.log(1.0 - x))
-        got = dirichlet_logpdf([x, 1.0 - x], [1.0, 0.5]).log_value
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_off_simplex(self):
-        assert not dirichlet_logpdf([0.5, 0.6], [1.0, 1.0]).in_support
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            dirichlet_logpdf([0.5, 0.5], [1.0, -1.0])
 
 
 class TestDixonAnderson:

@@ -35,11 +35,6 @@ class TestAntisymTridiagonal:
         with pytest.raises(ValueError):
             AntisymTridiagonal([-1.0])
 
-    def test_json_round_trip(self):
-        t = AntisymTridiagonal([1.0, 2.0])
-        again = AntisymTridiagonal.from_json(t.to_json(beta=2.0))
-        assert np.array_equal(again.b, t.b)
-
     def test_symmetric_counterpart_spectrum(self):
         t = AntisymTridiagonal([1.0, 2.0, 0.7])
         d, e = t.symmetric_counterpart()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from skewbeta.ensembles import LowerBidiagonal, build_c_matrix
+from skewbeta.ensembles import (LowerBidiagonal, build_c_matrix,
+                                build_laguerre_bidiagonal)
 from skewbeta.spectral import SpectralData, positive_spectrum
 from skewbeta.streams import ParameterError, RandomStream, sample_gamma
 from skewbeta.transform import (FiniteDifferenceError,
@@ -89,6 +90,30 @@ class TestLaguerreMap:
         b = laguerre_map_batch(5, 1.0, RandomStream(1), 64)
         assert b.shape == (64, 4) and np.all(b > 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    def test_sample_is_the_one_row_case(self, n):
+        t = laguerre_map_sample(n, 0.5, RandomStream(n))
+        assert np.array_equal(t.b, laguerre_map_batch(n, 0.5, RandomStream(n), None))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    @pytest.mark.parametrize("reps", [None, 1])
+    def test_entries_are_read_off_the_block(self, n, reps):
+        # sqrt(2) times the top-down sequence reads d_0, e_0, d_1, ... of the
+        # Laguerre block (even n) or the C-matrix (odd n) on an equal stream
+        beta = 2.0
+        if n % 2 == 0:
+            blk = build_laguerre_bidiagonal(n // 2, (n - 1) * beta / 4.0, beta,
+                                            RandomStream(n))
+        else:
+            blk = build_c_matrix(n // 2, beta, RandomStream(n))
+        entries = np.empty(n - 1)
+        entries[0::2] = blk.d
+        entries[1::2] = blk.e
+        b = laguerre_map_batch(n, beta, RandomStream(n), reps)
+        top_down = np.sqrt(2.0) * (b if reps is None else b[0])[::-1]
+        # a size-1 draw below gamma shape 1 may round an ulp away from a scalar one
+        assert top_down == pytest.approx(entries, rel=1e-14)
+
 
 class TestCholeskyReindex:
     def test_k1_closed_form(self):
@@ -112,8 +137,8 @@ class TestCholeskyReindex:
             cholesky_reindex(bad)
 
     def test_diagonal_entries_stay_positive(self):
-        # the recursion keeps x_{2i+1}^2 > b_{2i-1}^2 > 0 for positive input,
-        # so no ReindexError can fire on a valid sequence
+        # the recursion only adds and multiplies positive terms, so every
+        # output is positive for positive input
         gen = np.random.default_rng(5)
         for _ in range(50):
             bsq = gen.gamma(0.3, size=9) + 1e-12

@@ -44,6 +44,13 @@ class TestSuitesPass:
         with pytest.raises(KeyError):
             verify.run_suite("nope", SEED)
 
+    @pytest.mark.parametrize("seed", [5, 14, 19, 31])
+    def test_cholesky_suite_at_ill_conditioned_seeds(self, seed):
+        # at these seeds the subtracting recursion and a Cholesky factor of
+        # the Gram matrix each erred by about 1e-12
+        report = verify.run_cholesky(seed)
+        assert report.all_passed, report.cases[0].statistic
+
     def test_householder_suite(self):
         report = verify.run_householder(SEED, reps=600)
         assert report.all_passed, [c.name for c in report.cases

@@ -105,15 +105,6 @@ class CharPolySequence:
     def values(self) -> np.ndarray:
         return _plain(self.signs, self.logmags)
 
-    def log_ratio(self, num: int, den: int) -> tuple[float, float]:
-        """Sign and log-magnitude of ``P_num(x) / P_den(x)``."""
-        s = self.signs[num] * self.signs[den]
-        return s, self.logmags[num] - self.logmags[den]
-
-    def ratio(self, num: int, den: int) -> float:
-        s, lm = self.log_ratio(num, den)
-        return s * np.exp(lm)
-
 
 def _plain(signs: np.ndarray, logmags: np.ndarray) -> np.ndarray:
     """``sign * exp(logmag)``, overflowing to +-inf, exactly 0 for a zero sign."""

@@ -17,10 +17,6 @@ from .ensembles import AntisymTridiagonal
 from .spectral import _charpoly
 
 
-class RefinementError(RuntimeError):
-    """Branch tracking could not be resolved at the maximum grid refinement."""
-
-
 @dataclass(frozen=True)
 class PruferPhases:
     """Continuous-branch phases ``theta_i``, i = 2..n, at one evaluation point."""
@@ -29,10 +25,7 @@ class PruferPhases:
     theta: np.ndarray
 
 
-# levels of bisection of one grid step before branch tracking gives up
-_MAX_REFINE = 40
-
-# prufer_phases refines _WINDOW // n grid steps at a time, which bounds the
+# prufer_phases evaluates _WINDOW // n points at a time, which bounds the
 # phases it holds (_atan2 makes a Python float of each)
 _WINDOW = 2 ** 13
 
@@ -41,21 +34,32 @@ _WINDOW = 2 ** 13
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
+def _counts_leq(vals: np.ndarray) -> np.ndarray:
+    """Positive eigenvalues ``<= mu`` of each order-m trailing matrix,
+    m = 0..rows-1, at every point, from the scaled ``P_0(mu), ..., P_m(mu)``
+    in the rows of ``vals`` (0 for a negative ``mu``).
+
+    The sign changes of ``P_0, ..., P_m`` count the eigenvalues above ``mu``.
+    A zero ``P_m`` is skipped: below the top its neighbours have opposite
+    signs (``P_{m+1} = -b_m**2 P_{m-1}``), and at the top it makes ``mu`` an
+    eigenvalue, which counts as ``<= mu``.  The rounded recurrence gives the
+    exact signs of a matrix whose off-diagonals are perturbed by a few ulps
+    each, so the counts resolve eigenvalues to high relative accuracy.
+    """
+    signs = np.sign(vals)
+    rows = np.arange(vals.shape[0])[:, None]
+    # the sign of the last nonzero P at or below each row (P_0 = 1)
+    last = signs[np.maximum.accumulate(np.where(signs != 0, rows, 0)), np.arange(vals.shape[1])]
+    above = np.zeros(vals.shape, dtype=int)
+    np.cumsum(last[1:] != last[:-1], axis=0, out=above[1:])
+    return np.maximum(rows // 2 - above, 0)
+
+
 def count_positive_leq(t: AntisymTridiagonal, mu: float) -> int:
     """Number of positive eigenvalues of ``i*T`` less than or equal to ``mu``
-    (0 for a negative ``mu``).
-
-    The sign changes of ``P_0(mu), ..., P_n(mu)`` count the eigenvalues above
-    ``mu``.  A zero ``P_m`` is skipped: below the top its neighbours have
-    opposite signs (``P_{m+1} = -b_m**2 P_{m-1}``), and at the top it makes
-    ``mu`` an eigenvalue, which counts as ``<= mu``.  The rounded recurrence
-    gives the exact signs of a matrix whose off-diagonals are perturbed by a
-    few ulps each, so the count resolves eigenvalues to high relative accuracy.
-    """
+    (0 for a negative ``mu``); see :func:`_counts_leq`."""
     vals, _ = _charpoly(t.b, np.array([float(mu)]), range(t.n + 1))
-    signs = np.sign(vals[vals != 0.0])
-    above = np.count_nonzero(signs[1:] != signs[:-1])
-    return max(t.n // 2 - above, 0)
+    return int(_counts_leq(vals)[-1, 0])
 
 
 def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.ndarray:
@@ -84,16 +88,25 @@ def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.nda
     return x
 
 
-def _principal_phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Principal-branch phases in (0, pi], i = 2..n, at every point of the 1-d
-    array ``mu``, shape ``(mu.size, n-1)``, from
-    ``cot(theta_i) = P_{i-1}(mu) / (b_{i-1}**2 P_{i-2}(mu))``."""
+def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Continuous phases ``theta_i``, i = 2..n, at every point of the 1-d
+    array ``mu > 0``, shape ``(mu.size, n-1)``.
+
+    The principal phase ``raw_i`` in (0, pi] solves
+    ``cot(theta_i) = P_{i-1}(mu) / (b_{i-1}**2 P_{i-2}(mu))``.  By Sturm
+    oscillation ``theta_i`` falls through a multiple of pi exactly at the zeros
+    of ``P_{i-2}``, so ``theta_i = raw_i - K_i pi`` with
+    ``K_i = [i odd] + N_{i-2}(mu)``, ``N_m`` the positive eigenvalues
+    ``<= mu`` of the order-m trailing matrix; branches start at mu = 0.
+    """
     vals, shifts = _charpoly(b, mu, range(b.size + 1))
     # P_{i-2} on the scale of P_{i-1}; their shifts differ only where step
     # i-1 rescaled, else the factor is exactly 1
     prev = vals[:-1] * np.exp(shifts[:-1] - shifts[1:])
-    theta = _atan2((b ** 2)[:, None] * prev, vals[1:]).astype(float)
-    return np.where(theta <= 0.0, theta + math.pi, theta).T
+    raw = _atan2((b ** 2)[:, None] * prev, vals[1:]).astype(float)
+    raw = np.where(raw <= 0.0, raw + math.pi, raw)  # a zero P_{i-2} gives pi
+    wraps = np.arange(2, b.size + 2)[:, None] % 2 + _counts_leq(vals[:-1])
+    return (raw - wraps * math.pi).T
 
 
 def _anchor_phases(n: int) -> np.ndarray:
@@ -102,68 +115,22 @@ def _anchor_phases(n: int) -> np.ndarray:
     return np.where(idx % 2 == 0, math.pi / 2.0, 0.0)
 
 
-def _branch_select(raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Unique representative ``raw - k*pi`` in the interval (prev - pi, prev]."""
-    k = np.ceil((raw - prev) / math.pi)
-    return raw - k * math.pi
-
-
-def _refine(b: np.ndarray, mu: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect the steps between consecutive points of ``mu`` (principal phases
-    ``raw``) until no step moves a phase by more than pi/2, level by level;
-    return every point and its principal phases, those given first."""
-    mus, raws = [mu], [raw]
-    lo_mu, hi_mu, lo_raw, hi_raw = mu[:-1], mu[1:], raw[:-1], raw[1:]
-    for level in range(_MAX_REFINE + 1):
-        # (raw_left - raw_right) mod pi, in [0, pi] so that a difference
-        # rounded to pi stays a large move
-        moved = lo_raw - hi_raw
-        moved[moved < 0.0] += math.pi
-        split = np.max(moved, axis=1) > math.pi / 2.0 + 1e-9
-        if not split.any():
-            break
-        if level == _MAX_REFINE:
-            j = np.argmin(np.where(split, lo_mu, np.inf))
-            raise RefinementError(f"unresolved phase branch between mu={lo_mu[j]} "
-                                  f"and mu={hi_mu[j]}")
-        mid = 0.5 * (lo_mu[split] + hi_mu[split])
-        mid_raw = _principal_phases(b, mid)
-        mus.append(mid)
-        raws.append(mid_raw)
-        lo_mu, hi_mu = np.r_[lo_mu[split], mid], np.r_[mid, hi_mu[split]]
-        lo_raw, hi_raw = np.vstack([lo_raw[split], mid_raw]), np.vstack([mid_raw, hi_raw[split]])
-    return np.concatenate(mus), np.concatenate(raws)
-
-
 def prufer_phases(t: AntisymTridiagonal, grid) -> list[PruferPhases]:
     """Continuous Pruefer phases along an ascending nonnegative grid.
 
-    Branches are anchored at mu = 0 (exact values known) and tracked
-    rightwards.  A step that would move any phase by more than pi/2 is
-    bisected, up to ``_MAX_REFINE`` times.  Whether it would depends only on
-    the principal phases at its two ends, so the grid steps are refined
-    level by level, each level's midpoints in one pass of the recurrence
-    (``_WINDOW // n`` grid steps at a time); the branches are then selected
-    point by point.
+    Branches are anchored at mu = 0 (exact values known) and counted in
+    closed form at every other point (see :func:`_phases`), ``_WINDOW // n``
+    points per pass of the recurrence.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
     if np.any(np.diff(grid) <= 0) or grid[0] < 0:
         raise ValueError("grid must be strictly increasing and nonnegative")
-    mu = np.r_[0.0, grid[grid > 0]]
-    raw = np.vstack([_anchor_phases(t.n), _principal_phases(t.b, mu[1:])])
-    theta = np.empty_like(raw)
-    theta[0] = raw[0]
+    theta = np.empty((grid.size, t.n - 1))
+    start = int(grid[0] == 0.0)
+    theta[:start] = _anchor_phases(t.n)
     window = max(1, _WINDOW // t.n)
-    for w in range(0, mu.size - 1, window):
-        given = slice(w, w + window + 1)
-        points, points_raw = _refine(t.b, mu[given], raw[given])
-        out = theta[given]
-        current = out[0]
-        for j in np.argsort(points, kind="stable")[1:].tolist():
-            current = _branch_select(points_raw[j], current)
-            if j < len(out):
-                out[j] = current
-    start = mu.size - grid.size  # 1 unless the grid starts at mu = 0
-    return [PruferPhases(mu=m, theta=th) for m, th in zip(mu[start:], theta[start:])]
+    for w in range(start, grid.size, window):
+        theta[w:w + window] = _phases(t.b, grid[w:w + window])
+    return [PruferPhases(mu=m, theta=th) for m, th in zip(grid.tolist(), theta)]

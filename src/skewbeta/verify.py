@@ -273,7 +273,39 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
                statistic=anchor_worst, tolerance=1e-9)
     report.add("monotone-decrease", monotone_ok,
                statistic=0.0 if monotone_ok else 1.0, tolerance=0.0)
+
+    violations = 0
+    for j, beta in enumerate(np.repeat((0.05, 0.25, 2.0), 20)):
+        t = build_antisym_tridiagonal(4 + j % 9, beta, root.split(2000 + j))
+        grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
+        violations += _wrap_violations(t, sturm.prufer_phases(t, grid))[0]
+    report.add("wrap-counts", violations == 0, statistic=float(violations), tolerance=0.0)
     return report
+
+
+def _wrap_violations(t: AntisymTridiagonal, phases) -> tuple[int, int]:
+    """Entries of a Pruefer phase table off the branch that an independent
+    eigenvalue count fixes, and entries skipped as too close to call.
+
+    ``theta_i(mu)`` must lie in ``(-K pi, -(K-1) pi]`` (up to rounding of
+    ``K pi``) with ``K = [i odd] + #(lambda(T_{i-2}) <= mu)``, the eigenvalues
+    of the order-(i-2) trailing matrix taken from the bidiagonal SVD, not from
+    a Sturm count.  Entries within 1e-10 relative of such an eigenvalue are
+    skipped.
+    """
+    mu = np.array([p.mu for p in phases])[:, None]
+    theta = np.stack([p.theta for p in phases])
+    violations = skipped = 0
+    for i in range(2, t.n + 1):
+        lam = positive_spectrum_batch(t.b[None, :max(i - 3, 0)])[0]
+        near = np.any(np.abs(mu - lam) <= 1e-10 * lam, axis=1)
+        k = i % 2 + np.sum(lam <= mu, axis=1)
+        tol = 1e-12 * (k + 1)
+        th = theta[:, i - 2]
+        inside = (th >= -k * math.pi - tol) & (th <= -(k - 1) * math.pi + tol)
+        violations += int(np.sum(~inside & ~near))
+        skipped += int(np.sum(near))
+    return violations, skipped
 
 
 def run_dixon_anderson(seed: int) -> VerificationReport:

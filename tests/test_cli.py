@@ -186,6 +186,17 @@ class TestPruferAndHouseholder:
         assert doc["columns"] == ["mu", "theta_2", "theta_3", "theta_4"]
         assert len(doc["rows"]) == 6  # zero grid point dropped
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_prufer_small_beta(self, capsys, seed):
+        # tiny off-diagonals: phases fall by pi within far less than a grid step
+        code, out, _ = run(capsys, "prufer", "--n", "8", "--beta", "0.05",
+                           "--seed", str(seed), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["columns"] == ["mu"] + [f"theta_{i}" for i in range(2, 9)]
+        assert len(doc["rows"]) == 40
+        assert all(len(row) == 8 for row in doc["rows"])
+
     def test_bad_grid_exits_two(self, capsys):
         code, _, err = run(capsys, "prufer", "--n", "4", "--grid", "oops")
         assert code == 2

@@ -1,7 +1,6 @@
 """Tests for Sturm counting, shooting vectors and Pruefer phase tracking."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ import pytest
 from skewbeta.ensembles import AntisymTridiagonal, build_antisym_tridiagonal
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.sturm import (RefinementError, count_positive_leq, prufer_phases,
-                            shooting_vector)
+from skewbeta.sturm import PruferPhases, count_positive_leq, prufer_phases, shooting_vector
+from skewbeta.verify import _wrap_violations
 
 # an overflow or invalid operation in any Sturm, shooting or Pruefer path fails
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -62,6 +61,10 @@ def _loop_raw_phases(b, mu):
     return out
 
 
+class _Unresolved(RuntimeError):
+    """The reference bisection could not resolve a phase branch."""
+
+
 def _loop_prufer(b, grid, depth=40):
     """Phases at each grid point; a step that moves a phase by more than
     pi/2 is bisected recursively, up to ``depth`` times."""
@@ -71,7 +74,7 @@ def _loop_prufer(b, grid, depth=40):
         if np.max(theta0 - cand) <= math.pi / 2.0 + 1e-9:
             return cand
         if depth <= 0:
-            raise RefinementError(f"unresolved phase branch between mu={mu0} and mu={mu1}")
+            raise _Unresolved(f"unresolved phase branch between mu={mu0} and mu={mu1}")
         mid = 0.5 * (mu0 + mu1)
         return advance(mid, advance(mu0, theta0, mid, depth - 1), mu1, depth - 1)
 
@@ -245,6 +248,15 @@ class TestPruferPhases:
         crossings = int(np.sum((levels <= start) & (levels > end)))
         assert crossings == sub_lam.size
 
+    def test_continuous_at_submatrix_eigenvalue(self):
+        # P_4(mu) = mu**4 - 17 mu**2 + 16 vanishes exactly at mu = 1, where
+        # P_5 > 0: atan2 gives a principal phase of +0 there, and theta_6
+        # must sit on the branch it reaches from the left
+        t = AntisymTridiagonal([2.0, 3.0, 2.0, 1.0, 1.0])
+        phases = prufer_phases(t, np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
+        assert phases[1].theta[4] == 0.0
+        assert np.all(np.abs(np.diff([p.theta for p in phases], axis=0)) < 1e-6)
+
     @pytest.mark.parametrize("grid", [
         np.zeros(0), np.array([1.0, 0.5]), np.array([-1.0, 1.0]),
     ])
@@ -259,12 +271,37 @@ class TestPruferPhases:
         lam_max = positive_spectrum(t).lam[0]
         for grid in (np.linspace(0.0, 1.5 * lam_max, 40),
                      np.linspace(0.01 * lam_max, 1.5 * lam_max, 199)):
-            try:
-                expect = _loop_prufer(t.b, grid)
-            except RefinementError as exc:
-                with pytest.raises(RefinementError, match=re.escape(str(exc))):
-                    prufer_phases(t, grid)
-                continue
             phases = prufer_phases(t, grid)
             assert [p.mu for p in phases] == grid.tolist()
+            try:
+                expect = _loop_prufer(t.b, grid)
+            except _Unresolved:
+                # where the bisection gives up, the branches still follow
+                # the Sturm counts
+                assert _wrap_violations(t, phases)[0] == 0
+                continue
             assert np.array_equal(np.stack([p.theta for p in phases]), expect)
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 13, 40, 200])
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
+    def test_branches_follow_eigenvalue_counts(self, n, beta):
+        # theta_i lies in (-K pi, -(K-1) pi], K = [i odd] + #(lambda(T_{i-2})
+        # <= mu) with the eigenvalues from dbdsqr; n = 200, beta = 0.25,
+        # seed 1 is a draw a bisection tracker got wrong by pi in 115 entries
+        for seed in range(3):
+            t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
+            grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
+            assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+
+    def test_branches_follow_eigenvalue_counts_order_1000(self):
+        t = build_antisym_tridiagonal(1000, 2.0, RandomStream(3))
+        grid = np.linspace(0.0, 1.5 * positive_spectrum(t).lam[0], 200)[1:]
+        assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+
+    def test_wrap_check_flags_a_branch_off_by_pi(self):
+        t = build_antisym_tridiagonal(12, 2.0, RandomStream(0))
+        phases = prufer_phases(t, np.linspace(0.1, 3.0, 30))
+        theta = np.stack([p.theta for p in phases])
+        theta[7, 4] += math.pi
+        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
+        assert _wrap_violations(t, moved)[0] == 1

@@ -92,7 +92,8 @@ def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Continuous phases ``theta_i``, i = 2..n, at every point of the 1-d
     array ``mu > 0``, shape ``(mu.size, n-1)``.
 
-    The principal phase ``raw_i`` in (0, pi] solves
+    The principal phase ``raw_i`` in (0, pi] (0 where ``b_{i-1}**2 P_{i-2}``
+    underflows) solves
     ``cot(theta_i) = P_{i-1}(mu) / (b_{i-1}**2 P_{i-2}(mu))``.  By Sturm
     oscillation ``theta_i`` falls through a multiple of pi exactly at the zeros
     of ``P_{i-2}``, so ``theta_i = raw_i - K_i pi`` with
@@ -104,7 +105,9 @@ def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     # i-1 rescaled, else the factor is exactly 1
     prev = vals[:-1] * np.exp(shifts[:-1] - shifts[1:])
     raw = _atan2((b ** 2)[:, None] * prev, vals[1:]).astype(float)
-    raw = np.where(raw <= 0.0, raw + math.pi, raw)  # a zero P_{i-2} gives pi
+    # a zero P_{i-2} gives pi; a numerator that underflowed keeps the sign of
+    # P_{i-2} in its zero, so only a negative raw (-0 or -pi) moves up by pi
+    raw = np.where(vals[:-1] == 0.0, math.pi, np.where(np.signbit(raw), raw + math.pi, raw))
     wraps = np.arange(2, b.size + 2)[:, None] % 2 + _counts_leq(vals[:-1])
     return (raw - wraps * math.pi).T
 

@@ -285,16 +285,20 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
 
 def _wrap_violations(t: AntisymTridiagonal, phases) -> tuple[int, int]:
     """Entries of a Pruefer phase table off the branch that an independent
-    eigenvalue count fixes, and entries skipped as too close to call.
+    eigenvalue count fixes or risen along the grid, and entries skipped as
+    too close to call.
 
     ``theta_i(mu)`` must lie in ``(-K pi, -(K-1) pi]`` (up to rounding of
     ``K pi``) with ``K = [i odd] + #(lambda(T_{i-2}) <= mu)``, the eigenvalues
     of the order-(i-2) trailing matrix taken from the bidiagonal SVD, not from
-    a Sturm count.  Entries within 1e-10 relative of such an eigenvalue are
-    skipped.
+    a Sturm count.  It must also not rise above its exact value at mu = 0 or
+    its value at the previous point, which tells a phase at ``-K pi`` from one
+    a full pi higher at ``-(K-1) pi``.  Entries within 1e-10 relative of such
+    an eigenvalue are skipped.
     """
     mu = np.array([p.mu for p in phases])[:, None]
     theta = np.stack([p.theta for p in phases])
+    start = np.where(np.arange(2, t.n + 1) % 2 == 0, math.pi / 2.0, 0.0)
     violations = skipped = 0
     for i in range(2, t.n + 1):
         lam = positive_spectrum_batch(t.b[None, :max(i - 3, 0)])[0]
@@ -303,6 +307,7 @@ def _wrap_violations(t: AntisymTridiagonal, phases) -> tuple[int, int]:
         tol = 1e-12 * (k + 1)
         th = theta[:, i - 2]
         inside = (th >= -k * math.pi - tol) & (th <= -(k - 1) * math.pi + tol)
+        inside &= (np.diff(th, prepend=start[i - 2]) <= tol) | np.r_[False, near[:-1]]
         violations += int(np.sum(~inside & ~near))
         skipped += int(np.sum(near))
     return violations, skipped

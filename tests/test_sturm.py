@@ -298,10 +298,42 @@ class TestPruferPhases:
         grid = np.linspace(0.0, 1.5 * positive_spectrum(t).lam[0], 200)[1:]
         assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
 
+    def test_underflowed_off_diagonal(self):
+        # b_1**2 = 1e-400 rounds to 0, so b_1**2 P_0 is +0 and atan2 gives a
+        # principal phase of +0: theta_2 = arccot(mu / b_1**2) is 0 to double
+        # precision at every mu > 0, not pi
+        t = AntisymTridiagonal([1e-200, 1.0, 1.0])
+        phases = prufer_phases(t, np.linspace(0.0, 3.0, 31))
+        theta = np.stack([p.theta for p in phases])
+        assert np.all(theta[1:, 0] == 0.0)
+        assert np.all(np.diff(theta, axis=0) <= 0)
+        assert _wrap_violations(t, phases) == (0, 0)
+
+    def test_branches_follow_eigenvalue_counts_beta_001(self):
+        # 3 of these 20 draws have an off-diagonal whose square underflows
+        # to 0; the phases must still be on their branch and not increase
+        underflowed = 0
+        for seed in range(20):
+            t = build_antisym_tridiagonal(8, 0.01, RandomStream(seed))
+            underflowed += bool(np.any(t.b ** 2 == 0.0))
+            grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
+            assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+        assert underflowed > 0
+
     def test_wrap_check_flags_a_branch_off_by_pi(self):
         t = build_antisym_tridiagonal(12, 2.0, RandomStream(0))
         phases = prufer_phases(t, np.linspace(0.1, 3.0, 30))
         theta = np.stack([p.theta for p in phases])
         theta[7, 4] += math.pi
+        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
+        assert _wrap_violations(t, moved)[0] == 1
+
+    def test_wrap_check_flags_a_rise_by_pi(self):
+        # -K pi and -(K-1) pi both pass the branch test; a phase that rises
+        # between grid points does not
+        t = AntisymTridiagonal([1e-200, 1.0, 1.0])
+        phases = prufer_phases(t, np.linspace(0.0, 3.0, 31))
+        theta = np.stack([p.theta for p in phases])
+        theta[1:, 0] = math.pi
         moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
         assert _wrap_violations(t, moved)[0] == 1

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, chain, densities, sturm, verify
-from .ensembles import (EnsembleSpec, SizeError, antisym_tridiagonal_batch,
-                        build_antisym_tridiagonal, build_dense_antisym_gue,
-                        c_matrix_rows, dense_antisym_gue_rows, householder_reduce,
-                        householder_reduce_batch, laguerre_bidiagonal_rows)
-from .spectral import spectral_rows
+from .ensembles import (EnsembleSpec, SizeError, _c_matrix_chis, _laguerre_chis,
+                        antisym_tridiagonal_batch, build_antisym_tridiagonal,
+                        build_dense_antisym_gue, dense_antisym_gue_rows,
+                        householder_reduce, householder_reduce_batch)
+from .spectral import positive_spectrum_batch, spectral_rows
 from .streams import ParameterError, RandomStream
+from .transform import bidiagonal_read_off
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,13 @@ def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
         table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
     elif spec.kind == "chain":
         table = chain.chain_sample_rows(n, spec.beta, streams)
-    elif spec.kind == "laguerre-bidiag":
-        table = np.linalg.svd(laguerre_bidiagonal_rows(n, spec.a, spec.beta, streams),
-                              compute_uv=False)
-    else:  # c-matrix
-        table = np.linalg.svd(c_matrix_rows(n, spec.beta, streams), compute_uv=False)
+    else:  # a chi block's singular values are the spectrum of its read-off
+        if spec.kind == "laguerre-bidiag":
+            draws = [_laguerre_chis(n, spec.a, spec.beta, s, None) for s in streams]
+        else:  # c-matrix
+            draws = [_c_matrix_chis(n, spec.beta, s, None) for s in streams]
+        d, e = (np.array(part) for part in zip(*draws))
+        table = positive_spectrum_batch(bidiagonal_read_off(d, e))
     return header, table
 
 

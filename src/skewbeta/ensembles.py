@@ -106,7 +106,10 @@ class LowerBidiagonal:
         return self.d.size
 
     def to_dense(self) -> np.ndarray:
-        return dense_lower_bidiagonal(self.d, self.e, self.rows)
+        mat = np.zeros((self.rows, self.cols))
+        mat[range(self.cols), range(self.cols)] = self.d
+        mat[range(1, self.e.size + 1), range(self.e.size)] = self.e
+        return mat
 
 
 @dataclass(frozen=True)
@@ -149,18 +152,6 @@ def dense_tridiagonal(sup: np.ndarray, lower_sign: float) -> np.ndarray:
     idx = np.arange(m)
     mats[..., idx, idx + 1] = sup
     mats[..., idx + 1, idx] = lower_sign * sup
-    return mats
-
-
-def dense_lower_bidiagonal(d: np.ndarray, e: np.ndarray, rows: int) -> np.ndarray:
-    """Lower bidiagonal matrices from diagonals ``d`` of shape ``(..., cols)``
-    and subdiagonals ``e`` of shape ``(..., rows - 1)``: ``(..., rows, cols)``."""
-    cols = d.shape[-1]
-    mats = np.zeros(d.shape[:-1] + (rows, cols))
-    i = np.arange(cols)
-    mats[..., i, i] = d
-    j = np.arange(e.shape[-1])
-    mats[..., j + 1, j] = e
     return mats
 
 
@@ -253,12 +244,6 @@ def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStrea
     return LowerBidiagonal(*_laguerre_chis(n, a, beta, stream, None), rows=n)
 
 
-def laguerre_bidiagonal_rows(n: int, a: float, beta: float, streams) -> np.ndarray:
-    """``(len(streams), n, n)``; matrix ``i`` is
-    ``build_laguerre_bidiagonal(n, a, beta, streams[i]).to_dense()``."""
-    return _bidiagonal_rows([_laguerre_chis(n, a, beta, s, None) for s in streams], n)
-
-
 def _laguerre_chis(n: int, a: float, beta: float, stream: RandomStream, reps: int | None):
     """Diagonal and subdiagonal chi draws of the square Laguerre block, shapes
     ``(reps, n)`` and ``(reps, n-1)``; ``reps=None`` draws one block."""
@@ -281,12 +266,6 @@ def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal
     return LowerBidiagonal(*_c_matrix_chis(k, beta, stream, None), rows=k + 1)
 
 
-def c_matrix_rows(k: int, beta: float, streams) -> np.ndarray:
-    """``(len(streams), k + 1, k)``; matrix ``i`` is
-    ``build_c_matrix(k, beta, streams[i]).to_dense()``."""
-    return _bidiagonal_rows([_c_matrix_chis(k, beta, s, None) for s in streams], k + 1)
-
-
 def _c_matrix_chis(k: int, beta: float, stream: RandomStream, reps: int | None):
     """Diagonal and subdiagonal chi draws of the C-matrix, both of shape
     ``(reps, k)``; ``reps=None`` draws one matrix."""
@@ -304,11 +283,3 @@ def _chi_block(degrees, cols: int, stream: RandomStream, reps: int | None):
     into the diagonal (the first ``cols``) and the subdiagonal."""
     chis = np.array([sample_standard_chi(k, stream, size=reps) for k in degrees]).T
     return chis[..., :cols], chis[..., cols:]
-
-
-def _bidiagonal_rows(chis, rows: int) -> np.ndarray:
-    """Stack per-matrix ``(d, e)`` chi draws into dense lower bidiagonals.
-    The draws are nonnegative, which is all :class:`LowerBidiagonal` checks
-    of them."""
-    d, e = (np.array(part) for part in zip(*chis))
-    return dense_lower_bidiagonal(d, e, rows)

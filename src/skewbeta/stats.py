@@ -73,12 +73,16 @@ def moment_test(sample, target_mean: float, target_variance: float) -> float:
     return float((np.mean(sample) - target_mean) / se)
 
 
-def quadrature_cdf(log_pdf, lo: float, hi: float, num: int = 20001):
+QUADRATURE_POINTS = 20001
+
+
+def quadrature_cdf(log_pdf, lo: float, hi: float):
     """Monotone interpolated CDF built from a 1-d log-density by trapezoidal
-    accumulation on a dense grid; renormalized to end at 1."""
-    if not (hi > lo and num >= 100):
-        raise ParameterError("need hi > lo and a reasonable grid size")
-    grid = np.linspace(lo, hi, num)
+    accumulation on a uniform grid of ``QUADRATURE_POINTS`` points;
+    renormalized to end at 1."""
+    if not hi > lo:
+        raise ParameterError("need hi > lo")
+    grid = np.linspace(lo, hi, QUADRATURE_POINTS)
     pdf = np.exp(np.asarray([log_pdf(g) for g in grid], dtype=float))
     steps = np.diff(grid) * 0.5 * (pdf[1:] + pdf[:-1])
     cum = np.concatenate([[0.0], np.cumsum(steps)])

@@ -93,6 +93,14 @@ def tridiagonal_from_bidiagonal(b: LowerBidiagonal) -> np.ndarray:
     return dense_tridiagonal(_interleave(b.d, b.e), -1.0)
 
 
+def bidiagonal_read_off(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Bottom-up off-diagonal sequences of the tridiagonals that
+    :func:`tridiagonal_from_bidiagonal` reads off blocks of diagonals ``d``
+    and subdiagonals ``e`` (stacked along the leading axes).  Their positive
+    spectra are the singular values of the blocks."""
+    return _interleave(d, e)[..., ::-1]
+
+
 def shuffle_conjugation_check(b: LowerBidiagonal) -> float:
     """Max deviation of ``Q V_B Q^T`` from the tridiagonal read off ``B``;
     exactly zero (the conjugation only permutes entries and flips signs)."""
@@ -102,11 +110,6 @@ def shuffle_conjugation_check(b: LowerBidiagonal) -> float:
     v = block_embedding(b.to_dense())
     target = tridiagonal_from_bidiagonal(b)
     return float(np.max(np.abs(q @ v @ q.T - target)))
-
-
-def laguerre_map_sample(n: int, beta: float, stream: RandomStream) -> AntisymTridiagonal:
-    """The one-row case of :func:`laguerre_map_batch`."""
-    return AntisymTridiagonal(laguerre_map_batch(n, beta, stream, None))
 
 
 def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
@@ -125,7 +128,7 @@ def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
         d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, stream, reps)
     else:
         d, e = _c_matrix_chis(n // 2, beta, stream, reps)
-    return _interleave(d, e)[..., ::-1] / math.sqrt(2.0)
+    return bidiagonal_read_off(d, e) / math.sqrt(2.0)
 
 
 def cholesky_reindex(bsq) -> np.ndarray:
@@ -176,7 +179,7 @@ def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
         raise SizeError("expected a (k+1) x k bidiagonal block")
     k = c.cols
     # the bottom-up read-off of c, as in laguerre_map_batch, squared
-    x = cholesky_reindex(np.append(_interleave(c.d, c.e)[::-1] ** 2, b_top_sq))
+    x = cholesky_reindex(np.append(bidiagonal_read_off(c.d, c.e) ** 2, b_top_sq))
 
     # X = Q^T c for the Givens rotations that chase the last row of c up to
     # the first: row j of X has hypot(d_j, g) on the diagonal and

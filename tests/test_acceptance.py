@@ -1,8 +1,9 @@
 """Acceptance gate: the ten headline checks, one printed line per criterion.
 
-Deterministic criteria reuse the verification suites at their stated
-tolerances; the statistical criteria run at full scale (1e5 replicates,
-1e4 reductions) with fixed seeds.
+Deterministic criteria read the verification suites at their stated
+tolerances (one run per suite and session, shared with ``test_verify``);
+the statistical criteria run at full scale (1e5 replicates, 1e4
+reductions) with fixed seeds.
 """
 
 import time
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.special import betainc, gammainc
 
-from skewbeta import verify
 from skewbeta.chain import chain_sample_batch
 from skewbeta.densities import logpdf_positive_spectrum
 from skewbeta.ensembles import (antisym_tridiagonal_batch, dense_antisym_gue_rows,
@@ -30,28 +30,27 @@ def _report_line(idx: int, label: str, passed: bool, detail: str) -> None:
     print(f"[criterion {idx:2d}] {status}: {label} ({detail})")
 
 
-def _suite_criterion(idx, label, runner, budget_s, **kwargs):
-    start = time.monotonic()
-    report = runner(SEED, **kwargs)
-    elapsed = time.monotonic() - start
-    worst = [f"{c.name}={c.statistic:.3g}" for c in report.cases
-             if c.status == "fail"]
-    passed = report.all_passed and elapsed < budget_s
-    _report_line(idx, label, passed,
-                 f"{len(report.cases)} cases, {elapsed:.1f}s"
+def _suite_criterion(idx, label, suite_run, suites, budget_s):
+    runs = [suite_run(name) for name in suites]
+    cases = [c for report, _ in runs for c in report.cases]
+    elapsed = sum(seconds for _, seconds in runs)
+    worst = [f"{c.name}={c.statistic:.3g}" for c in cases if c.status == "fail"]
+    green = all(report.all_passed for report, _ in runs)
+    _report_line(idx, label, green and elapsed < budget_s,
+                 f"{len(cases)} cases, {elapsed:.1f}s"
                  + (f", failures: {', '.join(worst)}" if worst else ""))
-    assert report.all_passed, f"failed cases: {worst}"
+    assert green, f"failed cases: {worst}"
     assert elapsed < budget_s, f"runtime {elapsed:.1f}s over budget {budget_s}s"
 
 
-def test_criterion_1_identity_suite():
-    _suite_criterion(1, "deterministic identity suite", verify.run_identities,
-                     budget_s=30.0)
+def test_criterion_1_identity_suite(suite_run):
+    _suite_criterion(1, "deterministic identity suite", suite_run,
+                     ("identities", "vandermonde", "shuffle", "cholesky"), budget_s=30.0)
 
 
-def test_criterion_2_jacobian_suite():
-    _suite_criterion(2, "finite-difference vs analytic jacobian",
-                     verify.run_jacobian, budget_s=60.0)
+def test_criterion_2_jacobian_suite(suite_run):
+    _suite_criterion(2, "finite-difference vs analytic jacobian", suite_run,
+                     ("jacobian",), budget_s=60.0)
 
 
 def test_criterion_3_three_sampler_equivalence():
@@ -137,19 +136,19 @@ def test_criterion_6_householder_reduction_law():
     assert passed, p_values
 
 
-def test_criterion_7_normalization_and_selberg():
-    _suite_criterion(7, "normalization quadrature and log-gamma identity",
-                     verify.run_normalization, budget_s=120.0)
+def test_criterion_7_normalization_and_selberg(suite_run):
+    _suite_criterion(7, "normalization quadrature and log-gamma identity", suite_run,
+                     ("normalization",), budget_s=120.0)
 
 
-def test_criterion_8_interlaced_integral():
-    _suite_criterion(8, "interlaced-region integral vs closed form",
-                     verify.run_dixon_anderson, budget_s=60.0)
+def test_criterion_8_interlaced_integral(suite_run):
+    _suite_criterion(8, "interlaced-region integral vs closed form", suite_run,
+                     ("dixon-anderson",), budget_s=60.0)
 
 
-def test_criterion_9_sturm_prufer():
-    _suite_criterion(9, "eigenvalue counting and phase monotonicity",
-                     verify.run_sturm_prufer, budget_s=120.0)
+def test_criterion_9_sturm_prufer(suite_run):
+    _suite_criterion(9, "eigenvalue counting and phase monotonicity", suite_run,
+                     ("sturm-prufer",), budget_s=120.0)
 
 
 @pytest.mark.parametrize("n,beta", [(4, 2.0), (7, 1.0)])

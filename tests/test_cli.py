@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from skewbeta.cli import main
 from skewbeta.ensembles import (build_antisym_tridiagonal, build_c_matrix,
                                 build_dense_antisym_gue, build_laguerre_bidiagonal,
                                 householder_reduce)
-from skewbeta.spectral import positive_spectrum
+from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
 
 
@@ -89,13 +90,40 @@ class TestSample:
             if ensemble == "antisym-dense-gue":
                 sd = positive_spectrum(householder_reduce(build_dense_antisym_gue(n, stream)))
                 expected = [*sd.lam, *sd.q] + ([sd.z] if n % 2 else [])
-            elif ensemble == "laguerre-bidiag":
-                expected = np.linalg.svd(build_laguerre_bidiagonal(n, 6.0, 1.5, stream)
-                                         .to_dense(), compute_uv=False)
             else:
-                expected = np.linalg.svd(build_c_matrix(n, 1.5, stream).to_dense(),
-                                         compute_uv=False)
+                blk = (build_laguerre_bidiagonal(n, 6.0, 1.5, stream)
+                       if ensemble == "laguerre-bidiag" else build_c_matrix(n, 1.5, stream))
+                expected = positive_spectrum_batch(
+                    transform.bidiagonal_read_off(blk.d, blk.e)[None, :])[0]
+                dense = np.linalg.svd(blk.to_dense(), compute_uv=False)
+                assert np.allclose(row, dense, rtol=1e-12, atol=0.0)
             assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("ensemble,n,extra", [
+        ("c-matrix", 5, ()),
+        ("laguerre-bidiag", 10, ("--a", "0.5")),
+    ])
+    def test_chi_block_rows_match_mpmath_svd(self, capsys, ensemble, n, extra):
+        # at beta=0.05 the smallest singular values reach 1e-55; a dense SVD
+        # resolves them only to about eps * ||B||
+        code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", str(n),
+                           "--beta", "0.05", "--reps", "2000", "--seed", "1",
+                           "--format", "json", *extra)
+        assert code == 0
+        rows = np.array(json.loads(out)["rows"])
+        root = RandomStream(1)
+        worst = 0.0
+        for i in np.argsort(rows[:, -1])[:20]:
+            stream = root.split(int(i))
+            blk = (build_laguerre_bidiagonal(n, 0.5, 0.05, stream)
+                   if ensemble == "laguerre-bidiag" else build_c_matrix(n, 0.05, stream))
+            # enough digits that the smallest value is resolved to 60 of them
+            dps = 60 + max(0, int(-np.log10(rows[i, -1])))
+            with mp.workdps(dps):
+                sv = mp.svd_r(mp.matrix(blk.to_dense().tolist()), compute_uv=False)
+                ref = sorted((sv[j] for j in range(n)), reverse=True)
+                worst = max(worst, max(float(abs(got - r) / r) for got, r in zip(rows[i], ref)))
+        assert worst <= 1e-13
 
     def test_rejected_row_exits_two_and_writes_nothing(self, capsys, tmp_path):
         # at beta=0.05 some draw of the 200 has a first component that

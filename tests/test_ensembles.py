@@ -11,9 +11,8 @@ from skewbeta.ensembles import (AntisymTridiagonal, DegenerateInputError,
                                 SizeError, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal, build_c_matrix,
                                 build_dense_antisym_gue,
-                                build_laguerre_bidiagonal, c_matrix_rows,
-                                dense_antisym_gue_rows, householder_reduce,
-                                householder_reduce_batch, laguerre_bidiagonal_rows)
+                                build_laguerre_bidiagonal, dense_antisym_gue_rows,
+                                householder_reduce, householder_reduce_batch)
 from skewbeta.streams import ParameterError, RandomStream, sample_normal
 
 
@@ -226,14 +225,3 @@ class TestStreamRows:
             ref = np.zeros((n, n))
             ref[iu] = sample_normal(0.0, 0.5, root.split(i), size=iu[0].size)
             assert np.array_equal(mat, ref - ref.T)
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_bidiagonal_rows_equal_builders(self, n):
-        root = RandomStream(9)
-        lag = laguerre_bidiagonal_rows(n, 6.0, 1.5, [root.split(i) for i in range(5)])
-        cmat = c_matrix_rows(n, 1.5, [root.split(i) for i in range(5)])
-        assert lag.shape == (5, n, n) and cmat.shape == (5, n + 1, n)
-        for i in range(5):
-            assert np.array_equal(lag[i], build_laguerre_bidiagonal(
-                n, 6.0, 1.5, root.split(i)).to_dense())
-            assert np.array_equal(cmat[i], build_c_matrix(n, 1.5, root.split(i)).to_dense())

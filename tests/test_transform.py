@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewbeta.ensembles import (LowerBidiagonal, build_c_matrix,
+from skewbeta.ensembles import (AntisymTridiagonal, LowerBidiagonal, build_c_matrix,
                                 build_laguerre_bidiagonal)
 from skewbeta.spectral import SpectralData, positive_spectrum
 from skewbeta.streams import ParameterError, RandomStream, sample_gamma
@@ -11,7 +11,6 @@ from skewbeta.transform import (FiniteDifferenceError,
                                 SignedPermutation, asps, block_embedding,
                                 cholesky_reindex, jacobian_analytic,
                                 jacobian_numeric, laguerre_map_batch,
-                                laguerre_map_sample,
                                 reversed_cholesky_residual,
                                 shuffle_conjugation_check,
                                 tridiagonal_from_bidiagonal,
@@ -75,7 +74,7 @@ class TestShuffleConjugation:
 class TestLaguerreMap:
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     def test_sample_size(self, n):
-        t = laguerre_map_sample(n, 2.0, RandomStream(n))
+        t = AntisymTridiagonal(laguerre_map_batch(n, 2.0, RandomStream(n), None))
         assert t.n == n and np.all(t.b > 0)
 
     def test_entry_law_matches_direct_model(self):
@@ -92,8 +91,18 @@ class TestLaguerreMap:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     def test_sample_is_the_one_row_case(self, n):
-        t = laguerre_map_sample(n, 0.5, RandomStream(n))
-        assert np.array_equal(t.b, laguerre_map_batch(n, 0.5, RandomStream(n), None))
+        # reps=None reads off the one-replicate builder's block bit for bit
+        beta = 0.5
+        if n % 2 == 0:
+            blk = build_laguerre_bidiagonal(n // 2, (n - 1) * beta / 4.0, beta,
+                                            RandomStream(n))
+        else:
+            blk = build_c_matrix(n // 2, beta, RandomStream(n))
+        top_down = np.empty(n - 1)
+        top_down[0::2] = blk.d
+        top_down[1::2] = blk.e
+        assert np.array_equal(laguerre_map_batch(n, beta, RandomStream(n), None),
+                              top_down[::-1] / np.sqrt(2.0))
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     @pytest.mark.parametrize("reps", [None, 1])
@@ -172,7 +181,7 @@ class TestJacobian:
     def test_n2_closed_form(self):
         # single free coordinate: b = lam exactly, so d b/d lam = 1
         sd = positive_spectrum(
-            laguerre_map_sample(2, 2.0, RandomStream(0)))
+            AntisymTridiagonal(laguerre_map_batch(2, 2.0, RandomStream(0), None)))
         assert jacobian_numeric(sd) == pytest.approx(1.0, rel=1e-7)
 
     def test_n3_closed_form(self):
@@ -195,7 +204,8 @@ class TestJacobian:
         assert jacobian_numeric(sd) == pytest.approx(target, rel=1e-5)
 
     def test_step_halving_guard(self):
-        sd = positive_spectrum(laguerre_map_sample(4, 2.0, RandomStream(2)))
+        sd = positive_spectrum(
+            AntisymTridiagonal(laguerre_map_batch(4, 2.0, RandomStream(2), None)))
         with pytest.raises(FiniteDifferenceError):
             # absurd step size cannot pass the Richardson consistency check
             jacobian_numeric(sd, h_scale=0.25, richardson_rtol=1e-12)

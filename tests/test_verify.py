@@ -30,15 +30,23 @@ class TestHelpers:
 
 class TestSuitesPass:
     @pytest.mark.parametrize("name", sorted(verify.SUITES))
-    def test_suite_green(self, name):
-        report = verify.SUITES[name](SEED)
+    def test_suite_green(self, suite_run, name):
+        report, _ = suite_run(name)
         assert report.all_passed, [c.name for c in report.cases
                                    if c.status == "fail"]
 
-    def test_run_suite_all(self):
-        reports = verify.run_suite("all", SEED)
-        assert len(reports) == len(verify.SUITES)
-        assert all(r.all_passed for r in reports)
+    def test_run_suite_all(self, monkeypatch):
+        # "all" runs every suite once, in the order of verify.SUITES
+        calls = []
+
+        def stub(name):
+            def runner(seed):
+                calls.append((name, seed))
+                return name
+            return runner
+        monkeypatch.setattr(verify, "SUITES", {name: stub(name) for name in "bac"})
+        assert verify.run_suite("all", SEED) == ["b", "a", "c"]
+        assert calls == [("b", SEED), ("a", SEED), ("c", SEED)]
 
     def test_run_suite_unknown(self):
         with pytest.raises(KeyError):
@@ -65,7 +73,6 @@ class TestFailureInjection:
         report = verify.run_cholesky(SEED, count=5)
         assert report.failures == 1 and not report.all_passed
 
-    def test_reports_are_seed_deterministic(self):
-        a = verify.run_cholesky(SEED).to_json()
-        b = verify.run_cholesky(SEED).to_json()
-        assert a == b
+    def test_reports_are_seed_deterministic(self, suite_run):
+        report, _ = suite_run("cholesky")
+        assert report.to_json() == verify.run_cholesky(report.seed).to_json()

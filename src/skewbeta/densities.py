@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
+from .stats import _tanh_sinh
 from .streams import ParameterError
 
 
@@ -29,17 +29,16 @@ class LogDensityValue:
         return cls(-math.inf, False)
 
 
-def _strictly_descending_positive(x: np.ndarray) -> bool:
-    return bool(np.all(x > 0) and np.all(np.diff(x) < 0))
+def _strictly_descending_positive(x: np.ndarray):
+    return np.all(x > 0, axis=-1) & np.all(np.diff(x, axis=-1) < 0, axis=-1)
 
 
-def _log_vandermonde_sq(x_sq: np.ndarray, power: float) -> float:
-    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` for a strictly ordered input."""
-    if x_sq.size < 2:
+def _log_vandermonde_sq(x_sq: np.ndarray, power: float):
+    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` along the last axis."""
+    if x_sq.shape[-1] < 2:
         return 0.0
-    diffs = np.abs(x_sq[:, None] - x_sq[None, :])
-    iu = np.triu_indices(x_sq.size, k=1)
-    return float(power * np.sum(np.log(diffs[iu])))
+    j, k = np.triu_indices(x_sq.shape[-1], k=1)
+    return power * np.sum(np.log(np.abs(x_sq[..., j] - x_sq[..., k])), axis=-1)
 
 
 @functools.cache
@@ -82,19 +81,27 @@ def selberg_consistency_check(beta: float, m: int) -> tuple[float, float]:
 
 def logpdf_positive_spectrum(lam, n: int, beta: float) -> LogDensityValue:
     """Joint log-density of the descending positive eigenvalues of the
-    anti-symmetric tridiagonal beta-ensemble of order ``n``."""
+    anti-symmetric tridiagonal beta-ensemble of order ``n``; the one-row
+    case of :func:`_logpdf_positive_spectrum_rows`."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    k = n // 2
-    if lam.size != k:
-        raise ParameterError(f"expected {k} eigenvalues for n={n}")
+    if lam.size != n // 2:
+        raise ParameterError(f"expected {n // 2} eigenvalues for n={n}")
     if not _strictly_descending_positive(lam):
         return LogDensityValue.out_of_support()
+    return LogDensityValue(float(_logpdf_positive_spectrum_rows(lam[None, :], n, beta)[0]),
+                           True)
+
+
+def _logpdf_positive_spectrum_rows(lam: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """Log-density of each row of ``lam`` (shape ``(rows, n//2)``); rows
+    outside the support give -inf."""
     expo = beta / 2.0 - 1.0 if n % 2 == 0 else 3.0 * beta / 2.0 - 1.0
-    val = (-log_normalization_C(n, beta)
-           + expo * float(np.sum(np.log(lam)))
-           - float(np.sum(lam ** 2))
-           + _log_vandermonde_sq(lam ** 2, beta))
-    return LogDensityValue(val, True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (-log_normalization_C(n, beta)
+               + expo * np.sum(np.log(lam), axis=1)
+               - np.sum(lam ** 2, axis=1)
+               + _log_vandermonde_sq(lam ** 2, beta))
+    return np.where(_strictly_descending_positive(lam), val, -np.inf)
 
 
 def log_laguerre_constant(n: int, a: float, beta: float) -> float:
@@ -136,6 +143,25 @@ def _interlaces(upper: np.ndarray, lower: np.ndarray, tail_positive: bool) -> bo
     return True
 
 
+def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
+                          zero_pole: bool) -> float:
+    """The terms the bordering and projection laws share: ``x`` are the
+    roots, ``lam`` the nonzero poles of the secular equation, each pole
+    pair with Dirichlet weight ``beta/2``, plus a zero pole of weight
+    ``beta/4`` when ``zero_pole``."""
+    x_sq, lam_sq = x ** 2, lam ** 2
+    cross = float(np.sum(np.log(np.abs(x_sq[:, None] - lam_sq[None, :]))))
+    val = (x.size * math.log(2.0) - lam.size * gammaln(beta / 2.0)
+           + _log_vandermonde_sq(x_sq, 1.0)
+           - _log_vandermonde_sq(lam_sq, beta - 1.0)
+           + (beta / 2.0 - 1.0) * cross)
+    if zero_pole:
+        return (val - gammaln(beta / 4.0)
+                + (beta / 2.0 - 1.0) * float(np.sum(np.log(x)))
+                - (3.0 * beta / 4.0 - 1.0) * 2.0 * float(np.sum(np.log(lam))))
+    return val + float(np.sum(np.log(x)))
+
+
 def conditional_logpdf_up(x, lam, n: int, beta: float) -> LogDensityValue:
     """Log-density of the positive eigenvalues of the bordered matrix of order
     ``n+1`` given those (``lam``) of the order-``n`` matrix.
@@ -151,24 +177,8 @@ def conditional_logpdf_up(x, lam, n: int, beta: float) -> LogDensityValue:
             and (kl == 0 or _strictly_descending_positive(lam))
             and _interlaces(x, lam, tail_positive=(n % 2 == 1))):
         return LogDensityValue.out_of_support()
-    x_sq, lam_sq = x ** 2, lam ** 2
-    cross = float(np.sum(np.log(np.abs(x_sq[:, None] - lam_sq[None, :])))) if kl else 0.0
-    if n % 2 == 0:
-        val = (kx * math.log(2.0) - kx * gammaln(beta / 2.0)
-               + float(np.sum(np.log(x)))
-               - float(np.sum(x_sq) - np.sum(lam_sq))
-               + _log_vandermonde_sq(x_sq, 1.0)
-               - _log_vandermonde_sq(lam_sq, beta - 1.0)
-               + (beta / 2.0 - 1.0) * cross)
-    else:
-        val = (kx * math.log(2.0) - kl * gammaln(beta / 2.0) - gammaln(beta / 4.0)
-               + (beta / 2.0 - 1.0) * float(np.sum(np.log(x)))
-               - (3.0 * beta / 4.0 - 1.0) * 2.0 * float(np.sum(np.log(lam)))
-               - float(np.sum(x_sq) - np.sum(lam_sq))
-               + _log_vandermonde_sq(x_sq, 1.0)
-               - _log_vandermonde_sq(lam_sq, beta - 1.0)
-               + (beta / 2.0 - 1.0) * cross)
-    return LogDensityValue(val, True)
+    return LogDensityValue(_interlaced_log_terms(x, lam, beta, zero_pole=(n % 2 == 1))
+                           - float(np.sum(x ** 2) - np.sum(lam ** 2)), True)
 
 
 def conditional_logpdf_down(x, lam, n: int, beta: float) -> LogDensityValue:
@@ -188,94 +198,45 @@ def conditional_logpdf_down(x, lam, n: int, beta: float) -> LogDensityValue:
         return LogDensityValue.out_of_support()
     if kx == 0:
         return LogDensityValue(0.0, True)
-    x_sq, lam_sq = x ** 2, lam ** 2
-    cross = float(np.sum(np.log(np.abs(x_sq[:, None] - lam_sq[None, :]))))
-    if (n + 1) % 2 == 1:
-        # poles are (lam^2, 0) with Dirichlet weights ((beta/2)^kl, beta/4)
-        val = (kx * math.log(2.0)
-               + gammaln((n + 1) * beta / 4.0)
-               - kl * gammaln(beta / 2.0) - gammaln(beta / 4.0)
-               + (beta / 2.0 - 1.0) * float(np.sum(np.log(x)))
-               - (3.0 * beta / 4.0 - 1.0) * 2.0 * float(np.sum(np.log(lam)))
-               + _log_vandermonde_sq(x_sq, 1.0)
-               - _log_vandermonde_sq(lam_sq, beta - 1.0)
-               + (beta / 2.0 - 1.0) * cross)
-    else:
-        val = (kx * math.log(2.0)
-               + gammaln((n + 1) * beta / 4.0)
-               - kl * gammaln(beta / 2.0)
-               + float(np.sum(np.log(x)))
-               + _log_vandermonde_sq(x_sq, 1.0)
-               - _log_vandermonde_sq(lam_sq, beta - 1.0)
-               + (beta / 2.0 - 1.0) * cross)
-    return LogDensityValue(val, True)
+    return LogDensityValue(_interlaced_log_terms(x, lam, beta, zero_pole=((n + 1) % 2 == 1))
+                           + gammaln((n + 1) * beta / 4.0), True)
 
 
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge to the requested accuracy."""
+_STEP = 1.0 / 16.0  # tanh-sinh step of the total-mass and interval integrals
 
 
 def eigenvalue_density_total_mass(n: int, beta: float) -> float:
     """Numerically integrate the order-n eigenvalue density over its ordered
     domain; equals 1 when the normalization constant is correct.
 
-    Supports one or two positive eigenvalues (n in {2,...,5}).  For
-    ``beta < 2`` the substitution ``lam = u**(2/beta)`` absorbs the
-    algebraic singularity at the origin.
+    One or two positive eigenvalues (n in {2,...,5}), by the tanh-sinh rule
+    on (0, L) with ``L**2 = 36 + n (n-1) beta / 4``, 36 plus twice the mean
+    sum of squared eigenvalues; two eigenvalues cover (0, L) x (0, lam_1)
+    through ``lam_2 = lam_1 * u`` with u on (0, 1).
     """
-    from scipy.integrate import dblquad
-
     k = n // 2
     if k not in (1, 2):
         raise ParameterError("quadrature supports one or two eigenvalues only")
-    powered = beta < 2
-
-    def to_lam(u):
-        return u ** (2.0 / beta) if powered else u
-
-    def jac(u):
-        return (2.0 / beta) * u ** (2.0 / beta - 1.0) if powered else 1.0
-
+    lam, _, _, w = _tanh_sinh(0.0, math.sqrt(36.0 + n * (n - 1) * beta / 4.0), _STEP)
     if k == 1:
-        def f(u):
-            v = logpdf_positive_spectrum([to_lam(u)], n, beta)
-            return math.exp(v.log_value) * jac(u) if v.in_support else 0.0
-
-        val, _ = quad(f, 0.0, np.inf, epsabs=1e-10, epsrel=1e-9, limit=400)
+        log_f = _logpdf_positive_spectrum_rows(lam[:, None], n, beta) + np.log(w)
     else:
-        def f(u2, u1):
-            v = logpdf_positive_spectrum([to_lam(u1), to_lam(u2)], n, beta)
-            return math.exp(v.log_value) * jac(u1) * jac(u2) if v.in_support else 0.0
-
-        val, _ = dblquad(f, 0.0, np.inf, 0.0, lambda u1: u1,
-                         epsabs=1e-8, epsrel=1e-7)
-    if not math.isfinite(val):
-        raise QuadratureError("non-finite total mass")
-    return val
+        u, _, _, wu = _tanh_sinh(0.0, 1.0, _STEP)
+        rows = np.stack(np.broadcast_arrays(lam[:, None], lam[:, None] * u), axis=-1)
+        log_f = (_logpdf_positive_spectrum_rows(rows.reshape(-1, 2), n, beta)
+                 + ((np.log(w) + np.log(lam))[:, None] + np.log(wu)).ravel())
+    return float(np.sum(np.exp(log_f)))
 
 
-def _quad_interval(smooth, lo: float, hi: float, s_lo: float, s_hi: float,
-                   epsabs: float = 1e-11, epsrel: float = 1e-10) -> float:
-    """Integrate ``smooth(x) * (x-lo)**(s_lo-1) * (hi-x)**(s_hi-1)`` over
-    (lo, hi) with positive exponents ``s_lo``, ``s_hi``.
-
-    A sine-squared substitution expresses both endpoint distances in closed
-    form, so the algebraic singular factors never suffer cancellation; the
-    transformed integrand goes to adaptive Gauss-Kronrod.
-    """
-    width = hi - lo
-
-    def g(theta):
-        sn, cs = math.sin(theta), math.cos(theta)
-        x = lo + width * sn * sn
-        endpoint = (width ** (s_lo + s_hi - 1.0)
-                    * 2.0 * sn ** (2.0 * s_lo - 1.0) * cs ** (2.0 * s_hi - 1.0))
-        return smooth(x) * endpoint
-
-    val, _ = quad(g, 0.0, math.pi / 2.0, epsabs=epsabs, epsrel=epsrel, limit=400)
-    if not math.isfinite(val):
-        raise QuadratureError("non-finite quadrature value")
-    return val
+def _quad_interval(smooth, lo: float, hi: float, s_lo: float, s_hi: float):
+    """Integrate ``smooth * (x-lo)**(s_lo-1) * (hi-x)**(s_hi-1)`` over (lo, hi)
+    with positive exponents ``s_lo``, ``s_hi`` by the tanh-sinh rule.
+    ``smooth`` takes the nodes' closed-form distances ``(x - lo, hi - x)``,
+    as the endpoint powers do, so the singular factors never suffer
+    cancellation; the sum runs over the last axis of its value."""
+    _, d_lo, d_hi, w = _tanh_sinh(lo, hi, _STEP)
+    weights = np.exp(np.log(w) + (s_lo - 1.0) * np.log(d_lo) + (s_hi - 1.0) * np.log(d_hi))
+    return np.sum(weights * smooth(d_lo, d_hi), axis=-1)
 
 
 def dixon_anderson_check(a, s) -> tuple[float, float]:
@@ -297,15 +258,18 @@ def dixon_anderson_check(a, s) -> tuple[float, float]:
     m = a.size - 1
 
     if m == 1:
-        lhs = _quad_interval(lambda x: 1.0, a[1], a[0], s[1], s[0])
+        lhs = _quad_interval(lambda d_lo, d_hi: 1.0, a[1], a[0], s[1], s[0])
     else:
-        def outer(l1):
-            inner = _quad_interval(lambda l2: (l1 - l2) * (a[0] - l2) ** (s[0] - 1.0),
-                                   a[2], a[1], s[2], s[1])
-            return (l1 - a[2]) ** (s[2] - 1.0) * inner
+        # lam_1 in (a1, a0), lam_2 in (a2, a1); lam_1 - lam_2 is the sum of
+        # their distances to a1, and the inner interval does not depend on
+        # lam_1, so the double integral is one tensor product
+        def outer(d1, _):
+            def inner(_, d2):
+                return (d1[:, None] + d2) * (a[0] - a[1] + d2) ** (s[0] - 1.0)
+            return (a[1] - a[2] + d1) ** (s[2] - 1.0) * _quad_interval(inner, a[2], a[1],
+                                                                     s[2], s[1])
 
-        lhs = _quad_interval(outer, a[1], a[0], s[1], s[0],
-                             epsabs=1e-10, epsrel=1e-9)
+        lhs = _quad_interval(outer, a[1], a[0], s[1], s[0])
     log_rhs = float(np.sum(gammaln(s)) - gammaln(np.sum(s)))
     iu = np.triu_indices(m + 1, k=1)
     gaps = (a[:, None] - a[None, :])[iu]

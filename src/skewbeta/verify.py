@@ -17,7 +17,8 @@ from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
 from .spectral import (DegeneracyError, _first_component_sq_batch,
                        moment_equations_check, positive_spectrum,
                        positive_spectrum_batch, secular_check)
-from .stats import VerificationReport, ks_one_sample, ks_two_sample
+from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
+                    quadrature_cdf)
 from .streams import RandomStream, sample_gamma
 
 P_THRESHOLD = 1e-3
@@ -220,6 +221,30 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
     _add_ks(report, "n=3 2q1^2 beta(1,1/2)",
             ks_one_sample(_first_component_sq_batch(b3),
                           lambda x: betainc(1.0, 0.5, np.clip(x, 0.0, 1.0))))
+
+    # the bordering law of the first proof: one chain step from a fixed
+    # order-2 spectrum against the quadrature CDF of conditional_logpdf_up.
+    # Draws and CDF are both conditioned on x > c: at beta = 0.25 about 1.3%
+    # of the law lies within one ulp of lam, where x = sqrt(lam^2 + g)
+    # rounds to lam exactly, and those ties would pin D at F(lam) on every
+    # seed
+    lam = 1.3
+    c = lam * (1.0 + 1e-12)
+    for j, beta in enumerate((0.25, 1.0, 2.0, 4.0)):
+        x = np.sqrt(chain._step_up_sq(np.full((reps, 1), lam ** 2), 2, beta,
+                                      chain._one_stream(root.split(9, j), reps))[:, 0])
+        cdf = quadrature_cdf(
+            lambda v: densities.conditional_logpdf_up([v], [lam], 2, beta).log_value,
+            c, lam + 8.0)
+        _add_ks(report, f"border step 2->3 beta={beta:g}", ks_one_sample(x[x > c], cdf))
+
+    # the n=3 marginal below beta = 2 against the closed-form density
+    for j, beta in enumerate((0.25, 1.0)):
+        lam3 = positive_spectrum_batch(
+            antisym_tridiagonal_batch(3, beta, root.split(10, j), reps))[:, 0]
+        cdf = quadrature_cdf(
+            lambda v: densities.logpdf_positive_spectrum([v], 3, beta).log_value, 0.0, 10.0)
+        _add_ks(report, f"n=3 marginal beta={beta:g}", ks_one_sample(lam3, cdf))
     return report
 
 
@@ -326,8 +351,8 @@ def run_dixon_anderson(seed: int) -> VerificationReport:
 def run_normalization(seed: int) -> VerificationReport:
     report = VerificationReport(suite="normalization", seed=seed)
     mass_bound = 1e-4
-    for n in (2, 3, 4):
-        for beta in (1.0, 2.0, 4.0):
+    for n in (2, 3, 4, 5):
+        for beta in (0.25, 0.5, 1.0, 2.0, 4.0):
             mass = densities.eigenvalue_density_total_mass(n, beta)
             report.add(f"total-mass n={n} beta={beta:g}",
                        abs(mass - 1.0) <= mass_bound,

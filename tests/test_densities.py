@@ -37,7 +37,8 @@ class TestEigenvalueDensity:
         with pytest.raises(ParameterError):
             logpdf_positive_spectrum([1.0], 4, 2.0)
 
-    @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 2.0), (3, 1.0), (4, 2.0)])
+    @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 2.0), (3, 1.0), (4, 2.0),
+                                        (4, 0.25), (5, 0.5)])
     def test_total_mass_is_one(self, n, beta):
         assert eigenvalue_density_total_mass(n, beta) == pytest.approx(1.0, abs=1e-5)
 

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import betainc, gammainc, ndtr
 
+from skewbeta.densities import (conditional_logpdf_down, conditional_logpdf_up,
+                                logpdf_positive_spectrum)
 from skewbeta.stats import (CaseResult, KSResult, VerificationReport,
                             ks_one_sample, ks_two_sample, moment_test,
                             quadrature_cdf)
@@ -90,6 +92,35 @@ class TestQuadratureCdf:
                              -10.0, 10.0)
         xs = np.linspace(-3, 3, 13)
         assert np.allclose(cdf(xs), ndtr(xs), atol=1e-6)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_matches_closed_form_laws(self, beta):
+        # laws with an integrable singularity at an end of the interval:
+        # one border step from order 2 to 3 (x^2 - lam^2 ~ gamma(beta/2)),
+        # one projection from order 3 to 2 (x^2 / lam^2 ~ beta(beta/4,
+        # beta/2)), and the n=3 marginal (x^2 ~ gamma(3 beta/4)); the two
+        # conditional laws are cut 1e-12 relative short of lam, as the
+        # distributions suite cuts its border-step draws
+        lam = 1.3
+        up_lo, up_hi = lam * (1.0 + 1e-12), lam + 8.0
+        down_hi = lam * (1.0 - 1e-12)
+        laws = [
+            (lambda x: conditional_logpdf_up([x], [lam], 2, beta).log_value,
+             up_lo, up_hi, lambda x: gammainc(beta / 2.0, (x - lam) * (x + lam)),
+             lam + np.logspace(-11.5, 0.9, 200)),
+            (lambda x: conditional_logpdf_down([x], [lam], 2, beta).log_value,
+             0.0, down_hi, lambda x: betainc(beta / 4.0, beta / 2.0, (x / lam) ** 2),
+             np.concatenate([np.logspace(-30.0, -0.01, 200), lam - np.logspace(-11.5, 0.0, 200)])),
+            (lambda x: logpdf_positive_spectrum([x], 3, beta).log_value,
+             0.0, 10.0, lambda x: gammainc(3.0 * beta / 4.0, x ** 2),
+             np.logspace(-30.0, 0.9, 200)),
+        ]
+        for log_pdf, lo, hi, exact, xs in laws:
+            xs = np.concatenate([xs, np.linspace(lo, hi, 201)])
+            xs = xs[(xs > lo) & (xs < hi)]
+            expected = (exact(xs) - exact(lo)) / (exact(hi) - exact(lo))
+            err = np.max(np.abs(quadrature_cdf(log_pdf, lo, hi)(xs) - expected))
+            assert err <= 1e-6
 
     def test_endpoints(self):
         cdf = quadrature_cdf(lambda x: 0.0, 0.0, 1.0)

@@ -24,38 +24,6 @@ class RootBracketError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RandomRational:
-    """The function ``constant - sum_i c_i / (y - a_i)`` with strictly
-    descending poles ``a`` and positive weights ``c``.
-
-    With ``constant = 1`` there is exactly one real root per pole gap plus
-    one above the top pole; with ``constant = 0`` there is one root per
-    interior gap only.
-    """
-
-    constant: int
-    a: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.constant not in (0, 1):
-            raise ParameterError("constant must be 0 or 1")
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if a.size != c.size or a.size == 0:
-            raise ParameterError("poles and weights must have equal nonzero length")
-        if np.any(np.diff(a) >= 0):
-            raise ParameterError("poles must be strictly descending")
-        if not np.all(c > 0):
-            raise ParameterError("weights must be positive")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-
-    def value(self, y: float) -> float:
-        return self.constant - float(np.sum(self.c / (y - self.a)))
-
-
-@dataclass(frozen=True)
 class ChainState:
     """Positive spectrum (descending) of the chain after ``m`` border steps."""
 
@@ -207,11 +175,11 @@ def _iterate(constant, D, c, E, d, at_low, top, tau, lo, hi, terms) -> np.ndarra
             if check.size:
                 _check_residual(constant, step[check], D[check], c[check], E[check], res_tol)
             keep = np.flatnonzero(~done)
-            if not keep.size:
-                return out
             idx, step, lo, hi, d, at_low, top = (
                 x[keep] for x in (idx, step, lo, hi, d, at_low, top))
             D, c, E = D[keep], c[keep], E[keep]
+        if not idx.size:
+            return out
         tau = step
         f, psi, phi, gL, gU = _terms(constant, tau, D, c, E)
         lo = np.where(f < 0, tau, lo)
@@ -257,12 +225,6 @@ def _check_residual(constant, tau, D, c, E, res_tol) -> None:
             f"secular solver: {int(bad.sum())} roots fail the residual check")
 
 
-def rational_roots(r: RandomRational) -> np.ndarray:
-    """All real roots of ``r``, descending; each interlaces the poles.
-    The one-row case of :func:`secular_roots`."""
-    return secular_roots(r.constant, r.a[None, :], r.c[None, :])[0]
-
-
 def _step_up_sq(lam_sq: np.ndarray, m: int, beta: float, draw) -> np.ndarray:
     """One border step of every row of ``lam_sq`` (squared positive spectra
     of size-m matrices); returns the squared spectra of size m+1.
@@ -278,6 +240,24 @@ def _step_up_sq(lam_sq: np.ndarray, m: int, beta: float, draw) -> np.ndarray:
         poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
         weights = np.concatenate([weights, draw(beta / 4.0, 1)], axis=1)
     return secular_roots(1, poles, weights)
+
+
+def _step_down_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream,
+                  reps: int) -> np.ndarray:
+    """A random corank-1 projection of each of ``reps`` rows of ``lam_sq``
+    (squared positive spectra of size-m matrices, broadcast to ``reps``
+    rows); returns the squared spectra of size m-1.
+
+    The squared first components are Dirichlet, drawn in one call:
+    ``beta/2`` per pole pair plus ``beta/4`` on the zero pole for odd ``m``.
+    """
+    k = lam_sq.shape[-1]
+    poles = np.broadcast_to(lam_sq, (reps, k))
+    s = np.full(k, beta / 2.0)
+    if m % 2 == 1:
+        poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
+        s = np.append(s, beta / 4.0)
+    return secular_roots(0, poles, sample_dirichlet(s, stream, size=reps))
 
 
 def _one_stream(stream: RandomStream, reps: int):
@@ -309,8 +289,7 @@ def _chain_sq(n: int, beta: float, draw, reps: int):
 def chain_step_up(lam_prev, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     """Positive eigenvalues of the bordered size-(n+1) matrix given those of
     the size-n matrix (strictly descending); one row of the batch step."""
-    lam_prev = np.atleast_1d(np.asarray(lam_prev, dtype=float)) if np.size(lam_prev) \
-        else np.zeros(0)
+    lam_prev = np.atleast_1d(np.asarray(lam_prev, dtype=float))
     k = n // 2
     if lam_prev.size != k:
         raise ParameterError(f"expected {k} eigenvalues for step n={n}")
@@ -334,26 +313,15 @@ def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[ChainSta
 
 def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     """Positive eigenvalues of a random corank-1 projection of size n, given
-    the positive spectrum ``lam`` of the size-(n+1) matrix.
-
-    The squared first components come from a Dirichlet law: parameters
-    ``beta/2`` per pole pair plus ``beta/4`` on the zero pole when n+1 is odd.
-    """
+    the positive spectrum ``lam`` (strictly descending) of the size-(n+1)
+    matrix; one row of :func:`_step_down_sq`."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     kl = (n + 1) // 2
     if lam.size != kl:
         raise ParameterError(f"expected {kl} eigenvalues of the size-{n + 1} matrix")
-    if (n + 1) % 2 == 1:
-        poles = np.concatenate([lam ** 2, [0.0]])
-        s = np.concatenate([np.full(kl, beta / 2.0), [beta / 4.0]])
-    else:
-        poles = lam ** 2
-        s = np.full(kl, beta / 2.0)
-    weights = sample_dirichlet(s, stream)
-    if poles.size == 1:
-        return np.zeros(0)
-    rr = RandomRational(constant=0, a=poles, c=weights)
-    return np.sqrt(rational_roots(rr))
+    if np.any(np.diff(lam) >= 0):
+        raise ParameterError("eigenvalues must be strictly descending")
+    return np.sqrt(_step_down_sq(lam[None, :] ** 2, n + 1, beta, stream, 1)[0])
 
 
 def chain_sample_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:

@@ -34,11 +34,14 @@ def _strictly_descending_positive(x: np.ndarray):
 
 
 def _log_vandermonde_sq(x_sq: np.ndarray, power: float):
-    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` along the last axis."""
+    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` along the last axis.  The
+    pairs are gathered with ``take``, which keeps each row contiguous, so
+    every row is summed in the same order as a lone row."""
     if x_sq.shape[-1] < 2:
         return 0.0
     j, k = np.triu_indices(x_sq.shape[-1], k=1)
-    return power * np.sum(np.log(np.abs(x_sq[..., j] - x_sq[..., k])), axis=-1)
+    gaps = np.take(x_sq, j, axis=-1) - np.take(x_sq, k, axis=-1)
+    return power * np.sum(np.log(np.abs(gaps)), axis=-1)
 
 
 @functools.cache
@@ -86,10 +89,8 @@ def logpdf_positive_spectrum(lam, n: int, beta: float) -> LogDensityValue:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size != n // 2:
         raise ParameterError(f"expected {n // 2} eigenvalues for n={n}")
-    if not _strictly_descending_positive(lam):
-        return LogDensityValue.out_of_support()
     return LogDensityValue(float(_logpdf_positive_spectrum_rows(lam[None, :], n, beta)[0]),
-                           True)
+                           bool(_strictly_descending_positive(lam)))
 
 
 def _logpdf_positive_spectrum_rows(lam: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -98,8 +99,8 @@ def _logpdf_positive_spectrum_rows(lam: np.ndarray, n: int, beta: float) -> np.n
     expo = beta / 2.0 - 1.0 if n % 2 == 0 else 3.0 * beta / 2.0 - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (-log_normalization_C(n, beta)
-               + expo * np.sum(np.log(lam), axis=1)
-               - np.sum(lam ** 2, axis=1)
+               + expo * np.sum(np.log(lam), axis=-1)
+               - np.sum(lam ** 2, axis=-1)
                + _log_vandermonde_sq(lam ** 2, beta))
     return np.where(_strictly_descending_positive(lam), val, -np.inf)
 
@@ -115,91 +116,105 @@ def log_laguerre_constant(n: int, a: float, beta: float) -> float:
 
 def logpdf_singular_values(sigma, n: int, a: float, beta: float) -> LogDensityValue:
     """Joint log-density of the descending singular values of the Laguerre
-    bidiagonal matrix (square-root change of variables of the eigenvalue law)."""
-    if not 2 * a - (n - 1) * beta > 0:
-        raise ParameterError("need 2a - (n-1)*beta > 0")
+    bidiagonal matrix (square-root change of variables of the eigenvalue
+    law); the one-row case of :func:`_logpdf_singular_values_rows`."""
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if sigma.size != n:
         raise ParameterError(f"expected {n} singular values")
-    if not _strictly_descending_positive(sigma):
-        return LogDensityValue.out_of_support()
-    val = (n * math.log(2.0) + log_laguerre_constant(n, a, beta)
-           + _log_vandermonde_sq(sigma ** 2, beta)
-           + (2.0 * a - (n - 1) * beta - 1.0) * float(np.sum(np.log(sigma)))
-           - 0.5 * float(np.sum(sigma ** 2)))
-    return LogDensityValue(val, True)
+    return LogDensityValue(float(_logpdf_singular_values_rows(sigma[None, :], n, a, beta)[0]),
+                           bool(_strictly_descending_positive(sigma)))
 
 
-def _interlaces(upper: np.ndarray, lower: np.ndarray, tail_positive: bool) -> bool:
-    """Strict interlacing ``upper_1 > lower_1 > upper_2 > ...``; with
-    ``tail_positive`` the final lower entry must also exceed 0."""
-    seq = np.empty(upper.size + lower.size)
-    seq[0::2] = upper
-    seq[1::2] = lower
-    if np.any(np.diff(seq) >= 0):
-        return False
-    if tail_positive and seq[-1] <= 0:
-        return False
-    return True
+def _logpdf_singular_values_rows(sigma: np.ndarray, n: int, a: float,
+                                 beta: float) -> np.ndarray:
+    """Log-density of each row of ``sigma`` (shape ``(rows, n)``); rows
+    outside the support give -inf."""
+    if not 2 * a - (n - 1) * beta > 0:
+        raise ParameterError("need 2a - (n-1)*beta > 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (n * math.log(2.0) + log_laguerre_constant(n, a, beta)
+               + _log_vandermonde_sq(sigma ** 2, beta)
+               + (2.0 * a - (n - 1) * beta - 1.0) * np.sum(np.log(sigma), axis=-1)
+               - 0.5 * np.sum(sigma ** 2, axis=-1))
+    return np.where(_strictly_descending_positive(sigma), val, -np.inf)
+
+
+def _interleave(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper_1, lower_1, upper_2, ...`` along the last axis (leading axes
+    broadcast), strictly descending exactly when the two interlace."""
+    seq = np.empty(np.broadcast_shapes(upper.shape[:-1], lower.shape[:-1])
+                   + (upper.shape[-1] + lower.shape[-1],))
+    seq[..., 0::2] = upper
+    seq[..., 1::2] = lower
+    return seq
 
 
 def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
-                          zero_pole: bool) -> float:
-    """The terms the bordering and projection laws share: ``x`` are the
-    roots, ``lam`` the nonzero poles of the secular equation, each pole
-    pair with Dirichlet weight ``beta/2``, plus a zero pole of weight
+                          zero_pole: bool) -> np.ndarray:
+    """The terms the bordering and projection laws share, per row: ``x``
+    are the roots, ``lam`` the nonzero poles of the secular equation, each
+    pole pair with Dirichlet weight ``beta/2``, plus a zero pole of weight
     ``beta/4`` when ``zero_pole``."""
     x_sq, lam_sq = x ** 2, lam ** 2
-    cross = float(np.sum(np.log(np.abs(x_sq[:, None] - lam_sq[None, :]))))
-    val = (x.size * math.log(2.0) - lam.size * gammaln(beta / 2.0)
+    cross = np.sum(np.log(np.abs(x_sq[..., :, None] - lam_sq[..., None, :])), axis=(-2, -1))
+    val = (x.shape[-1] * math.log(2.0) - lam.shape[-1] * gammaln(beta / 2.0)
            + _log_vandermonde_sq(x_sq, 1.0)
            - _log_vandermonde_sq(lam_sq, beta - 1.0)
            + (beta / 2.0 - 1.0) * cross)
     if zero_pole:
         return (val - gammaln(beta / 4.0)
-                + (beta / 2.0 - 1.0) * float(np.sum(np.log(x)))
-                - (3.0 * beta / 4.0 - 1.0) * 2.0 * float(np.sum(np.log(lam))))
-    return val + float(np.sum(np.log(x)))
+                + (beta / 2.0 - 1.0) * np.sum(np.log(x), axis=-1)
+                - (3.0 * beta / 4.0 - 1.0) * 2.0 * np.sum(np.log(lam), axis=-1))
+    return val + np.sum(np.log(x), axis=-1)
 
 
 def conditional_logpdf_up(x, lam, n: int, beta: float) -> LogDensityValue:
-    """Log-density of the positive eigenvalues of the bordered matrix of order
-    ``n+1`` given those (``lam``) of the order-``n`` matrix.
-
-    ``x`` interlaces ``lam`` from above: ``x_1 > lam_1 > x_2 > ...``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    """Log-density of the positive eigenvalues ``x`` of the bordered matrix of
+    order ``n+1`` given those (``lam``) of the order-``n`` matrix, which they
+    interlace from above (``x_1 > lam_1 > x_2 > ...``); the one-row case of
+    :func:`_conditional_logpdf_up_rows`."""
+    x, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, lam))
     kx, kl = (n + 1) // 2, n // 2
     if x.size != kx or lam.size != kl:
         raise ParameterError(f"expected {kx} new and {kl} old eigenvalues for n={n}")
-    if not (_strictly_descending_positive(x)
-            and (kl == 0 or _strictly_descending_positive(lam))
-            and _interlaces(x, lam, tail_positive=(n % 2 == 1))):
-        return LogDensityValue.out_of_support()
-    return LogDensityValue(_interlaced_log_terms(x, lam, beta, zero_pole=(n % 2 == 1))
-                           - float(np.sum(x ** 2) - np.sum(lam ** 2)), True)
+    value = _conditional_logpdf_up_rows(x[None, :], lam[None, :], n, beta)[0]
+    return LogDensityValue(float(value), bool(_strictly_descending_positive(_interleave(x, lam))))
+
+
+def _conditional_logpdf_up_rows(x: np.ndarray, lam: np.ndarray, n: int,
+                                beta: float) -> np.ndarray:
+    """Log-density of each row of ``x`` (shape ``(rows, (n+1)//2)``) given
+    the matching row of ``lam`` (``(rows, n//2)``; leading axes broadcast);
+    rows outside the support give -inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (_interlaced_log_terms(x, lam, beta, zero_pole=(n % 2 == 1))
+               - (np.sum(x ** 2, axis=-1) - np.sum(lam ** 2, axis=-1)))
+    return np.where(_strictly_descending_positive(_interleave(x, lam)), val, -np.inf)
 
 
 def conditional_logpdf_down(x, lam, n: int, beta: float) -> LogDensityValue:
-    """Log-density of the positive eigenvalues of the corank-1 projected
-    matrix of order ``n`` given those (``lam``) of the order-``n+1`` matrix.
-
-    ``x`` interlaces ``lam`` from below: ``lam_1 > x_1 > lam_2 > ...``.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    """Log-density of the positive eigenvalues ``x`` of the corank-1 projected
+    matrix of order ``n`` given those (``lam``) of the order-``n+1`` matrix,
+    which they interlace from below (``lam_1 > x_1 > lam_2 > ...``); the
+    one-row case of :func:`_conditional_logpdf_down_rows`."""
+    x, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, lam))
     kx, kl = n // 2, (n + 1) // 2
     if x.size != kx or lam.size != kl:
         raise ParameterError(f"expected {kx} projected and {kl} original eigenvalues for n={n}")
-    if not (_strictly_descending_positive(lam)
-            and (kx == 0 or _strictly_descending_positive(x))
-            and _interlaces(lam, x, tail_positive=((n + 1) % 2 == 1))):
-        return LogDensityValue.out_of_support()
-    if kx == 0:
-        return LogDensityValue(0.0, True)
-    return LogDensityValue(_interlaced_log_terms(x, lam, beta, zero_pole=((n + 1) % 2 == 1))
-                           + gammaln((n + 1) * beta / 4.0), True)
+    value = _conditional_logpdf_down_rows(x[None, :], lam[None, :], n, beta)[0]
+    return LogDensityValue(float(value), bool(_strictly_descending_positive(_interleave(lam, x))))
+
+
+def _conditional_logpdf_down_rows(x: np.ndarray, lam: np.ndarray, n: int,
+                                  beta: float) -> np.ndarray:
+    """Log-density of each row of ``x`` (shape ``(rows, n//2)``) given the
+    matching row of ``lam`` (``(rows, (n+1)//2)``; leading axes broadcast);
+    rows outside the support give -inf.  With no projected eigenvalue
+    (n = 1) the two gamma terms cancel exactly, to a log-density of 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = (_interlaced_log_terms(x, lam, beta, zero_pole=((n + 1) % 2 == 1))
+               + gammaln((n + 1) * beta / 4.0))
+    return np.where(_strictly_descending_positive(_interleave(lam, x)), val, -np.inf)
 
 
 _STEP = 1.0 / 16.0  # tanh-sinh step of the total-mass and interval integrals

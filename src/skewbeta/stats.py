@@ -102,19 +102,22 @@ def _tanh_sinh_t(d_lo, d_hi):
 def quadrature_cdf(log_pdf, lo: float, hi: float):
     """CDF on (lo, hi) of a 1-d log-density, renormalized to end at 1.
 
-    The density is evaluated at each node of the tanh-sinh rule with step
-    1/128, which resolves integrable endpoint singularities.  The CDF is
-    the antiderivative of a cubic spline of the integrand in the rule's
-    variable t, read at t(x); t(x) comes from the distance to the nearer
-    endpoint, which is exact there.
+    ``log_pdf`` is called once, on the 1-d array of nodes of the tanh-sinh
+    rule with step 1/128, which resolves integrable endpoint singularities,
+    and returns one log-density per node.  The CDF is the antiderivative of
+    a cubic spline of the integrand in the rule's variable t, read at t(x);
+    t(x) comes from the distance to the nearer endpoint, which is exact
+    there.
     """
     if not hi > lo:
         raise ParameterError("need hi > lo")
     step = 1.0 / 128.0
     nodes, d_lo, d_hi, w = _tanh_sinh(lo, hi, step)
     t = _tanh_sinh_t(d_lo, d_hi)
-    log_f = np.asarray([log_pdf(v) for v in nodes], dtype=float) + np.log(w / step)
-    mass = CubicSpline(t, np.exp(log_f)).antiderivative()
+    log_f = np.asarray(log_pdf(nodes), dtype=float)
+    if log_f.shape != nodes.shape:
+        raise ParameterError("log_pdf must return one value per node")
+    mass = CubicSpline(t, np.exp(log_f + np.log(w / step))).antiderivative()
     total = float(mass(t[-1]))
     if not total > 0:
         raise ParameterError("density mass vanishes on the given interval")

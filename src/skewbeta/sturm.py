@@ -27,7 +27,7 @@ class PruferPhases:
 
 # prufer_phases evaluates _WINDOW // n points at a time, which bounds the
 # phases it holds (_atan2 makes a Python float of each)
-_WINDOW = 2 ** 13
+_WINDOW = 2 ** 18
 
 # libm's atan2, one element at a time: numpy's vectorized arctan2 can differ
 # from it in the last bit, and which way depends on the CPU's SIMD support

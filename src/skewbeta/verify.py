@@ -229,12 +229,13 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
     # rounds to lam exactly, and those ties would pin D at F(lam) on every
     # seed
     lam = 1.3
+    lam_row = np.array([lam])
     c = lam * (1.0 + 1e-12)
     for j, beta in enumerate((0.25, 1.0, 2.0, 4.0)):
         x = np.sqrt(chain._step_up_sq(np.full((reps, 1), lam ** 2), 2, beta,
                                       chain._one_stream(root.split(9, j), reps))[:, 0])
         cdf = quadrature_cdf(
-            lambda v: densities.conditional_logpdf_up([v], [lam], 2, beta).log_value,
+            lambda v: densities._conditional_logpdf_up_rows(v[:, None], lam_row, 2, beta),
             c, lam + 8.0)
         _add_ks(report, f"border step 2->3 beta={beta:g}", ks_one_sample(x[x > c], cdf))
 
@@ -243,8 +244,24 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
         lam3 = positive_spectrum_batch(
             antisym_tridiagonal_batch(3, beta, root.split(10, j), reps))[:, 0]
         cdf = quadrature_cdf(
-            lambda v: densities.logpdf_positive_spectrum([v], 3, beta).log_value, 0.0, 10.0)
+            lambda v: densities._logpdf_positive_spectrum_rows(v[:, None], 3, beta), 0.0, 10.0)
         _add_ks(report, f"n=3 marginal beta={beta:g}", ks_one_sample(lam3, cdf))
+
+    # the projection law of the first proof: one corank-1 step from order 3
+    # against the quadrature CDF of conditional_logpdf_down, both cut at
+    # x < lam (1 - 1e-12) as the border step is cut above lam; the four
+    # betas' probability-integral transforms are pooled into one case
+    c = lam * (1.0 - 1e-12)
+    pits = []
+    for j, beta in enumerate((0.25, 1.0, 2.0, 4.0)):
+        x = np.sqrt(chain._step_down_sq(np.array([[lam ** 2]]), 3, beta,
+                                        root.split(11, j), reps)[:, 0])
+        cdf = quadrature_cdf(
+            lambda v: densities._conditional_logpdf_down_rows(v[:, None], lam_row, 2, beta),
+            0.0, c)
+        pits.append(cdf(x[x < c]))
+    _add_ks(report, "projection step 3->2 pooled beta={0.25,1,2,4}",
+            ks_one_sample(np.concatenate(pits), lambda u: np.clip(u, 0.0, 1.0)))
     return report
 
 
@@ -381,14 +398,10 @@ def _singular_value_residual(n: int, beta: float) -> float:
     C-matrix has the Laguerre law with ``a = n beta / 4``."""
     k = n // 2
     a = (n - 1) * beta / 4.0 if n % 2 == 0 else n * beta / 4.0
-    worst = 0.0
-    for scale in np.linspace(0.4, 2.0, 5):
-        lam = scale * np.arange(k, 0, -1) / math.sqrt(k)
-        lhs = densities.logpdf_singular_values(math.sqrt(2.0) * lam, k, a, beta).log_value
-        rhs = (densities.logpdf_positive_spectrum(lam, n, beta).log_value
-               - k / 2.0 * math.log(2.0))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+    lam = np.linspace(0.4, 2.0, 5)[:, None] * np.arange(k, 0, -1) / math.sqrt(k)
+    lhs = densities._logpdf_singular_values_rows(math.sqrt(2.0) * lam, k, a, beta)
+    rhs = densities._logpdf_positive_spectrum_rows(lam, n, beta) - k / 2.0 * math.log(2.0)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
 def run_householder(seed: int, reps: int = 2000) -> VerificationReport:

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import betainc, gammainc
 
 from skewbeta.chain import chain_sample_batch
-from skewbeta.densities import logpdf_positive_spectrum
+from skewbeta.densities import _logpdf_positive_spectrum_rows
 from skewbeta.ensembles import (antisym_tridiagonal_batch, dense_antisym_gue_rows,
                                 householder_reduce_batch)
 from skewbeta.spectral import _first_component_sq_batch, positive_spectrum_batch
@@ -96,7 +96,7 @@ def test_criterion_4_exact_marginals():
     # n=3, beta=2: eigenvalue vs the quadrature CDF of the closed-form density
     lam3 = positive_spectrum_batch(
         antisym_tridiagonal_batch(3, 2.0, root.split(1), reps))[:, 0]
-    cdf3 = quadrature_cdf(lambda x: logpdf_positive_spectrum([x], 3, 2.0).log_value,
+    cdf3 = quadrature_cdf(lambda x: _logpdf_positive_spectrum_rows(x[:, None], 3, 2.0),
                           1e-9, 8.0)
     res3 = ks_one_sample(lam3, cdf3)
     passed = res2.p_value >= P_MIN and res3.p_value >= P_MIN

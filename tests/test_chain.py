@@ -7,56 +7,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from skewbeta import chain
-from skewbeta.chain import (ChainState, RandomRational, RootBracketError,
-                            chain_sample, chain_sample_batch,
-                            chain_sample_rows, chain_step_up,
-                            chain_trajectory, rational_roots, secular_roots,
+from skewbeta.chain import (ChainState, RootBracketError, chain_sample,
+                            chain_sample_batch, chain_sample_rows,
+                            chain_step_up, chain_trajectory, secular_roots,
                             step_down)
-from skewbeta.stats import moment_test
+from skewbeta.stats import ks_one_sample, moment_test
 from skewbeta.streams import ParameterError, RandomStream, sample_gamma
 
 
-class TestRandomRational:
-    def test_value(self):
-        r = RandomRational(1, [2.0, 0.0], [1.0, 0.5])
-        assert r.value(4.0) == pytest.approx(1.0 - 1.0 / 2.0 - 0.5 / 4.0)
-
-    @pytest.mark.parametrize("constant,a,c", [
-        (2, [1.0], [1.0]),           # constant must be 0 or 1
-        (1, [1.0, 2.0], [1.0, 1.0]), # poles must descend
-        (1, [1.0], [0.0]),           # weights must be positive
-        (1, [1.0], [1.0, 2.0]),      # length mismatch
-    ])
-    def test_validation(self, constant, a, c):
-        with pytest.raises(ParameterError):
-            RandomRational(constant, a, c)
+def _row_roots(constant, a, c) -> np.ndarray:
+    """Roots of ``constant - sum c_j / (y - a_j)`` for one row of poles."""
+    return secular_roots(constant, np.array([a], dtype=float), np.array([c], dtype=float))[0]
 
 
 class TestRationalRoots:
     def test_single_pole_closed_form(self):
         # 1 - c/(y - a) = 0  =>  y = a + c
-        roots = rational_roots(RandomRational(1, [2.0], [0.7]))
+        roots = _row_roots(1, [2.0], [0.7])
         assert roots == pytest.approx([2.7], rel=1e-13)
 
     def test_two_pole_constant0_closed_form(self):
         # -c1/(y-a1) - c2/(y-a2) = 0  =>  y = (c1 a2 + c2 a1)/(c1 + c2)
         a1, a2, c1, c2 = 3.0, 1.0, 0.4, 1.6
-        roots = rational_roots(RandomRational(0, [a1, a2], [c1, c2]))
+        roots = _row_roots(0, [a1, a2], [c1, c2])
         assert roots == pytest.approx([(c1 * a2 + c2 * a1) / (c1 + c2)], rel=1e-12)
 
     def test_root_count_and_interlacing_constant1(self):
         a = np.array([5.0, 3.0, 1.0])
         c = np.array([0.5, 1.5, 0.25])
-        roots = rational_roots(RandomRational(1, a, c))
+        roots = _row_roots(1, a, c)
         assert roots.size == 3
         assert roots[0] > a[0] > roots[1] > a[1] > roots[2] > a[2]
 
     def test_root_count_and_interlacing_constant0(self):
         a = np.array([5.0, 3.0, 1.0])
         c = np.array([0.5, 1.5, 0.25])
-        roots = rational_roots(RandomRational(0, a, c))
+        roots = _row_roots(0, a, c)
         assert roots.size == 2
         assert a[0] > roots[0] > a[1] > roots[1] > a[2]
 
@@ -64,8 +53,7 @@ class TestRationalRoots:
     def test_root_near_lower_pole(self, tiny):
         # a tiny weight pins one root exponentially close to its pole; the
         # anchored solve must still resolve it to full relative precision
-        r = RandomRational(1, [1.69, 0.0], [1.0, tiny])
-        hi, lo = rational_roots(r)
+        hi, lo = _row_roots(1, [1.69, 0.0], [1.0, tiny])
         assert 0.0 < lo < 2.0 * tiny
         assert hi > 1.69
         # near the pole the root satisfies c/(y - a) ~ remaining terms, so
@@ -75,7 +63,7 @@ class TestRationalRoots:
     def test_root_near_upper_pole(self):
         # constant=0 with a lopsided weight puts the root near the upper pole
         a1, a2, c1, c2 = 4.41, 0.81, 1e-8, 1.0
-        roots = rational_roots(RandomRational(0, [a1, a2], [c1, c2]))
+        roots = _row_roots(0, [a1, a2], [c1, c2])
         expected = (c1 * a2 + c2 * a1) / (c1 + c2)
         assert roots[0] == pytest.approx(expected, rel=1e-9)
 
@@ -88,7 +76,7 @@ class TestRationalRoots:
         if p > 1 and np.min(-np.diff(a)) < 1e-9:
             return
         c = gen.gamma(1.0, size=p) + 1e-12
-        roots = rational_roots(RandomRational(1, a, c))
+        roots = _row_roots(1, a, c)
         bounds = np.concatenate([[np.inf], a])
         assert np.all(roots < bounds[:-1]) and np.all(roots > bounds[1:])
 
@@ -119,6 +107,26 @@ class TestChainSteps:
 
     def test_step_down_terminal(self):
         assert step_down([1.0], 1, 2.0, RandomStream(3)).size == 0
+
+    def test_step_down_rejects_unordered(self):
+        with pytest.raises(ParameterError):
+            step_down([1.0, 2.0], 3, 2.0, RandomStream(3))
+
+    @pytest.mark.parametrize("beta", [0.25, 2.0])
+    def test_batched_step_down_law(self, beta):
+        # order 3 to 2: poles lam^2 and 0 with Dirichlet(beta/2, beta/4)
+        # weights put x^2 / lam^2 ~ beta(beta/4, beta/2); order 4 to 3: poles
+        # lam_1^2 > lam_2^2 with Dirichlet(beta/2, beta/2) put the root's
+        # position in the gap ~ beta(beta/2, beta/2)
+        reps = 20000
+        y = chain._step_down_sq(np.array([[1.69]]), 3, beta, RandomStream(9), reps)
+        assert y.shape == (reps, 1)
+        res = ks_one_sample(y[:, 0] / 1.69, lambda u: betainc(beta / 4.0, beta / 2.0, u))
+        assert res.p_value > 1e-3
+        y = chain._step_down_sq(np.array([[4.0, 1.0]]), 4, beta, RandomStream(10), reps)
+        assert y.shape == (reps, 1)
+        res = ks_one_sample((y[:, 0] - 1.0) / 3.0, lambda u: betainc(beta / 2.0, beta / 2.0, u))
+        assert res.p_value > 1e-3
 
     def test_trajectory_states(self):
         states = chain_trajectory(5, 2.0, RandomStream(4))
@@ -168,7 +176,7 @@ class TestBorderMatrixCheck:
         if b is not None:
             poles = np.append(poles, 0.0)
             weights = np.append(weights, b ** 2)
-        got = np.sqrt(rational_roots(RandomRational(1, poles, weights)))
+        got = np.sqrt(_row_roots(1, poles, weights))
         expected = _dense_border_spectrum(lam, w, b)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-10
@@ -276,6 +284,12 @@ class TestSharedSolver:
                               np.array([[0.5, 0.3, 0.4, 0.2]]))
         assert roots[0, 2] == 1.0
         assert roots[0, 1] > 1.0 > roots[0, 3] > 0.0
+
+    def test_rows_without_a_root_to_solve(self):
+        # constant 0 with one pole has no root; a zero-width gap keeps its pole
+        assert secular_roots(0, np.array([[1.0]]), np.array([[1.0]])).shape == (1, 0)
+        roots = secular_roots(0, np.array([[1.0, 1.0]]), np.array([[0.5, 0.5]]))
+        assert np.array_equal(roots, [[1.0]])
 
     def test_zero_weight_root_sits_on_its_pole(self):
         # an underflowed weight: the root it would carry falls onto the pole

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from skewbeta import densities
 from skewbeta.densities import (LogDensityValue, conditional_logpdf_down,
                                 conditional_logpdf_up, dixon_anderson_check,
                                 log_normalization_C, log_selberg_W,
@@ -144,6 +145,73 @@ class TestConditionalDensities:
         # projecting a size-2 matrix leaves no positive eigenvalue
         val = conditional_logpdf_down(np.zeros(0), [1.0], 1, 2.0)
         assert val.in_support and val.log_value == 0.0
+
+
+# (law's public function, its row function, fixed arguments, and per order
+# the points (arguments before the fixed ones) with their support flag):
+# in-support points, non-interlacing or unordered input, ties, zeros and
+# negatives, n=1 up and n=1 down with an empty x
+_ROW_CASES = {
+    "up": (conditional_logpdf_up, densities._conditional_logpdf_up_rows, {
+        1: [(([0.9], []), True), (([0.0], []), False), (([-1.0], []), False)],
+        2: [(([2.0], [1.3]), True), (([1.0], [1.3]), False), (([1.3], [1.3]), False),
+            (([2.0], [0.0]), False), (([2.0], [-1.0]), False), (([1e-170], [5e-171]), True)],
+        3: [(([3.0, 1.0], [2.0]), True), (([3.0, 0.0], [2.0]), False),
+            (([2.0, 1.0], [2.0]), False), (([1.0, 0.5], [2.0]), False)],
+        4: [(([3.0, 1.5], [2.0, 1.0]), True), (([3.0, 0.5], [2.0, 1.0]), False),
+            (([3.0, 1.0], [2.0, 1.0]), False)],
+    }),
+    "down": (conditional_logpdf_down, densities._conditional_logpdf_down_rows, {
+        1: [(([], [1.0]), True), (([], [0.0]), False), (([], [-1.0]), False)],
+        2: [(([0.5], [1.7]), True), (([1.7], [1.7]), False), (([0.0], [1.7]), False),
+            (([2.0], [1.7]), False)],
+        3: [(([1.5], [2.1, 0.9]), True), (([2.5], [2.1, 0.9]), False),
+            (([0.9], [2.1, 0.9]), False), (([1.5], [2.1, 0.0]), False)],
+        4: [(([1.5, 0.5], [2.0, 1.0]), True), (([1.5, 1.0], [2.0, 1.0]), False)],
+    }),
+    "spectrum": (logpdf_positive_spectrum, densities._logpdf_positive_spectrum_rows, {
+        2: [(([1.2],), True), (([0.0],), False), (([-1.0],), False)],
+        5: [(([2.0, 1.0],), True), (([1.0, 2.0],), False), (([1.0, 1.0],), False),
+            (([1.0, 0.0],), False)],
+    }),
+    "singular": (logpdf_singular_values, densities._logpdf_singular_values_rows, {
+        1: [(([1.7],), True), (([0.0],), False)],
+        2: [(([2.0, 1.1],), True), (([1.1, 2.0],), False), (([1.0, 1.0],), False)],
+    }),
+}
+
+
+class TestRowFunctions:
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("law", sorted(_ROW_CASES))
+    def test_rows_equal_one_row_calls(self, law, beta):
+        # every row of the row function equals the public one-row call bit
+        # for bit (NaN included), and the public support flag is the
+        # support predicate, not a reading of the value
+        public, rows_fn, cases = _ROW_CASES[law]
+        for n, points in cases.items():
+            extra = (2.5 + n * beta,) if law == "singular" else ()
+            stacked = [np.array([p[i] for p, _ in points], dtype=float).reshape(len(points), -1)
+                       for i in range(len(points[0][0]))]
+            got = rows_fn(*stacked, n, *extra, beta)
+            assert got.shape == (len(points),)
+            for row, (point, in_support) in zip(got, points):
+                val = public(*point, n, *extra, beta)
+                assert np.array_equal(row, val.log_value, equal_nan=True), (n, point)
+                assert val.in_support is in_support, (n, point)
+
+    def test_underflowed_squares_are_in_support(self):
+        # a descending pair whose squares underflow to the same value lies
+        # in the support; its density is 0 there
+        val = conditional_logpdf_up([1e-170], [5e-171], 2, 4.0)
+        assert val.in_support and val.log_value == -math.inf
+
+    def test_rows_broadcast_fixed_conditioning_spectrum(self):
+        # the quadrature CDFs pass one row of lam against a column of x
+        x = np.array([[2.0], [1.5], [1.0]])
+        got = densities._conditional_logpdf_up_rows(x, np.array([1.3]), 2, 1.0)
+        expected = [conditional_logpdf_up(v, [1.3], 2, 1.0).log_value for v in x]
+        assert np.array_equal(got, expected)
 
 
 class TestDixonAnderson:

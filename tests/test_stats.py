@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import betainc, gammainc, ndtr
 
-from skewbeta.densities import (conditional_logpdf_down, conditional_logpdf_up,
-                                logpdf_positive_spectrum)
+from skewbeta.densities import (_conditional_logpdf_down_rows,
+                                _conditional_logpdf_up_rows,
+                                _logpdf_positive_spectrum_rows)
 from skewbeta.stats import (CaseResult, KSResult, VerificationReport,
-                            ks_one_sample, ks_two_sample, moment_test,
-                            quadrature_cdf)
+                            _tanh_sinh, ks_one_sample, ks_two_sample,
+                            moment_test, quadrature_cdf)
 from skewbeta.streams import ParameterError
 
 
@@ -102,16 +103,17 @@ class TestQuadratureCdf:
         # conditional laws are cut 1e-12 relative short of lam, as the
         # distributions suite cuts its border-step draws
         lam = 1.3
+        lam_row = np.array([lam])
         up_lo, up_hi = lam * (1.0 + 1e-12), lam + 8.0
         down_hi = lam * (1.0 - 1e-12)
         laws = [
-            (lambda x: conditional_logpdf_up([x], [lam], 2, beta).log_value,
+            (lambda x: _conditional_logpdf_up_rows(x[:, None], lam_row, 2, beta),
              up_lo, up_hi, lambda x: gammainc(beta / 2.0, (x - lam) * (x + lam)),
              lam + np.logspace(-11.5, 0.9, 200)),
-            (lambda x: conditional_logpdf_down([x], [lam], 2, beta).log_value,
+            (lambda x: _conditional_logpdf_down_rows(x[:, None], lam_row, 2, beta),
              0.0, down_hi, lambda x: betainc(beta / 4.0, beta / 2.0, (x / lam) ** 2),
              np.concatenate([np.logspace(-30.0, -0.01, 200), lam - np.logspace(-11.5, 0.0, 200)])),
-            (lambda x: logpdf_positive_spectrum([x], 3, beta).log_value,
+            (lambda x: _logpdf_positive_spectrum_rows(x[:, None], 3, beta),
              0.0, 10.0, lambda x: gammainc(3.0 * beta / 4.0, x ** 2),
              np.logspace(-30.0, 0.9, 200)),
         ]
@@ -123,12 +125,27 @@ class TestQuadratureCdf:
             assert err <= 1e-6
 
     def test_endpoints(self):
-        cdf = quadrature_cdf(lambda x: 0.0, 0.0, 1.0)
+        cdf = quadrature_cdf(np.zeros_like, 0.0, 1.0)
         assert cdf(-1.0) == 0.0 and cdf(2.0) == 1.0
 
     def test_invalid_interval(self):
         with pytest.raises(ParameterError):
-            quadrature_cdf(lambda x: 0.0, 1.0, 0.0)
+            quadrature_cdf(np.zeros_like, 1.0, 0.0)
+
+    def test_log_pdf_called_once_on_all_nodes(self):
+        calls = []
+
+        def log_pdf(x):
+            calls.append(x.copy())
+            return -x
+
+        quadrature_cdf(log_pdf, 0.0, 5.0)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], _tanh_sinh(0.0, 5.0, 1.0 / 128.0)[0])
+
+    def test_log_pdf_must_return_one_value_per_node(self):
+        with pytest.raises(ParameterError):
+            quadrature_cdf(lambda x: 0.0, 0.0, 1.0)
 
 
 class TestReportFormat:

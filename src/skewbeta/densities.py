@@ -156,11 +156,14 @@ def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
     pole pair with Dirichlet weight ``beta/2``, plus a zero pole of weight
     ``beta/4`` when ``zero_pole``."""
     x_sq, lam_sq = x ** 2, lam ** 2
-    cross = np.sum(np.log(np.abs(x_sq[..., :, None] - lam_sq[..., None, :])), axis=(-2, -1))
     val = (x.shape[-1] * math.log(2.0) - lam.shape[-1] * gammaln(beta / 2.0)
            + _log_vandermonde_sq(x_sq, 1.0)
-           - _log_vandermonde_sq(lam_sq, beta - 1.0)
-           + (beta / 2.0 - 1.0) * cross)
+           - _log_vandermonde_sq(lam_sq, beta - 1.0))
+    # at beta = 2 the cross term has weight 0, even where a root and a pole
+    # square to the same value and its log is -inf
+    if beta / 2.0 - 1.0 != 0.0:
+        cross = np.sum(np.log(np.abs(x_sq[..., :, None] - lam_sq[..., None, :])), axis=(-2, -1))
+        val = val + (beta / 2.0 - 1.0) * cross
     if zero_pole:
         return (val - gammaln(beta / 4.0)
                 + (beta / 2.0 - 1.0) * np.sum(np.log(x), axis=-1)

@@ -116,14 +116,16 @@ def _charpoly(b: np.ndarray, x: np.ndarray,
               rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Scaled values ``vals`` and log shifts ``shifts`` with
     ``P_m(x) = vals * exp(shifts)`` for each ``m`` in ``rows`` at every point
-    of the 1-d array ``x``, both of shape ``(len(rows), x.size)``.
+    of the 1-d array ``x``, both of shape ``(len(rows), x.size)``.  ``b`` is
+    one off-diagonal sequence, shape ``(n-1,)``, or one per point,
+    ``(x.size, n-1)``.
 
     One pass of the recurrence over all points.  Each point carries its
     scaled pair ``(P_{m-1}, P_m)`` and log-scale ``shift``; a pair whose
     larger magnitude ``mag`` leaves [1e-150, 1e150] is divided by it, so a
     point's shift grows by ``log(mag)`` in the step that rescales it.  Until a
     point first rescales its shifts are 0 and its values are the plain
-    recurrence bit for bit.  Working memory is O(n + len(rows) * x.size).
+    recurrence bit for bit.  Working memory is O(b.size + len(rows) * x.size).
     """
     slot = {m: j for j, m in enumerate(rows)}
     vals = np.empty((len(slot), x.size))
@@ -133,7 +135,7 @@ def _charpoly(b: np.ndarray, x: np.ndarray,
     prev, cur = shift + 1.0, x.copy()  # P_0, P_1
     for m in range(max(slot) + 1):
         if m > 1:
-            prev, cur = cur, x * cur - b2[m - 2] * prev
+            prev, cur = cur, x * cur - b2[..., m - 2] * prev
             # |prev| <= 1e150 after the previous step (for m = 2, prev = x and
             # |x| > 1e150 makes |cur| large too), so only a large |cur| or a
             # small pair can leave the range; a NaN takes the slow test
@@ -248,6 +250,36 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return lam, q, z
 
 
+# the checks of spectral_rows, in the order the one-row path makes them
+_ROW_CHECKS = (
+    (ValueError, "reduced form requires strictly positive off-diagonals"),
+    (ValueError, "off-diagonal sequence must be finite"),
+    (DegeneracyError, "computed positive eigenvalues are not distinct"),
+    (ValueError, "first components must be positive"),
+    (ValueError, "odd order requires a positive null-vector component z"),
+)
+_DEGENERATE = 2  # the index of the DegeneracyError check
+
+
+def _failed_checks(b_batch: np.ndarray, lam: np.ndarray, q: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
+    """Index into ``_ROW_CHECKS`` of the first check each row fails, -1 for a
+    row that passes them all (a non-finite row has NaN ``lam``)."""
+    fails = np.array([
+        ~(b_batch > 0).all(axis=1),
+        ~np.isfinite(b_batch).all(axis=1),
+        (lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1),
+        (q <= 0).any(axis=1),
+        z <= 0,  # z is NaN, so never <= 0, at even n
+    ])
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
+
+
+def _check_error(index: int) -> Exception:
+    cls, msg = _ROW_CHECKS[index]
+    return cls(msg)
+
+
 def spectral_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``lam``, ``q`` and ``z`` of every row of ``b_batch`` as
     :func:`_bidiagonal_svd` returns them, with the checks of
@@ -259,25 +291,10 @@ def spectral_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``q <= 0`` or, at odd n, a null-vector component ``z <= 0``."""
     b_batch = np.asarray(b_batch, dtype=float)
     lam, q, z = _bidiagonal_svd(b_batch)
-    # whole-batch test first (a non-finite row has NaN lam and fails it);
-    # only a batch that fails it is scanned for its first bad row
-    if ((b_batch > 0).all() and (lam[:, -1:] > 0).all() and (lam[:, 1:] < lam[:, :-1]).all()
-            and (q > 0).all() and not (z <= 0).any()):
-        return lam, q, z
-    checks = (
-        (~(b_batch > 0).all(axis=1), ValueError,
-         "reduced form requires strictly positive off-diagonals"),
-        (~np.isfinite(b_batch).all(axis=1), ValueError,
-         "off-diagonal sequence must be finite"),
-        ((lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1),
-         DegeneracyError, "computed positive eigenvalues are not distinct"),
-        ((q <= 0).any(axis=1), ValueError, "first components must be positive"),
-        (z <= 0, ValueError,  # z is NaN, so never <= 0, at even n
-         "odd order requires a positive null-vector component z"),
-    )
-    bad = np.flatnonzero(np.any([fails for fails, _, _ in checks], axis=0))
+    failed = _failed_checks(b_batch, lam, q, z)
+    bad = np.flatnonzero(failed >= 0)
     if bad.size:
-        raise next(cls(msg) for fails, cls, msg in checks if fails[bad[0]])
+        raise _check_error(failed[bad[0]])
     return lam, q, z
 
 
@@ -301,38 +318,59 @@ def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     return 2.0 * _bidiagonal_svd(b_batch)[1][:, 0] ** 2
 
 
-def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
-    """Inverse map: Lanczos on the diagonal matrix of the full spectrum with
-    the first-component weights as starting vector.
+def _one_row(sd: SpectralData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lam``, ``q`` and ``z`` of ``sd`` as one-row arrays, in the layout of
+    :func:`_bidiagonal_svd` (``z`` is NaN for even n)."""
+    return sd.lam[None, :], sd.q[None, :], np.array([np.nan if sd.z is None else sd.z])
 
-    The produced symmetric tridiagonal has zero diagonal; its off-diagonals
-    are the ``b`` sequence of the unique reduced-form matrix.
+
+def _reconstruct_rows(n: int, lam: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Inverse map of every row of spectral data (``lam`` and ``q`` of shape
+    ``(rows, n//2)``, ``z`` of shape ``(rows,)``, NaN at even n): the
+    bottom-up off-diagonals, shape ``(rows, n-1)``.
+
+    Lanczos on the diagonal matrix of the full spectrum with the
+    first-component weights as starting vector, all rows at once.  The
+    produced symmetric tridiagonal has zero diagonal; its off-diagonals are
+    the ``b`` sequence of the unique reduced-form matrix.  The first row that
+    violates the normalization invariant (``ValueError``) or breaks down
+    (:class:`ConditioningError`) raises.
     """
-    if sd.normalization_defect() > 1e-8:
-        raise ValueError("spectral data violates the normalization invariant")
-    d = sd.full_spectrum()
-    w = np.sqrt(sd.full_weights())
-    n = sd.n
-    v = w / np.linalg.norm(w)
-    basis = [v]
-    b_top_down = []
-    prev = np.zeros_like(v)
-    beta = 0.0
-    for j in range(n - 1):
-        u = d * basis[-1] - beta * prev
-        # the diagonal of the target matrix is identically zero, so no alpha term;
-        # still project out the full basis for numerical stability
-        for vec in basis:
-            u -= (vec @ u) * vec
-        for vec in basis:
-            u -= (vec @ u) * vec
-        beta = np.linalg.norm(u)
-        if not beta > 0:
-            raise ConditioningError(f"Lanczos breakdown at step {j}")
-        prev = basis[-1]
-        basis.append(u / beta)
-        b_top_down.append(beta)
-    return AntisymTridiagonal(np.asarray(b_top_down)[::-1])
+    odd = n % 2 == 1
+    total = 2.0 * np.sum(q ** 2, axis=-1) + (z ** 2 if odd else 0.0)
+    d = np.concatenate([lam, -lam] + ([np.zeros((lam.shape[0], 1))] if odd else []), axis=-1)
+    w = np.sqrt(np.concatenate([q, q] + ([z[:, None]] if odd else []), axis=-1) ** 2)
+    basis = [w / np.linalg.norm(w, axis=-1, keepdims=True)]
+    prev = np.zeros_like(basis[0])
+    beta = np.zeros((lam.shape[0], 1))
+    off = np.empty((lam.shape[0], n - 1))  # top-down
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that break down
+        for j in range(n - 1):
+            u = d * basis[-1] - beta * prev
+            # the diagonal of the target matrix is identically zero, so no
+            # alpha term; still project out the full basis twice for
+            # numerical stability
+            for vec in basis + basis:
+                u -= np.sum(vec * u, axis=-1, keepdims=True) * vec
+            beta = np.linalg.norm(u, axis=-1, keepdims=True)
+            off[:, j] = beta[:, 0]
+            prev = basis[-1]
+            basis.append(u / beta)
+    bad_norm = np.abs(total - 1.0) > 1e-8
+    broken = ~(off > 0).all(axis=-1)
+    bad = np.flatnonzero(bad_norm | broken)
+    if bad.size:
+        if bad_norm[bad[0]]:
+            raise ValueError("spectral data violates the normalization invariant")
+        step = int(np.argmin(off[bad[0]] > 0))
+        raise ConditioningError(f"Lanczos breakdown at step {step}")
+    return off[:, ::-1]
+
+
+def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
+    """Inverse map ``(lambda, q[, z]) -> T``: the one-row case of
+    :func:`_reconstruct_rows`."""
+    return AntisymTridiagonal(_reconstruct_rows(sd.n, *_one_row(sd))[0])
 
 
 def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,

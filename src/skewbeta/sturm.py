@@ -55,11 +55,19 @@ def _counts_leq(vals: np.ndarray) -> np.ndarray:
     return np.maximum(rows // 2 - above, 0)
 
 
+def _count_positive_leq_rows(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Number of positive eigenvalues ``<= mu[j]`` of the matrix with
+    off-diagonals ``b[j]``, for a stack ``b`` of shape ``(points, n-1)`` and
+    one point per matrix; see :func:`_counts_leq`."""
+    vals, _ = _charpoly(b, mu, range(b.shape[-1] + 2))
+    return _counts_leq(vals)[-1]
+
+
 def count_positive_leq(t: AntisymTridiagonal, mu: float) -> int:
     """Number of positive eigenvalues of ``i*T`` less than or equal to ``mu``
-    (0 for a negative ``mu``); see :func:`_counts_leq`."""
-    vals, _ = _charpoly(t.b, np.array([float(mu)]), range(t.n + 1))
-    return int(_counts_leq(vals)[-1, 0])
+    (0 for a negative ``mu``): the one-row case of
+    :func:`_count_positive_leq_rows`."""
+    return int(_count_positive_leq_rows(t.b[None, :], np.array([float(mu)]))[0])
 
 
 def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.ndarray:

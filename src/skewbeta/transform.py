@@ -15,7 +15,8 @@ import numpy as np
 
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal, SizeError,
                         _c_matrix_chis, _laguerre_chis, dense_tridiagonal)
-from .spectral import SpectralData, reconstruct_tridiagonal
+from .densities import _log_vandermonde_sq
+from .spectral import SpectralData, _one_row, _reconstruct_rows
 from .streams import ParameterError, RandomStream
 
 
@@ -204,90 +205,132 @@ def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
     return float(np.max(np.abs(got - expected) / expected))
 
 
+def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
+                               z: np.ndarray) -> np.ndarray:
+    """Log-space residual of the squared-Vandermonde product formula for
+    every row: off-diagonals ``b`` (``(rows, n-1)``) against ``lam``, ``q``
+    and ``z`` in the layout of :func:`~skewbeta.spectral._bidiagonal_svd`."""
+    n = b.shape[-1] + 1
+    k = n // 2
+    lhs = _log_vandermonde_sq(lam ** 2, 2.0)
+    rhs = (np.sum(np.arange(1, n) * np.log(b), axis=-1)
+           - k * math.log(2.0)
+           - 2.0 * np.sum(np.log(q), axis=-1))
+    if n % 2 == 0:
+        rhs = rhs - np.sum(np.log(lam), axis=-1)
+    else:
+        rhs = rhs - (np.log(z) + 3.0 * np.sum(np.log(lam), axis=-1))
+    return np.abs(lhs - rhs)
+
+
 def vandermonde_identity_check(t: AntisymTridiagonal, sd: SpectralData) -> float:
     """Log-space residual of the squared-Vandermonde product formula
-    relating off-diagonals, eigenvalues and first components."""
-    n = t.n
-    k = n // 2
-    lam, q = sd.lam, sd.q
-    lhs = 0.0
-    if k > 1:
-        lam_sq = lam ** 2
-        iu = np.triu_indices(k, k=1)
-        lhs = 2.0 * float(np.sum(np.log(np.abs(lam_sq[:, None] - lam_sq[None, :])[iu])))
-    powers = np.arange(1, n)
-    rhs = (float(np.sum(powers * np.log(t.b)))
-           - k * math.log(2.0)
-           - 2.0 * float(np.sum(np.log(q))))
-    if n % 2 == 0:
-        rhs -= float(np.sum(np.log(lam)))
-    else:
-        rhs -= math.log(sd.z) + 3.0 * float(np.sum(np.log(lam)))
-    return abs(lhs - rhs)
+    relating off-diagonals, eigenvalues and first components: the one-row
+    case of :func:`_vandermonde_residual_rows`."""
+    return float(_vandermonde_residual_rows(t.b[None, :], *_one_row(sd))[0])
+
+
+def _jacobian_analytic_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
+                            z: np.ndarray) -> np.ndarray:
+    """:func:`jacobian_analytic` of every row, in the layout of
+    :func:`_vandermonde_residual_rows`."""
+    val = (np.sum(np.log(b), axis=-1)
+           - np.sum(np.log(q), axis=-1)
+           - np.sum(np.log(lam), axis=-1))
+    if (b.shape[-1] + 1) % 2 == 1:
+        val = val - np.log(z)
+    return np.exp(val)
 
 
 def jacobian_analytic(t: AntisymTridiagonal, sd: SpectralData) -> float:
     """The closed-form Jacobian of the off-diagonal -> spectrum map,
-    ``prod b_i / (prod q_i lam_i)`` with an extra ``z`` factor for odd n."""
-    val = (float(np.sum(np.log(t.b)))
-           - float(np.sum(np.log(sd.q)))
-           - float(np.sum(np.log(sd.lam))))
-    if sd.n % 2 == 1:
-        val -= math.log(sd.z)
-    return math.exp(val)
+    ``prod b_i / (prod q_i lam_i)`` with an extra ``z`` factor for odd n: the
+    one-row case of :func:`_jacobian_analytic_rows`."""
+    return float(_jacobian_analytic_rows(t.b[None, :], *_one_row(sd))[0])
 
 
-def _free_coordinates(sd: SpectralData) -> np.ndarray:
-    k = sd.n // 2
-    if sd.n % 2 == 0:
-        return np.concatenate([sd.lam, sd.q[:k - 1]])
-    return np.concatenate([sd.lam, sd.q])
-
-
-def _from_free_coordinates(vec: np.ndarray, n: int) -> SpectralData:
+def _from_free_coordinates(points: np.ndarray, n: int):
+    """``lam``, ``q`` and ``z`` (NaN at even n) of points of the free chart
+    (last axis: ``lam``, then ``q`` without the coordinate normalization
+    eliminates: ``q_k = sqrt(1/2 - sum q_j^2)`` at even n,
+    ``z = sqrt(1 - 2 sum q_j^2)`` at odd n), and per point which checks it
+    fails, on a new last axis: no room left for the eliminated coordinate,
+    then those of :class:`~skewbeta.spectral.SpectralData` on ``lam`` and
+    ``q``."""
     k = n // 2
-    lam = vec[:k]
+    lam, free = points[..., :k], points[..., k:]
     if n % 2 == 0:
-        q_head = vec[k:]
-        resid = 0.5 - float(np.sum(q_head ** 2))
-        if resid <= 0:
-            raise FiniteDifferenceError("normalization leaves no room for q_k")
-        q = np.concatenate([q_head, [math.sqrt(resid)]])
-        return SpectralData(n, lam, q)
-    q = vec[k:]
-    resid = 1.0 - 2.0 * float(np.sum(q ** 2))
-    if resid <= 0:
-        raise FiniteDifferenceError("normalization leaves no room for z")
-    return SpectralData(n, lam, q, z=math.sqrt(resid))
+        resid = 0.5 - np.sum(free ** 2, axis=-1)
+    else:
+        resid = 1.0 - 2.0 * np.sum(free ** 2, axis=-1)
+    with np.errstate(invalid="ignore"):  # points that fail the first check
+        root = np.sqrt(resid)
+    if n % 2 == 0:
+        q, z = np.concatenate([free, root[..., None]], axis=-1), np.full(root.shape, np.nan)
+    else:
+        q, z = free, root
+    fails = np.stack([resid <= 0,
+                      (np.diff(lam, axis=-1) >= 0).any(axis=-1) | (lam <= 0).any(axis=-1),
+                      (q <= 0).any(axis=-1)], axis=-1)
+    return lam, q, z, fails
 
 
-def _fd_jacobian_det(sd: SpectralData, h_scale: float) -> float:
-    vec = _free_coordinates(sd)
-    n = sd.n
-    dim = vec.size
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        h = h_scale * max(1.0, abs(vec[j]))
-        vp, vm = vec.copy(), vec.copy()
-        vp[j] += h
-        vm[j] -= h
-        bp = reconstruct_tridiagonal(_from_free_coordinates(vp, n)).b
-        bm = reconstruct_tridiagonal(_from_free_coordinates(vm, n)).b
-        jac[:, j] = (bp - bm) / (2.0 * h)
-    return abs(float(np.linalg.det(jac)))
+def _jacobian_numeric_rows(n: int, lam: np.ndarray, q: np.ndarray, h_scale: float = 1e-6,
+                           richardson_rtol: float = 1e-4) -> np.ndarray:
+    """:func:`jacobian_numeric` of every row of spectral data (``lam`` and
+    ``q`` as :func:`~skewbeta.spectral._bidiagonal_svd` returns them; ``z``
+    is eliminated by normalization), all rows at once.
+
+    Every row's free coordinates are perturbed by ``+-h e_j`` at the step
+    ``h`` and at ``h/2``; all points are checked and mapped back in one
+    :func:`~skewbeta.spectral._reconstruct_rows` call, and one ``det`` call
+    on the stacked difference quotients gives both determinants of every
+    row.  The first failing row raises: at its first invalid point (step
+    ``h`` before ``h/2``, then coordinate by coordinate, ``+h`` before
+    ``-h``) what that point fails, else its step-halving disagreement.
+    """
+    k = n // 2
+    vec = np.concatenate([lam, q[:, :k - 1] if n % 2 == 0 else q], axis=-1)
+    rows, dim = vec.shape
+    scale = np.maximum(1.0, np.abs(vec))
+    h = np.stack([h_scale * scale, (h_scale / 2.0) * scale], axis=1)  # (rows, 2, dim)
+    step = h[..., None] * np.eye(dim)
+    # (rows, step size, coordinate, sign, free coordinates)
+    points = vec[:, None, None, None, :] + np.stack([step, -step], axis=3)
+    p_lam, p_q, p_z, fails = _from_free_coordinates(points, n)
+    fails = fails.reshape(rows, math.prod(fails.shape[1:]))  # probing order per row
+    valid = ~fails.any(axis=1)
+    b = _reconstruct_rows(n, p_lam[valid].reshape(-1, k), p_q[valid].reshape(-1, k),
+                          p_z[valid].reshape(-1)).reshape(-1, 2, dim, 2, n - 1)
+    # jac[..., :, j] = (b(+h e_j) - b(-h e_j)) / 2h
+    jac = ((b[..., 0, :] - b[..., 1, :]) / (2.0 * h[valid][..., None])).swapaxes(-1, -2)
+    det = np.full((rows, 2), np.nan)
+    det[valid] = np.abs(np.linalg.det(jac))
+    coarse, fine = det[:, 0], det[:, 1]
+    disagree = np.abs(coarse - fine) > richardson_rtol * np.maximum(np.abs(fine), 1e-300)
+    bad = np.flatnonzero(~valid | disagree)
+    if bad.size:
+        r = bad[0]
+        if not valid[r]:
+            checks = ((FiniteDifferenceError,
+                       "normalization leaves no room for " + ("q_k" if n % 2 == 0 else "z")),
+                      (ValueError, "eigenvalues must be strictly decreasing and positive"),
+                      (ValueError, "first components must be positive"))
+            cls, msg = checks[int(np.argmax(fails[r])) % len(checks)]
+            raise cls(msg)
+        raise FiniteDifferenceError(
+            f"step-halving disagreement: {coarse[r]} vs {fine[r]} at h={h_scale}")
+    return fine
 
 
 def jacobian_numeric(sd: SpectralData, h_scale: float = 1e-6,
                      richardson_rtol: float = 1e-4) -> float:
     """Finite-difference determinant of the spectrum -> off-diagonal map in
-    the free chart (the last component is eliminated by normalization).
+    the free chart (the last component is eliminated by normalization): the
+    one-row case of :func:`_jacobian_numeric_rows`.
 
     Central differences with step ``h_scale * max(1, |coordinate|)``; the
     value must agree with a half-step recomputation to ``richardson_rtol``.
     """
-    coarse = _fd_jacobian_det(sd, h_scale)
-    fine = _fd_jacobian_det(sd, h_scale / 2.0)
-    if abs(coarse - fine) > richardson_rtol * max(abs(fine), 1e-300):
-        raise FiniteDifferenceError(
-            f"step-halving disagreement: {coarse} vs {fine} at h={h_scale}")
-    return fine
+    return float(_jacobian_numeric_rows(sd.n, sd.lam[None, :], sd.q[None, :], h_scale,
+                                        richardson_rtol)[0])

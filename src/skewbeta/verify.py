@@ -14,7 +14,8 @@ from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
                         antisym_tridiagonal_batch, build_antisym_tridiagonal,
                         build_c_matrix, dense_antisym_gue_rows,
                         householder_reduce_batch)
-from .spectral import (DegeneracyError, _first_component_sq_batch,
+from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_svd,
+                       _check_error, _failed_checks, _first_component_sq_batch,
                        moment_equations_check, positive_spectrum,
                        positive_spectrum_batch, secular_check)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
@@ -26,38 +27,102 @@ P_THRESHOLD = 1e-3
 _BETAS = (0.5, 1.0, 2.0, 4.0)
 
 
+def _redraw_rows(streams, draw, message: str):
+    """The one-row redraw loop ``for attempt in range(100): draw on
+    stream.split(attempt), return if accepted`` for every stream at once.
+
+    ``draw(rows, attempt_streams)`` draws the pending ``rows`` (indices into
+    ``streams``) on their attempt streams and returns their results (a tuple
+    of arrays, one row each), which of them are accepted, and per row the
+    exception the one-row loop raises there (``None`` if none).  Returns the
+    accepted results (NaN for rows never accepted) and, per row, the
+    exception its loop raises: its draw's, or ``DegeneracyError(message)``
+    after 100 attempts.
+    """
+    results = None
+    errors = [DegeneracyError(message)] * len(streams)
+    pending = np.arange(len(streams))
+    for attempt in range(100):
+        res, accepted, errs = draw(pending, [streams[i].split(attempt) for i in pending])
+        raised = np.array([e is not None for e in errs], dtype=bool)
+        accepted = accepted & ~raised
+        if results is None:
+            if accepted.all():  # every row drawn at the first attempt
+                return res, errs
+            results = tuple(np.full((len(streams),) + r.shape[1:], np.nan) for r in res)
+        for j in np.flatnonzero(raised | accepted):
+            errors[pending[j]] = errs[j]
+        for out, r in zip(results, res):
+            out[pending[accepted]] = r[accepted]
+        pending = pending[~accepted & ~raised]
+        if not pending.size:
+            break
+    return results, errors
+
+
+def _raise_first(errors) -> None:
+    """Raise the first row's exception of a :func:`_redraw_rows` result."""
+    err = next((e for e in errors if e is not None), None)
+    if err is not None:
+        raise err
+
+
+def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
+    """Row form of :func:`_draw_with_spectrum`: one draw of order ``n`` per
+    stream, row ``i`` at ``betas[i]``, as ``_redraw_rows`` returns them, with the
+    results ``(b, lam, q, z)`` in the layout of ``spectral_rows``.  Each
+    attempt builds every pending row on its own stream and solves them in
+    one batch."""
+    def draw(rows, attempt_streams):
+        b = np.array([antisym_tridiagonal_batch(n, betas[i], s, None)
+                      for i, s in zip(rows, attempt_streams)]).reshape(len(rows), n - 1)
+        lam, q, z = _bidiagonal_svd(b)
+        failed = _failed_checks(b, lam, q, z)
+        accepted = failed < 0
+        if min_relgap > 0.0:
+            # every squared gap, the last one to zero, relative to lam_max^2
+            lam_sq = lam ** 2
+            gaps = -np.diff(lam_sq, axis=1, append=0.0)
+            accepted &= (gaps >= min_relgap * lam_sq[:, :1]).all(axis=1)
+            # tiny first components are kept out too: the reference routes
+            # the identities compare them against (the eigenvectors of
+            # _first_component_residual, the secular sum) resolve them only
+            # to absolute accuracy
+            accepted &= (q >= 1e-2).all(axis=1) & ~(z < 1e-2)
+        errors = [None if f in (-1, _DEGENERATE) else _check_error(f) for f in failed.tolist()]
+        return (b, lam, q, z), accepted, errors
+    return _redraw_rows(streams, draw, f"no well-separated spectrum after 100 draws (n={n})")
+
+
+def _one_draw(n: int, drawn):
+    """The matrix and spectral data of a one-row :func:`_redraw_rows` result."""
+    (b, lam, q, z), errors = drawn
+    _raise_first(errors)
+    return AntisymTridiagonal(b[0]), SpectralData(n, lam[0], q[0],
+                                                  float(z[0]) if n % 2 else None)
+
+
 def _draw_with_spectrum(n: int, beta: float, stream: RandomStream,
                         min_relgap: float = 0.0):
     """Sample a matrix whose spectrum passes the degeneracy guards, redrawing
-    (on split subkeys) in the rare near-degenerate cases at small beta.
+    (on split subkeys) in the rare near-degenerate cases at small beta: the
+    one-row case of :func:`_spectrum_draws`.
 
     ``min_relgap`` additionally requires every squared-eigenvalue gap (and
     the distance to zero) to exceed that fraction of ``lam_max**2``; exact
     identities verified in floating point lose roughly the reciprocal of
     the relative gap in precision, so conditioning must be bounded for a
-    tight residual check to be meaningful.
+    tight residual check to be meaningful.  Tiny first components
+    (``q, z < 1e-2``) are then kept out too.
     """
-    for attempt in range(100):
-        try:
-            t = build_antisym_tridiagonal(n, beta, stream.split(attempt))
-            sd = positive_spectrum(t)
-        except DegeneracyError:
-            continue
-        if min_relgap > 0.0:
-            lam_sq = sd.lam ** 2
-            gaps = -np.diff(lam_sq)
-            scale = lam_sq[0]
-            if lam_sq[-1] < min_relgap * scale or \
-                    (gaps.size and np.min(gaps) < min_relgap * scale):
-                continue
-            # tiny first components are kept out too: the reference routes
-            # the identities compare them against (the eigenvectors of
-            # _first_component_residual, the secular sum) resolve them only
-            # to absolute accuracy
-            if np.min(sd.q) < 1e-2 or (sd.z is not None and sd.z < 1e-2):
-                continue
-        return t, sd
-    raise DegeneracyError(f"no well-separated spectrum after 100 draws (n={n})")
+    return _one_draw(n, _spectrum_draws(n, [beta], [stream], min_relgap))
+
+
+def _orders(ns):
+    """Each distinct order of ``ns`` with the indices of its rows."""
+    ns = np.asarray(ns)
+    for n in np.unique(ns):
+        yield int(n), np.flatnonzero(ns == n)
 
 
 def _random_pairs(rng: np.random.Generator, count: int, n_max: int = 12):
@@ -149,15 +214,23 @@ def run_cholesky(seed: int, count: int = 100) -> VerificationReport:
     return report
 
 
+def _jacobian_draws(n: int, beta: float, streams):
+    """Row form of :func:`_jacobian_point`, as :func:`_spectrum_draws`
+    returns them: each attempt is one spectrum draw per pending row on its
+    attempt stream, redrawn inside ``_spectrum_draws`` as needed."""
+    def draw(rows, attempt_streams):
+        (b, lam, q, z), errors = _spectrum_draws(n, [beta] * len(rows), attempt_streams)
+        margin = z ** 2 if n % 2 else 2.0 * q[:, -1] ** 2
+        accepted = (margin > 1e-3) & (np.min(q, axis=1) > 1e-3)
+        return (b, lam, q, z), accepted, errors
+    return _redraw_rows(streams, draw, "no interior spectrum found for jacobian probing")
+
+
 def _jacobian_point(n: int, beta: float, stream: RandomStream):
     """Random spectrum with enough margin from the normalization boundary
-    for finite-difference probing of the eliminated coordinate."""
-    for attempt in range(100):
-        t, sd = _draw_with_spectrum(n, beta, stream.split(attempt))
-        margin = sd.z ** 2 if sd.z is not None else 2.0 * sd.q[-1] ** 2
-        if margin > 1e-3 and np.min(sd.q) > 1e-3:
-            return t, sd
-    raise DegeneracyError("no interior spectrum found for jacobian probing")
+    for finite-difference probing of the eliminated coordinate: the one-row
+    case of :func:`_jacobian_draws`."""
+    return _one_draw(n, _jacobian_draws(n, beta, [stream]))
 
 
 def run_jacobian(seed: int, count: int = 50) -> VerificationReport:
@@ -165,14 +238,13 @@ def run_jacobian(seed: int, count: int = 50) -> VerificationReport:
     root = RandomStream(seed, (3,))
     bound = 1e-5
     for n in (2, 3, 4, 5):
-        worst = 0.0
-        for i in range(count):
-            stream = root.split(n, i)
-            t, sd = _jacobian_point(n, 2.0, stream)
-            analytic = transform.jacobian_analytic(t, sd)
-            target = analytic / (2.0 * sd.q[-1]) if n % 2 == 0 else analytic / sd.z
-            numeric = transform.jacobian_numeric(sd)
-            worst = max(worst, abs(numeric - target) / target)
+        rows, errors = _jacobian_draws(n, 2.0, [root.split(n, i) for i in range(count)])
+        _raise_first(errors)
+        _, lam, q, z = rows
+        analytic = transform._jacobian_analytic_rows(*rows)
+        target = analytic / (2.0 * q[:, -1]) if n % 2 == 0 else analytic / z
+        numeric = transform._jacobian_numeric_rows(n, lam, q)
+        worst = float(np.max(np.abs(numeric - target) / target, initial=0.0))
         report.add(f"n={n}", worst <= bound, statistic=worst, tolerance=bound)
     return report
 
@@ -181,10 +253,13 @@ def run_vandermonde(seed: int, count: int = 200) -> VerificationReport:
     report = VerificationReport(suite="vandermonde", seed=seed)
     root = RandomStream(seed, (4,))
     rng = np.random.default_rng(seed)
+    ns, betas = np.array(list(_random_pairs(rng, count))).reshape(-1, 2).T
     worst = 0.0
-    for i, (n, beta) in enumerate(_random_pairs(rng, count)):
-        t, sd = _draw_with_spectrum(n, beta, root.split(i), min_relgap=1e-6)
-        worst = max(worst, transform.vandermonde_identity_check(t, sd))
+    for n, idx in _orders(ns):
+        rows, errors = _spectrum_draws(n, betas[idx], [root.split(i) for i in idx],
+                                       min_relgap=1e-6)
+        _raise_first(errors)
+        worst = max(worst, float(np.max(transform._vandermonde_residual_rows(*rows))))
     bound = 1e-9
     report.add("log-residual", worst <= bound, statistic=worst, tolerance=bound)
     return report
@@ -274,15 +349,17 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
     report = VerificationReport(suite="sturm-prufer", seed=seed)
     root = RandomStream(seed, (9,))
     rng = np.random.default_rng(seed + 9)
+    # (n, beta, U) per pair in the generator order of the one-pair loop,
+    # which drew mu = rng.uniform(0, 1.2 lam_max) = 0 + 1.2 lam_max U last
+    draws = np.array([(rng.integers(2, 13), rng.choice(_BETAS), rng.random())
+                      for _ in range(pairs)]).reshape(-1, 3)
     mismatches = 0
-    for i in range(pairs):
-        n = int(rng.integers(2, 13))
-        beta = float(rng.choice(_BETAS))
-        t, sd = _draw_with_spectrum(n, beta, root.split(i))
-        mu = float(rng.uniform(0.0, 1.2 * sd.lam[0]))
-        expected = int(np.sum(sd.lam <= mu))
-        if sturm.count_positive_leq(t, mu) != expected:
-            mismatches += 1
+    for n, idx in _orders(draws[:, 0]):
+        (b, lam, _, _), errors = _spectrum_draws(n, draws[idx, 1], [root.split(i) for i in idx])
+        _raise_first(errors)
+        mu = 0.0 + 1.2 * lam[:, 0] * draws[idx, 2]
+        expected = np.sum(lam <= mu[:, None], axis=1)
+        mismatches += int(np.count_nonzero(sturm._count_positive_leq_rows(b, mu) != expected))
     report.add("eigenvalue-count", mismatches == 0, statistic=float(mismatches),
                tolerance=0.0)
 

@@ -206,6 +206,19 @@ class TestRowFunctions:
         val = conditional_logpdf_up([1e-170], [5e-171], 2, 4.0)
         assert val.in_support and val.log_value == -math.inf
 
+    @pytest.mark.parametrize("law,x,lam,n", [
+        (conditional_logpdf_up, [1e-170], [5e-171], 2),
+        (conditional_logpdf_down, [5e-171], [1e-170], 2),
+    ])
+    def test_underflowed_pair_at_beta_2_is_finite(self, law, x, lam, n):
+        # at beta = 2 the root-pole cross term has weight 0, so a pair whose
+        # squares underflow to the same value adds nothing (0 * -inf was NaN)
+        val = law(x, lam, n, 2.0)
+        assert val.in_support and math.isfinite(val.log_value)
+        if law is conditional_logpdf_up:
+            # x^2 - lam^2 is Gamma(1): density 2 x exp(-(x^2 - lam^2))
+            assert val.log_value == pytest.approx(math.log(2e-170), rel=1e-15)
+
     def test_rows_broadcast_fixed_conditioning_spectrum(self):
         # the quadrature CDFs pass one row of lam against a column of x
         x = np.array([[2.0], [1.5], [1.0]])

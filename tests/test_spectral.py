@@ -12,8 +12,9 @@ from scipy.linalg import eigh_tridiagonal
 import skewbeta
 from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
-from skewbeta.spectral import (CharPolySequence, DegeneracyError, SpectralData,
-                               _bidiagonal_svd, _first_component_sq_batch,
+from skewbeta.spectral import (CharPolySequence, ConditioningError, DegeneracyError,
+                               SpectralData, _bidiagonal_svd, _charpoly,
+                               _first_component_sq_batch, _reconstruct_rows,
                                charpoly_sequence, moment_equations_check,
                                positive_spectrum, positive_spectrum_batch,
                                reconstruct_tridiagonal,
@@ -137,6 +138,25 @@ class TestCharpolySequence:
         assert np.all(top[quiet:] > np.log(1e150))
         assert np.all(np.isfinite(cp.logmags[-1]))
 
+    @pytest.mark.parametrize("b,xs", [
+        # n = 400: points that rescale and points that do not, on matrices
+        # of three scales
+        (np.array([MIXED_B * s for s in (1.0, 1.0, 2.0, 1.0, 0.5, 1.0, 3.0)]),
+         MIXED_QUIET + MIXED_LOUD),
+        (antisym_tridiagonal_batch(12, 0.5, RandomStream(8), 6),
+         [0.0, -2.5, 0.9, 6.0, -0.0, 1e-3]),
+    ])
+    def test_stacked_matrices_match_one_matrix_calls(self, b, xs):
+        # one matrix per point: column j is matrix j's own call at its point
+        rows = range(b.shape[1] + 1)
+        vals, shifts = _charpoly(b, np.array(xs), rows)
+        for j, x in enumerate(xs):
+            one_vals, one_shifts = _charpoly(b[j], np.array([x]), rows)
+            assert np.array_equal(vals[:, j], one_vals[:, 0])
+            assert np.array_equal(shifts[:, j], one_shifts[:, 0])
+        if b.shape[1] == 399:
+            assert np.any(shifts[-1] == 0.0) and np.any(shifts[-1] != 0.0)
+
     def test_scalar_shapes(self):
         t = AntisymTridiagonal([1.0, 2.0, 0.5, 1.5])
         cp = charpoly_sequence(t, 0.9)
@@ -209,6 +229,34 @@ class TestPositiveSpectrum:
         sd = SpectralData(2, [1.0], [0.9])
         with pytest.raises(ValueError):
             reconstruct_tridiagonal(sd)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 11])
+    def test_reconstruct_rows_match_one_row_calls(self, n):
+        lam, q, z = spectral_rows(antisym_tridiagonal_batch(n, 1.0, RandomStream(n), 40))
+        rows = _reconstruct_rows(n, lam, q, z)
+        for i in range(40):
+            sd = SpectralData(n, lam[i], q[i], float(z[i]) if n % 2 else None)
+            assert np.array_equal(rows[i], reconstruct_tridiagonal(sd).b)
+
+    def test_reconstruct_rows_raise_for_the_first_failing_row(self):
+        # row "broken" has no weight on +-1, so Lanczos breaks down at step
+        # 1; row "unnormalized" has 2 sum q^2 = 1.62; row "both" fails both,
+        # and the normalization check comes first, as on one row
+        rows = {"good": ([2.0, 1.0], [0.5, 0.5]),
+                "broken": ([2.0, 1.0], [np.sqrt(0.5), 0.0]),
+                "unnormalized": ([2.0, 1.0], [0.9, 1e-3]),
+                "both": ([2.0, 1.0], [0.9, 0.0])}
+        raises = {"broken": ConditioningError, "unnormalized": ValueError, "both": ValueError}
+        for order in (["good", "broken", "unnormalized"], ["good", "unnormalized", "broken"],
+                      ["broken", "both"], ["both", "broken"]):
+            lam, q = (np.array([rows[r][k] for r in order]) for k in (0, 1))
+            with pytest.raises(ValueError) as exc:
+                _reconstruct_rows(4, lam, q, np.full(len(order), np.nan))
+            first = next(r for r in order if r in raises)
+            assert type(exc.value) is raises[first]
+        with pytest.raises(ConditioningError, match="step 1"):
+            _reconstruct_rows(4, np.array([rows["broken"][0]]), np.array([rows["broken"][1]]),
+                              np.array([np.nan]))
 
 
 def _oracle_spectrum(b: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from skewbeta.ensembles import AntisymTridiagonal, build_antisym_tridiagonal
+from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
+                                build_antisym_tridiagonal)
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.sturm import PruferPhases, count_positive_leq, prufer_phases, shooting_vector
+from skewbeta.sturm import (PruferPhases, _count_positive_leq_rows, count_positive_leq,
+                            prufer_phases, shooting_vector)
 from skewbeta.verify import _wrap_violations
 
 # an overflow or invalid operation in any Sturm, shooting or Pruefer path fails
@@ -154,6 +156,20 @@ class TestSturmCounting:
         rng = np.random.default_rng(seed)
         for mu in rng.uniform(0.0, 1.3 * positive_spectrum(t).lam[0], 20):
             assert count_positive_leq(t, mu) == _loop_count(t.b, mu)
+
+    @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 0.5), (12, 0.05), (40, 0.25)])
+    def test_stacked_counts_match_one_matrix_calls(self, n, beta):
+        # one matrix per point; the points include eigenvalues (which count
+        # as <= mu), 0, negative points and points above the spectrum
+        b = antisym_tridiagonal_batch(n, beta, RandomStream(n), 60)
+        lam = positive_spectrum_batch(b)
+        mu = np.random.default_rng(n).uniform(0.0, 1.3, 60) * lam[:, 0]
+        mu[:10], mu[10:15], mu[15:20] = lam[:10, -1], 0.0, -lam[15:20, 0]
+        got = _count_positive_leq_rows(b, mu)
+        assert got.tolist() == [count_positive_leq(AntisymTridiagonal(row), m)
+                                for row, m in zip(b, mu)]
+        # away from the computed eigenvalues the counts agree with them
+        assert got[10:].tolist() == np.sum(lam[10:] <= mu[10:, None], axis=1).tolist()
 
 
 class TestShootingVector:

@@ -7,7 +7,9 @@ from skewbeta.ensembles import (AntisymTridiagonal, LowerBidiagonal, build_c_mat
                                 build_laguerre_bidiagonal)
 from skewbeta.spectral import SpectralData, positive_spectrum
 from skewbeta.streams import ParameterError, RandomStream, sample_gamma
-from skewbeta.transform import (FiniteDifferenceError,
+from skewbeta import verify
+from skewbeta.transform import (FiniteDifferenceError, _jacobian_analytic_rows,
+                                _jacobian_numeric_rows, _vandermonde_residual_rows,
                                 SignedPermutation, asps, block_embedding,
                                 cholesky_reindex, jacobian_analytic,
                                 jacobian_numeric, laguerre_map_batch,
@@ -215,3 +217,69 @@ class TestJacobian:
         sd = SpectralData(4, [2.0, 1.0], [np.sqrt(0.5 - 1e-14), 1e-7])
         with pytest.raises(FiniteDifferenceError):
             jacobian_numeric(sd)
+
+
+def _rows_of(draws):
+    (b, lam, q, z), errors = draws
+    assert not any(errors)
+    return b, lam, q, z
+
+
+def _one(n, b, lam, q, z, i):
+    return (AntisymTridiagonal(b[i]),
+            SpectralData(n, lam[i], q[i], float(z[i]) if n % 2 else None))
+
+
+class TestRowForms:
+    """Row i of every row form equals its public one-row call bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    def test_vandermonde_and_analytic(self, n):
+        streams = [RandomStream(n).split(i) for i in range(30)]
+        b, lam, q, z = _rows_of(verify._spectrum_draws(n, [0.5, 2.0, 4.0] * 10, streams, 1e-6))
+        residual = _vandermonde_residual_rows(b, lam, q, z)
+        analytic = _jacobian_analytic_rows(b, lam, q, z)
+        for i in range(30):
+            t, sd = _one(n, b, lam, q, z, i)
+            assert residual[i] == vandermonde_identity_check(t, sd)
+            assert analytic[i] == jacobian_analytic(t, sd)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_numeric_jacobian(self, n):
+        streams = [RandomStream(n).split(i) for i in range(12)]
+        b, lam, q, z = _rows_of(verify._jacobian_draws(n, 2.0, streams))
+        dets = _jacobian_numeric_rows(n, lam, q)
+        for i in range(12):
+            assert dets[i] == jacobian_numeric(_one(n, b, lam, q, z, i)[1])
+
+    def test_numeric_jacobian_raises_for_the_first_failing_row(self):
+        # "close": the -h probe of lam_1 crosses lam_2 (ValueError);
+        # "boundary": no room left for the eliminated q_k (FiniteDifferenceError);
+        # "both": the lam probe fails first (ValueError), the q probe later;
+        # at richardson_rtol = 1e-12, "good" fails the step-halving check
+        points = {"good": ([2.0, 1.0], [0.5, 0.5]),
+                  "close": ([1.0, 1.0 - 1e-9], [0.5, 0.5]),
+                  "boundary": ([2.0, 1.0], [np.sqrt(0.5 - 1e-14), 1e-7]),
+                  "both": ([1.0, 1.0 - 1e-9], [np.sqrt(0.5 - 1e-14), 1e-7])}
+        for rtol, order in ((1e-4, ["good", "close", "boundary"]),
+                            (1e-4, ["good", "boundary", "close"]),
+                            (1e-4, ["both", "boundary"]),
+                            (1e-12, ["good", "close"]),
+                            (1e-12, ["close", "good"])):
+            raised = []
+            for name in order:
+                try:
+                    jacobian_numeric(SpectralData(4, *points[name]), richardson_rtol=rtol)
+                except (ValueError, FiniteDifferenceError) as exc:
+                    raised.append(exc)
+            lam, q = (np.array([points[r][k] for r in order]) for k in (0, 1))
+            with pytest.raises((ValueError, FiniteDifferenceError)) as exc:
+                _jacobian_numeric_rows(4, lam, q, richardson_rtol=rtol)
+            assert type(exc.value) is type(raised[0]) and str(exc.value) == str(raised[0])
+        assert {type(e) for e in raised} == {ValueError, FiniteDifferenceError}
+        # each point raises what it fails first, in the probing order
+        for name, cls in (("close", ValueError), ("boundary", FiniteDifferenceError),
+                          ("both", ValueError)):
+            with pytest.raises((ValueError, FiniteDifferenceError)) as exc:
+                jacobian_numeric(SpectralData(4, *points[name]))
+            assert type(exc.value) is cls

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from skewbeta import transform, verify
-from skewbeta.ensembles import antisym_tridiagonal_batch
+from skewbeta import sturm, transform, verify
+from skewbeta.ensembles import antisym_tridiagonal_batch, build_antisym_tridiagonal
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.ensembles import AntisymTridiagonal
 from skewbeta.streams import RandomStream
@@ -26,6 +26,198 @@ class TestHelpers:
         lam_sq = sd.lam ** 2
         assert np.min(-np.diff(lam_sq)) >= 1e-6 * lam_sq[0]
         assert np.min(sd.q) >= 1e-2
+
+
+def _reference_draw(n, beta, stream, min_relgap=0.0):
+    """The one-row redraw loop that _spectrum_draws replaced."""
+    for attempt in range(100):
+        try:
+            t = build_antisym_tridiagonal(n, beta, stream.split(attempt))
+            sd = positive_spectrum(t)
+        except verify.DegeneracyError:
+            continue
+        if min_relgap > 0.0:
+            lam_sq = sd.lam ** 2
+            gaps = -np.diff(lam_sq)
+            scale = lam_sq[0]
+            if lam_sq[-1] < min_relgap * scale or \
+                    (gaps.size and np.min(gaps) < min_relgap * scale):
+                continue
+            if np.min(sd.q) < 1e-2 or (sd.z is not None and sd.z < 1e-2):
+                continue
+        return t, sd
+    raise verify.DegeneracyError(f"no well-separated spectrum after 100 draws (n={n})")
+
+
+def _reference_jacobian_point(n, beta, stream):
+    """The one-row redraw loop that _jacobian_draws replaced."""
+    for attempt in range(100):
+        t, sd = _reference_draw(n, beta, stream.split(attempt))
+        margin = sd.z ** 2 if sd.z is not None else 2.0 * sd.q[-1] ** 2
+        if margin > 1e-3 and np.min(sd.q) > 1e-3:
+            return t, sd
+    raise verify.DegeneracyError("no interior spectrum found for jacobian probing")
+
+
+def _assert_same_outcomes(got, expected):
+    for one, ref in zip(got, expected, strict=True):
+        if isinstance(ref, Exception):
+            assert type(one) is type(ref) and str(one) == str(ref)
+            continue
+        (t, sd), (t_ref, sd_ref) = one, ref
+        assert np.array_equal(t.b, t_ref.b) and np.array_equal(sd.lam, sd_ref.lam)
+        assert np.array_equal(sd.q, sd_ref.q) and sd.z == sd_ref.z
+
+
+def _one_row_outcomes(call, streams):
+    """``call(i, stream)`` for every stream: its ``(t, sd)`` or the exception
+    it raised."""
+    out = []
+    for i, stream in enumerate(streams):
+        try:
+            out.append(call(i, stream))
+        except ValueError as exc:  # DegeneracyError is a ValueError
+            out.append(exc)
+    return out
+
+
+def _assert_rows_equal(n, rows, errors, outcomes, first_draw):
+    """Row i of a row-form draw equals the i-th one-row outcome bit for bit;
+    returns how many rows were redrawn and the exception classes raised."""
+    b, lam, q, z = rows
+    redrawn, raised = 0, set()
+    for i, one in enumerate(outcomes):
+        if isinstance(one, Exception):
+            assert type(errors[i]) is type(one) and str(errors[i]) == str(one)
+            raised.add(type(one))
+            continue
+        t, sd = one
+        assert errors[i] is None
+        assert np.array_equal(b[i], t.b) and np.array_equal(lam[i], sd.lam)
+        assert np.array_equal(q[i], sd.q)
+        assert np.array_equal(z[i], np.nan if sd.z is None else sd.z, equal_nan=True)
+        redrawn += not np.array_equal(b[i], first_draw(i))
+    return redrawn, raised
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("n,betas,min_relgap,raises", [
+        (4, [0.1, 2.0, 0.5, 0.1] * 10, 1e-6, {ValueError}),  # q <= 0 after redraws
+        (12, [0.05] * 30, 0.0, {ValueError}),
+        (7, [0.25, 1.0] * 15, 1e-6, set()),
+        (4, [2.0] * 3, 1.0, {verify.DegeneracyError}),  # never accepted
+    ])
+    def test_spectrum_draws_equal_one_row_calls(self, n, betas, min_relgap, raises):
+        streams = [RandomStream(5).split(i) for i in range(len(betas))]
+        rows, errors = verify._spectrum_draws(n, betas, streams, min_relgap)
+        outcomes = _one_row_outcomes(
+            lambda i, s: verify._draw_with_spectrum(n, betas[i], s, min_relgap), streams)
+        _assert_same_outcomes(outcomes, _one_row_outcomes(
+            lambda i, s: _reference_draw(n, betas[i], s, min_relgap), streams))
+        redrawn, raised = _assert_rows_equal(
+            n, rows, errors, outcomes,
+            lambda i: antisym_tridiagonal_batch(n, betas[i], streams[i].split(0), None))
+        assert raised == raises
+        assert redrawn > 0 or min_relgap == 0.0 or raises
+
+    @pytest.mark.parametrize("n,beta", [(3, 0.1), (5, 0.1), (4, 2.0)])
+    def test_jacobian_draws_equal_one_row_calls(self, n, beta):
+        streams = [RandomStream(5).split(i) for i in range(30)]
+        rows, errors = verify._jacobian_draws(n, beta, streams)
+        outcomes = _one_row_outcomes(lambda i, s: verify._jacobian_point(n, beta, s), streams)
+        _assert_same_outcomes(outcomes, _one_row_outcomes(
+            lambda i, s: _reference_jacobian_point(n, beta, s), streams))
+        redrawn, raised = _assert_rows_equal(
+            n, rows, errors, outcomes,
+            lambda i: antisym_tridiagonal_batch(n, beta, streams[i].split(0, 0), None))
+        assert redrawn > 0 or beta == 2.0
+        assert raised == ({ValueError} if n == 5 else set())
+
+    def test_empty_batches(self):
+        # no draws: every case passes with statistic 0, as the loops did
+        for report in (verify.run_jacobian(SEED, count=0), verify.run_vandermonde(SEED, count=0),
+                       verify.run_sturm_prufer(SEED, pairs=0)):
+            assert report.all_passed and report.cases[0].statistic == 0.0
+
+    def test_raise_first(self):
+        verify._raise_first([None, None])
+        with pytest.raises(KeyError):
+            verify._raise_first([None, KeyError("a"), ValueError("b")])
+
+
+def _reference_eigenvalue_count(seed: int, pairs: int = 1000) -> int:
+    """The one-pair loop the eigenvalue-count case replaced."""
+    root = RandomStream(seed, (9,))
+    rng = np.random.default_rng(seed + 9)
+    mismatches = 0
+    for i in range(pairs):
+        n = int(rng.integers(2, 13))
+        beta = float(rng.choice(verify._BETAS))
+        t, sd = verify._draw_with_spectrum(n, beta, root.split(i))
+        mu = float(rng.uniform(0.0, 1.2 * sd.lam[0]))
+        expected = int(np.sum(sd.lam <= mu))
+        if sturm.count_positive_leq(t, mu) != expected:
+            mismatches += 1
+    return mismatches
+
+
+def _reference_vandermonde(seed: int, count: int = 200) -> float:
+    """The one-pair loop the vandermonde suite replaced."""
+    root = RandomStream(seed, (4,))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i, (n, beta) in enumerate(verify._random_pairs(rng, count)):
+        t, sd = verify._draw_with_spectrum(n, beta, root.split(i), min_relgap=1e-6)
+        worst = max(worst, transform.vandermonde_identity_check(t, sd))
+    return worst
+
+
+def _record_rows(monkeypatch, module, name):
+    """Replace ``module.name`` by a spy that records the rows of its
+    arguments, each row as the bytes of its arguments' rows side by side."""
+    rows = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        m = len(args[0])
+        rows.extend(r.tobytes() for r in np.concatenate(
+            [np.reshape(a, (m, -1)) for a in args], axis=1))
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+    return rows
+
+
+class TestDrawOrder:
+    """The batched suites check the matrices, spectra and points of the
+    one-pair loops they replaced, bit for bit: every row the row form gets
+    is a row its one-row wrapper got in the loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigenvalue_count_matches_one_pair_loop(self, seed, monkeypatch):
+        rows = _record_rows(monkeypatch, sturm, "_count_positive_leq_rows")
+        case = verify.run_sturm_prufer(seed).cases[0]
+        batched = sorted(rows)
+        rows.clear()
+        assert case.name == "eigenvalue-count"
+        assert case.statistic == float(_reference_eigenvalue_count(seed))
+        assert len(rows) == 1000 and batched == sorted(rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vandermonde_matches_one_pair_loop(self, seed, monkeypatch):
+        rows = _record_rows(monkeypatch, transform, "_vandermonde_residual_rows")
+        case = verify.run_vandermonde(seed).cases[0]
+        batched = sorted(rows)
+        rows.clear()
+        assert abs(case.statistic - _reference_vandermonde(seed)) <= 1e-13
+        assert len(rows) == 200 and batched == sorted(rows)
+
+    def test_mu_from_uniform_draw(self):
+        # the eigenvalue-count case forms rng.uniform(0, 1.2 lam) from
+        # rng.random() as 0 + 1.2 lam U, which is the same double
+        lam = np.random.default_rng(1).gamma(0.5, size=20000)
+        uniform, unit = np.random.default_rng(2), np.random.default_rng(2)
+        expected = [uniform.uniform(0.0, 1.2 * v) for v in lam]
+        assert np.array_equal(0.0 + 1.2 * lam * [unit.random() for _ in lam], expected)
 
 
 class TestSuitesPass:

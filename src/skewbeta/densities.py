@@ -33,15 +33,23 @@ def _strictly_descending_positive(x: np.ndarray):
     return np.all(x > 0, axis=-1) & np.all(np.diff(x, axis=-1) < 0, axis=-1)
 
 
-def _log_vandermonde_sq(x_sq: np.ndarray, power: float):
-    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` along the last axis.  The
-    pairs are gathered with ``take``, which keeps each row contiguous, so
-    every row is summed in the same order as a lone row."""
-    if x_sq.shape[-1] < 2:
+def _log_gap_sq(a, b):
+    """``log |a^2 - b^2|`` of positive ``a``, ``b`` as ``log |a - b| +
+    log(a + b)``: finite wherever ``a != b``, even where both squares
+    underflow, and free of the cancellation of squaring two close values."""
+    return np.log(np.abs(a - b)) + np.log(a + b)
+
+
+def _log_vandermonde_sq(x: np.ndarray, power: float):
+    """``power * sum_{j<k} log |x_j^2 - x_k^2|`` along the last axis, of the
+    positive values ``x`` (not their squares).  The pairs are gathered with
+    ``take``, which keeps each row contiguous, so every row is summed in the
+    same order as a lone row."""
+    if x.shape[-1] < 2:
         return 0.0
-    j, k = np.triu_indices(x_sq.shape[-1], k=1)
-    gaps = np.take(x_sq, j, axis=-1) - np.take(x_sq, k, axis=-1)
-    return power * np.sum(np.log(np.abs(gaps)), axis=-1)
+    j, k = np.triu_indices(x.shape[-1], k=1)
+    return power * np.sum(_log_gap_sq(np.take(x, j, axis=-1), np.take(x, k, axis=-1)),
+                          axis=-1)
 
 
 @functools.cache
@@ -101,7 +109,7 @@ def _logpdf_positive_spectrum_rows(lam: np.ndarray, n: int, beta: float) -> np.n
         val = (-log_normalization_C(n, beta)
                + expo * np.sum(np.log(lam), axis=-1)
                - np.sum(lam ** 2, axis=-1)
-               + _log_vandermonde_sq(lam ** 2, beta))
+               + _log_vandermonde_sq(lam, beta))
     return np.where(_strictly_descending_positive(lam), val, -np.inf)
 
 
@@ -133,7 +141,7 @@ def _logpdf_singular_values_rows(sigma: np.ndarray, n: int, a: float,
         raise ParameterError("need 2a - (n-1)*beta > 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (n * math.log(2.0) + log_laguerre_constant(n, a, beta)
-               + _log_vandermonde_sq(sigma ** 2, beta)
+               + _log_vandermonde_sq(sigma, beta)
                + (2.0 * a - (n - 1) * beta - 1.0) * np.sum(np.log(sigma), axis=-1)
                - 0.5 * np.sum(sigma ** 2, axis=-1))
     return np.where(_strictly_descending_positive(sigma), val, -np.inf)
@@ -155,14 +163,13 @@ def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
     are the roots, ``lam`` the nonzero poles of the secular equation, each
     pole pair with Dirichlet weight ``beta/2``, plus a zero pole of weight
     ``beta/4`` when ``zero_pole``."""
-    x_sq, lam_sq = x ** 2, lam ** 2
     val = (x.shape[-1] * math.log(2.0) - lam.shape[-1] * gammaln(beta / 2.0)
-           + _log_vandermonde_sq(x_sq, 1.0)
-           - _log_vandermonde_sq(lam_sq, beta - 1.0))
-    # at beta = 2 the cross term has weight 0, even where a root and a pole
-    # square to the same value and its log is -inf
+           + _log_vandermonde_sq(x, 1.0)
+           - _log_vandermonde_sq(lam, beta - 1.0))
+    # at beta = 2 the cross term has weight 0, even where a root equals a
+    # pole and its log is -inf
     if beta / 2.0 - 1.0 != 0.0:
-        cross = np.sum(np.log(np.abs(x_sq[..., :, None] - lam_sq[..., None, :])), axis=(-2, -1))
+        cross = np.sum(_log_gap_sq(x[..., :, None], lam[..., None, :]), axis=(-2, -1))
         val = val + (beta / 2.0 - 1.0) * cross
     if zero_pole:
         return (val - gammaln(beta / 4.0)

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import kolmogorov
 
 from .streams import ParameterError
@@ -109,6 +108,10 @@ def quadrature_cdf(log_pdf, lo: float, hi: float):
     t(x) comes from the distance to the nearer endpoint, which is exact
     there.
     """
+    # every CLI call pays the package import; only the quadrature CDFs need
+    # the spline, so scipy.interpolate loads here
+    from scipy.interpolate import CubicSpline
+
     if not hi > lo:
         raise ParameterError("need hi > lo")
     step = 1.0 / 128.0

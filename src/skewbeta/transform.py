@@ -212,7 +212,7 @@ def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
     and ``z`` in the layout of :func:`~skewbeta.spectral._bidiagonal_svd`."""
     n = b.shape[-1] + 1
     k = n // 2
-    lhs = _log_vandermonde_sq(lam ** 2, 2.0)
+    lhs = _log_vandermonde_sq(lam, 2.0)
     rhs = (np.sum(np.arange(1, n) * np.log(b), axis=-1)
            - k * math.log(2.0)
            - 2.0 * np.sum(np.log(q), axis=-1))

@@ -1,11 +1,15 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import skewbeta
 from skewbeta import transform
 from skewbeta.chain import chain_sample
 from skewbeta.cli import main
@@ -236,3 +240,29 @@ class TestPruferAndHouseholder:
         assert len(doc["dense"]) == 5
         assert len(doc["superdiagonal_top_down"]) == 4
         assert all(v > 0 for v in doc["superdiagonal_top_down"])
+
+
+class TestStartup:
+    def test_cli_import_defers_scipy_interpolate(self):
+        # every CLI call pays `import skewbeta.cli`; scipy.interpolate (and
+        # the scipy subpackages it pulls in) loads at the first quadrature
+        # CDF instead.  A fresh interpreter, since this one has loaded it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import skewbeta.cli\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            "from skewbeta.stats import quadrature_cdf\n"
+            "cdf = quadrature_cdf(lambda x: np.zeros_like(x), 0.0, 1.0)\n"
+            "print(repr(float(cdf(np.array([0.25]))[0])))\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(skewbeta.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        before, value, after = proc.stdout.split()
+        assert before == "False"
+        assert float(value) == pytest.approx(0.25, abs=1e-9)
+        assert after == "True"

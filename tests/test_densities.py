@@ -1,7 +1,9 @@
 """Tests for closed-form densities, normalization constants and quadrature."""
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -202,17 +204,19 @@ class TestRowFunctions:
 
     def test_underflowed_squares_are_in_support(self):
         # a descending pair whose squares underflow to the same value lies
-        # in the support; its density is 0 there
+        # in the support, and x^2 - lam^2 > 0 there: its log-density is
+        # log 2 + log(x^2 - lam^2) + log x, finite (50-digit mpmath value)
         val = conditional_logpdf_up([1e-170], [5e-171], 2, 4.0)
-        assert val.in_support and val.log_value == -math.inf
+        assert val.in_support
+        assert val.log_value == pytest.approx(-1173.9129323188551345, rel=1e-15)
 
     @pytest.mark.parametrize("law,x,lam,n", [
         (conditional_logpdf_up, [1e-170], [5e-171], 2),
         (conditional_logpdf_down, [5e-171], [1e-170], 2),
     ])
     def test_underflowed_pair_at_beta_2_is_finite(self, law, x, lam, n):
-        # at beta = 2 the root-pole cross term has weight 0, so a pair whose
-        # squares underflow to the same value adds nothing (0 * -inf was NaN)
+        # a pair whose squares underflow to the same value has a finite
+        # density at beta = 2, where the root-pole cross term has weight 0
         val = law(x, lam, n, 2.0)
         assert val.in_support and math.isfinite(val.log_value)
         if law is conditional_logpdf_up:
@@ -225,6 +229,86 @@ class TestRowFunctions:
         got = densities._conditional_logpdf_up_rows(x, np.array([1.3]), 2, 1.0)
         expected = [conditional_logpdf_up(v, [1.3], 2, 1.0).log_value for v in x]
         assert np.array_equal(got, expected)
+
+
+def _mp_log_gaps_sq(pairs):
+    """``log |u^2 - v^2|`` of every pair ``(u, v)``, in mpmath."""
+    return [mp.log(abs(u ** 2 - v ** 2)) for u, v in pairs]
+
+
+def _mp_interlaced_terms(x, lam, beta, zero_pole):
+    """The terms of ``densities._interlaced_log_terms``, in mpmath."""
+    terms = [len(x) * mp.log(2), -len(lam) * mp.loggamma(beta / 2)]
+    terms += _mp_log_gaps_sq(itertools.combinations(x, 2))
+    terms += [-(beta - 1) * t for t in _mp_log_gaps_sq(itertools.combinations(lam, 2))]
+    terms += [(beta / 2 - 1) * t for t in _mp_log_gaps_sq(itertools.product(x, lam))]
+    if zero_pole:
+        return (terms + [-mp.loggamma(beta / 4)] + [(beta / 2 - 1) * mp.log(v) for v in x]
+                + [-(3 * beta / 4 - 1) * 2 * mp.log(v) for v in lam])
+    return terms + [mp.log(v) for v in x]
+
+
+def _mp_terms(law, x, lam, n, beta):
+    """The terms whose sum is the log-density of ``law`` ("up", "down" or
+    "spectrum", whose points are ``x``), in mpmath."""
+    if law == "up":
+        return (_mp_interlaced_terms(x, lam, beta, n % 2 == 1)
+                + [-v ** 2 for v in x] + [v ** 2 for v in lam])
+    if law == "down":
+        return (_mp_interlaced_terms(x, lam, beta, (n + 1) % 2 == 1)
+                + [mp.loggamma((n + 1) * beta / 4)])
+    m = n - n % 2
+    terms = [-mp.loggamma(2 * j * beta / 4) - mp.loggamma((2 * j - 1) * beta / 4)
+             for j in range(1, m // 2 + 1)]
+    terms += [(m // 2) * (mp.log(2) + mp.loggamma(beta / 2))]
+    if n % 2:
+        terms += [-mp.loggamma(n * beta / 4), mp.loggamma(beta / 4)]
+    expo = beta / 2 - 1 if n % 2 == 0 else 3 * beta / 2 - 1
+    return (terms + [expo * mp.log(v) for v in x] + [-v ** 2 for v in x]
+            + [beta * t for t in _mp_log_gaps_sq(itertools.combinations(x, 2))])
+
+
+_ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
+
+# (law, x, lam, n): interlacing points that nearly coincide, and points
+# below 1e-154, whose squares underflow (to the same value in some pairs)
+_ORACLE_CASES = [
+    ("up", [3.0, 1.5, 0.5], [2.0, 1.0], 5),
+    ("up", [1.0], [_ONE_BELOW_1], 2),
+    ("up", [1.0 + 1e-12, 0.5], [1.0], 3),
+    ("up", [1.0, 7e-171], [1e-170, 5e-171], 4),
+    ("up", [1e-170], [5e-171], 2),
+    ("up", [3.0, 1.5, 1e-160], [2.0, 1e-155], 5),
+    ("down", [1.0 - 1e-12], [1.0, 1e-3], 3),
+    ("down", [2.0, 1.0 - 1e-13], [2.0 + 1e-13, 1.0, 1e-200], 5),
+    ("down", [7e-171], [1e-170, 5e-171], 3),
+    ("down", [5e-171], [1e-170], 2),
+    ("spectrum", [2.5, 1.0, 0.3], None, 6),
+    ("spectrum", [1.0, _ONE_BELOW_1], None, 4),
+    ("spectrum", [2.0, 1e-160, 5e-161], None, 7),
+    ("spectrum", [1e-155, 9e-156], None, 5),
+]
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("law,x,lam,n", _ORACLE_CASES)
+    def test_row_functions_match_mpmath(self, law, x, lam, n, beta):
+        # the row functions against a 50-digit evaluation of the same
+        # formula; a double sum of terms t_i is accurate to a few ulps of
+        # sum |t_i|, which is the bound asked of every point here
+        if law == "spectrum":
+            got = densities._logpdf_positive_spectrum_rows(np.array([x]), n, beta)[0]
+        else:
+            rows_fn = (densities._conditional_logpdf_up_rows if law == "up"
+                       else densities._conditional_logpdf_down_rows)
+            got = rows_fn(np.array([x]), np.array([lam]), n, beta)[0]
+        with mp.workdps(50):
+            terms = _mp_terms(law, [mp.mpf(v) for v in x], [mp.mpf(v) for v in lam or ()],
+                              n, mp.mpf(beta))
+            ref, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+            assert math.isfinite(got)
+            assert abs(mp.mpf(got) - ref) <= 1e-15 * scale, (float(ref), got)
 
 
 class TestDixonAnderson:

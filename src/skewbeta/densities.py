@@ -122,21 +122,12 @@ def log_laguerre_constant(n: int, a: float, beta: float) -> float:
                           - gammaln(a - beta * (n - js) / 2.0)))
 
 
-def logpdf_singular_values(sigma, n: int, a: float, beta: float) -> LogDensityValue:
-    """Joint log-density of the descending singular values of the Laguerre
-    bidiagonal matrix (square-root change of variables of the eigenvalue
-    law); the one-row case of :func:`_logpdf_singular_values_rows`."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.size != n:
-        raise ParameterError(f"expected {n} singular values")
-    return LogDensityValue(float(_logpdf_singular_values_rows(sigma[None, :], n, a, beta)[0]),
-                           bool(_strictly_descending_positive(sigma)))
-
-
 def _logpdf_singular_values_rows(sigma: np.ndarray, n: int, a: float,
                                  beta: float) -> np.ndarray:
-    """Log-density of each row of ``sigma`` (shape ``(rows, n)``); rows
-    outside the support give -inf."""
+    """Joint log-density of the descending singular values of the Laguerre
+    bidiagonal matrix (square-root change of variables of the eigenvalue
+    law), for each row of ``sigma`` (shape ``(rows, n)``); rows outside the
+    support give -inf."""
     if not 2 * a - (n - 1) * beta > 0:
         raise ParameterError("need 2a - (n-1)*beta > 0")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,12 +156,9 @@ def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
     ``beta/4`` when ``zero_pole``."""
     val = (x.shape[-1] * math.log(2.0) - lam.shape[-1] * gammaln(beta / 2.0)
            + _log_vandermonde_sq(x, 1.0)
-           - _log_vandermonde_sq(lam, beta - 1.0))
-    # at beta = 2 the cross term has weight 0, even where a root equals a
-    # pole and its log is -inf
-    if beta / 2.0 - 1.0 != 0.0:
-        cross = np.sum(_log_gap_sq(x[..., :, None], lam[..., None, :]), axis=(-2, -1))
-        val = val + (beta / 2.0 - 1.0) * cross
+           - _log_vandermonde_sq(lam, beta - 1.0)
+           + (beta / 2.0 - 1.0) * np.sum(_log_gap_sq(x[..., :, None], lam[..., None, :]),
+                                         axis=(-2, -1)))
     if zero_pole:
         return (val - gammaln(beta / 4.0)
                 + (beta / 2.0 - 1.0) * np.sum(np.log(x), axis=-1)

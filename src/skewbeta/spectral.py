@@ -318,12 +318,6 @@ def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     return 2.0 * _bidiagonal_svd(b_batch)[1][:, 0] ** 2
 
 
-def _one_row(sd: SpectralData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``lam``, ``q`` and ``z`` of ``sd`` as one-row arrays, in the layout of
-    :func:`_bidiagonal_svd` (``z`` is NaN for even n)."""
-    return sd.lam[None, :], sd.q[None, :], np.array([np.nan if sd.z is None else sd.z])
-
-
 def _reconstruct_rows(n: int, lam: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Inverse map of every row of spectral data (``lam`` and ``q`` of shape
     ``(rows, n//2)``, ``z`` of shape ``(rows,)``, NaN at even n): the
@@ -370,7 +364,8 @@ def _reconstruct_rows(n: int, lam: np.ndarray, q: np.ndarray, z: np.ndarray) -> 
 def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
     """Inverse map ``(lambda, q[, z]) -> T``: the one-row case of
     :func:`_reconstruct_rows`."""
-    return AntisymTridiagonal(_reconstruct_rows(sd.n, *_one_row(sd))[0])
+    z = np.array([np.nan if sd.z is None else sd.z])
+    return AntisymTridiagonal(_reconstruct_rows(sd.n, sd.lam[None, :], sd.q[None, :], z)[0])
 
 
 def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,

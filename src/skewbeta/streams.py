@@ -72,7 +72,9 @@ def _sqrt_gamma(shape: float, scale: float, stream: RandomStream, size):
     """``sqrt(scale * G)`` for ``G`` a rate-1 gamma of the given shape, with the
     generator calls of :func:`sample_gamma`.  Below shape 1 the boost is taken
     in log space, ``exp((log(scale * boost) + log(u) / shape) / 2)``, so the
-    result never underflows to 0 where ``u**(1/shape)`` would."""
+    result does not underflow to 0 where ``u**(1/shape)`` alone would.  It
+    still underflows to 0 where its own log falls below about -745, the
+    double floor, which small shapes reach."""
     gen = stream.generator
     if shape >= 1.0:
         return np.sqrt(scale * gen.gamma(shape, size=size))

@@ -63,13 +63,6 @@ def _count_positive_leq_rows(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return _counts_leq(vals)[-1]
 
 
-def count_positive_leq(t: AntisymTridiagonal, mu: float) -> int:
-    """Number of positive eigenvalues of ``i*T`` less than or equal to ``mu``
-    (0 for a negative ``mu``): the one-row case of
-    :func:`_count_positive_leq_rows`."""
-    return int(_count_positive_leq_rows(t.b[None, :], np.array([float(mu)]))[0])
-
-
 def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.ndarray:
     """Shooting solution of all but the first row of ``(T_s - mu I) x = 0``.
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (AntisymTridiagonal, LowerBidiagonal, SizeError,
-                        _c_matrix_chis, _laguerre_chis, dense_tridiagonal)
+from .ensembles import (LowerBidiagonal, SizeError, _c_matrix_chis, _laguerre_chis,
+                        dense_tridiagonal)
 from .densities import _log_vandermonde_sq
-from .spectral import SpectralData, _one_row, _reconstruct_rows
+from .spectral import _reconstruct_rows
 from .streams import ParameterError, RandomStream
 
 
@@ -207,9 +207,10 @@ def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
 
 def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
                                z: np.ndarray) -> np.ndarray:
-    """Log-space residual of the squared-Vandermonde product formula for
-    every row: off-diagonals ``b`` (``(rows, n-1)``) against ``lam``, ``q``
-    and ``z`` in the layout of :func:`~skewbeta.spectral._bidiagonal_svd`."""
+    """Log-space residual of the squared-Vandermonde product formula
+    relating off-diagonals, eigenvalues and first components, for every
+    row: off-diagonals ``b`` (``(rows, n-1)``) against ``lam``, ``q`` and
+    ``z`` in the layout of :func:`~skewbeta.spectral._bidiagonal_svd`."""
     n = b.shape[-1] + 1
     k = n // 2
     lhs = _log_vandermonde_sq(lam, 2.0)
@@ -223,17 +224,11 @@ def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
     return np.abs(lhs - rhs)
 
 
-def vandermonde_identity_check(t: AntisymTridiagonal, sd: SpectralData) -> float:
-    """Log-space residual of the squared-Vandermonde product formula
-    relating off-diagonals, eigenvalues and first components: the one-row
-    case of :func:`_vandermonde_residual_rows`."""
-    return float(_vandermonde_residual_rows(t.b[None, :], *_one_row(sd))[0])
-
-
 def _jacobian_analytic_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
                             z: np.ndarray) -> np.ndarray:
-    """:func:`jacobian_analytic` of every row, in the layout of
-    :func:`_vandermonde_residual_rows`."""
+    """The closed-form Jacobian of the off-diagonal -> spectrum map,
+    ``prod b_i / (prod q_i lam_i)`` with an extra ``z`` factor for odd n, of
+    every row, in the layout of :func:`_vandermonde_residual_rows`."""
     val = (np.sum(np.log(b), axis=-1)
            - np.sum(np.log(q), axis=-1)
            - np.sum(np.log(lam), axis=-1))
@@ -242,52 +237,46 @@ def _jacobian_analytic_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
     return np.exp(val)
 
 
-def jacobian_analytic(t: AntisymTridiagonal, sd: SpectralData) -> float:
-    """The closed-form Jacobian of the off-diagonal -> spectrum map,
-    ``prod b_i / (prod q_i lam_i)`` with an extra ``z`` factor for odd n: the
-    one-row case of :func:`_jacobian_analytic_rows`."""
-    return float(_jacobian_analytic_rows(t.b[None, :], *_one_row(sd))[0])
-
-
 def _from_free_coordinates(points: np.ndarray, n: int):
     """``lam``, ``q`` and ``z`` (NaN at even n) of points of the free chart
     (last axis: ``lam``, then ``q`` without the coordinate normalization
     eliminates: ``q_k = sqrt(1/2 - sum q_j^2)`` at even n,
-    ``z = sqrt(1 - 2 sum q_j^2)`` at odd n), and per point which checks it
-    fails, on a new last axis: no room left for the eliminated coordinate,
-    then those of :class:`~skewbeta.spectral.SpectralData` on ``lam`` and
-    ``q``."""
+    ``z = sqrt(1 - 2 sum q_j^2)`` at odd n), and which points lie in the
+    chart: room left for the eliminated coordinate, ``lam`` strictly
+    decreasing and positive, ``q`` positive."""
     k = n // 2
     lam, free = points[..., :k], points[..., k:]
     if n % 2 == 0:
         resid = 0.5 - np.sum(free ** 2, axis=-1)
     else:
         resid = 1.0 - 2.0 * np.sum(free ** 2, axis=-1)
-    with np.errstate(invalid="ignore"):  # points that fail the first check
+    with np.errstate(invalid="ignore"):  # points with no room left
         root = np.sqrt(resid)
     if n % 2 == 0:
         q, z = np.concatenate([free, root[..., None]], axis=-1), np.full(root.shape, np.nan)
     else:
         q, z = free, root
-    fails = np.stack([resid <= 0,
-                      (np.diff(lam, axis=-1) >= 0).any(axis=-1) | (lam <= 0).any(axis=-1),
-                      (q <= 0).any(axis=-1)], axis=-1)
-    return lam, q, z, fails
+    inside = ((resid > 0) & (np.diff(lam, axis=-1) < 0).all(axis=-1)
+              & (lam > 0).all(axis=-1) & (q > 0).all(axis=-1))
+    return lam, q, z, inside
 
 
 def _jacobian_numeric_rows(n: int, lam: np.ndarray, q: np.ndarray, h_scale: float = 1e-6,
                            richardson_rtol: float = 1e-4) -> np.ndarray:
-    """:func:`jacobian_numeric` of every row of spectral data (``lam`` and
-    ``q`` as :func:`~skewbeta.spectral._bidiagonal_svd` returns them; ``z``
-    is eliminated by normalization), all rows at once.
+    """Finite-difference determinant of the spectrum -> off-diagonal map in
+    the free chart (the last component is eliminated by normalization) of
+    every row of spectral data (``lam`` and ``q`` as
+    :func:`~skewbeta.spectral._bidiagonal_svd` returns them), all rows at
+    once.
 
-    Every row's free coordinates are perturbed by ``+-h e_j`` at the step
-    ``h`` and at ``h/2``; all points are checked and mapped back in one
+    Central differences with step ``h = h_scale * max(1, |coordinate|)``:
+    every row's free coordinates are perturbed by ``+-h e_j`` and
+    ``+-(h/2) e_j``, all points are mapped back in one
     :func:`~skewbeta.spectral._reconstruct_rows` call, and one ``det`` call
     on the stacked difference quotients gives both determinants of every
-    row.  The first failing row raises: at its first invalid point (step
-    ``h`` before ``h/2``, then coordinate by coordinate, ``+h`` before
-    ``-h``) what that point fails, else its step-halving disagreement.
+    row.  ``FiniteDifferenceError`` is raised when a probe point leaves the
+    chart, or when a row's two determinants disagree by more than
+    ``richardson_rtol``.
     """
     k = n // 2
     vec = np.concatenate([lam, q[:, :k - 1] if n % 2 == 0 else q], axis=-1)
@@ -297,40 +286,18 @@ def _jacobian_numeric_rows(n: int, lam: np.ndarray, q: np.ndarray, h_scale: floa
     step = h[..., None] * np.eye(dim)
     # (rows, step size, coordinate, sign, free coordinates)
     points = vec[:, None, None, None, :] + np.stack([step, -step], axis=3)
-    p_lam, p_q, p_z, fails = _from_free_coordinates(points, n)
-    fails = fails.reshape(rows, math.prod(fails.shape[1:]))  # probing order per row
-    valid = ~fails.any(axis=1)
-    b = _reconstruct_rows(n, p_lam[valid].reshape(-1, k), p_q[valid].reshape(-1, k),
-                          p_z[valid].reshape(-1)).reshape(-1, 2, dim, 2, n - 1)
+    p_lam, p_q, p_z, inside = _from_free_coordinates(points, n)
+    if not inside.all():
+        raise FiniteDifferenceError(f"a probe point at h={h_scale} leaves the chart")
+    b = _reconstruct_rows(n, p_lam.reshape(-1, k), p_q.reshape(-1, k),
+                          p_z.reshape(-1)).reshape(rows, 2, dim, 2, n - 1)
     # jac[..., :, j] = (b(+h e_j) - b(-h e_j)) / 2h
-    jac = ((b[..., 0, :] - b[..., 1, :]) / (2.0 * h[valid][..., None])).swapaxes(-1, -2)
-    det = np.full((rows, 2), np.nan)
-    det[valid] = np.abs(np.linalg.det(jac))
-    coarse, fine = det[:, 0], det[:, 1]
-    disagree = np.abs(coarse - fine) > richardson_rtol * np.maximum(np.abs(fine), 1e-300)
-    bad = np.flatnonzero(~valid | disagree)
+    jac = ((b[..., 0, :] - b[..., 1, :]) / (2.0 * h[..., None])).swapaxes(-1, -2)
+    coarse, fine = np.abs(np.linalg.det(jac)).T
+    bad = np.flatnonzero(np.abs(coarse - fine)
+                         > richardson_rtol * np.maximum(np.abs(fine), 1e-300))
     if bad.size:
         r = bad[0]
-        if not valid[r]:
-            checks = ((FiniteDifferenceError,
-                       "normalization leaves no room for " + ("q_k" if n % 2 == 0 else "z")),
-                      (ValueError, "eigenvalues must be strictly decreasing and positive"),
-                      (ValueError, "first components must be positive"))
-            cls, msg = checks[int(np.argmax(fails[r])) % len(checks)]
-            raise cls(msg)
         raise FiniteDifferenceError(
             f"step-halving disagreement: {coarse[r]} vs {fine[r]} at h={h_scale}")
     return fine
-
-
-def jacobian_numeric(sd: SpectralData, h_scale: float = 1e-6,
-                     richardson_rtol: float = 1e-4) -> float:
-    """Finite-difference determinant of the spectrum -> off-diagonal map in
-    the free chart (the last component is eliminated by normalization): the
-    one-row case of :func:`_jacobian_numeric_rows`.
-
-    Central differences with step ``h_scale * max(1, |coordinate|)``; the
-    value must agree with a half-step recomputation to ``richardson_rtol``.
-    """
-    return float(_jacobian_numeric_rows(sd.n, sd.lam[None, :], sd.q[None, :], h_scale,
-                                        richardson_rtol)[0])

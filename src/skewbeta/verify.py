@@ -33,51 +33,50 @@ def _redraw_rows(streams, draw, message: str):
 
     ``draw(rows, attempt_streams)`` draws the pending ``rows`` (indices into
     ``streams``) on their attempt streams and returns their results (a tuple
-    of arrays, one row each), which of them are accepted, and per row the
-    exception the one-row loop raises there (``None`` if none).  Returns the
-    accepted results (NaN for rows never accepted) and, per row, the
-    exception its loop raises: its draw's, or ``DegeneracyError(message)``
-    after 100 attempts.
+    of arrays, one row each) and which of them are accepted; it raises
+    itself any failure that no redraw may replace.  Returns the accepted
+    results; a row still pending after 100 attempts raises
+    ``DegeneracyError(message)``.
     """
     results = None
-    errors = [DegeneracyError(message)] * len(streams)
     pending = np.arange(len(streams))
     for attempt in range(100):
-        res, accepted, errs = draw(pending, [streams[i].split(attempt) for i in pending])
-        raised = np.array([e is not None for e in errs], dtype=bool)
-        accepted = accepted & ~raised
+        res, accepted = draw(pending, [streams[i].split(attempt) for i in pending])
         if results is None:
             if accepted.all():  # every row drawn at the first attempt
-                return res, errs
-            results = tuple(np.full((len(streams),) + r.shape[1:], np.nan) for r in res)
-        for j in np.flatnonzero(raised | accepted):
-            errors[pending[j]] = errs[j]
+                return res
+            results = tuple(np.empty((len(streams),) + r.shape[1:]) for r in res)
         for out, r in zip(results, res):
             out[pending[accepted]] = r[accepted]
-        pending = pending[~accepted & ~raised]
+        pending = pending[~accepted]
         if not pending.size:
-            break
-    return results, errors
-
-
-def _raise_first(errors) -> None:
-    """Raise the first row's exception of a :func:`_redraw_rows` result."""
-    err = next((e for e in errors if e is not None), None)
-    if err is not None:
-        raise err
+            return results
+    raise DegeneracyError(message)
 
 
 def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
-    """Row form of :func:`_draw_with_spectrum`: one draw of order ``n`` per
-    stream, row ``i`` at ``betas[i]``, as ``_redraw_rows`` returns them, with the
-    results ``(b, lam, q, z)`` in the layout of ``spectral_rows``.  Each
-    attempt builds every pending row on its own stream and solves them in
-    one batch."""
+    """One draw of order ``n`` per stream, row ``i`` at ``betas[i]``, whose
+    spectrum passes the degeneracy guards: ``(b, lam, q, z)`` in the layout
+    of ``spectral_rows``.  Each attempt builds every pending row on its own
+    stream and solves them in one batch; tied eigenvalues at small beta are
+    redrawn (on split subkeys), and any other failed check of
+    ``spectral_rows`` raises.
+
+    ``min_relgap`` additionally requires every squared-eigenvalue gap (and
+    the distance to zero) to exceed that fraction of ``lam_max**2``; exact
+    identities verified in floating point lose roughly the reciprocal of
+    the relative gap in precision, so conditioning must be bounded for a
+    tight residual check to be meaningful.  Tiny first components
+    (``q, z < 1e-2``) are then kept out too.
+    """
     def draw(rows, attempt_streams):
         b = np.array([antisym_tridiagonal_batch(n, betas[i], s, None)
                       for i, s in zip(rows, attempt_streams)]).reshape(len(rows), n - 1)
         lam, q, z = _bidiagonal_svd(b)
         failed = _failed_checks(b, lam, q, z)
+        fatal = np.flatnonzero((failed >= 0) & (failed != _DEGENERATE))
+        if fatal.size:
+            raise _check_error(failed[fatal[0]])
         accepted = failed < 0
         if min_relgap > 0.0:
             # every squared gap, the last one to zero, relative to lam_max^2
@@ -89,33 +88,17 @@ def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
             # _first_component_residual, the secular sum) resolve them only
             # to absolute accuracy
             accepted &= (q >= 1e-2).all(axis=1) & ~(z < 1e-2)
-        errors = [None if f in (-1, _DEGENERATE) else _check_error(f) for f in failed.tolist()]
-        return (b, lam, q, z), accepted, errors
+        return (b, lam, q, z), accepted
     return _redraw_rows(streams, draw, f"no well-separated spectrum after 100 draws (n={n})")
-
-
-def _one_draw(n: int, drawn):
-    """The matrix and spectral data of a one-row :func:`_redraw_rows` result."""
-    (b, lam, q, z), errors = drawn
-    _raise_first(errors)
-    return AntisymTridiagonal(b[0]), SpectralData(n, lam[0], q[0],
-                                                  float(z[0]) if n % 2 else None)
 
 
 def _draw_with_spectrum(n: int, beta: float, stream: RandomStream,
                         min_relgap: float = 0.0):
-    """Sample a matrix whose spectrum passes the degeneracy guards, redrawing
-    (on split subkeys) in the rare near-degenerate cases at small beta: the
-    one-row case of :func:`_spectrum_draws`.
-
-    ``min_relgap`` additionally requires every squared-eigenvalue gap (and
-    the distance to zero) to exceed that fraction of ``lam_max**2``; exact
-    identities verified in floating point lose roughly the reciprocal of
-    the relative gap in precision, so conditioning must be bounded for a
-    tight residual check to be meaningful.  Tiny first components
-    (``q, z < 1e-2``) are then kept out too.
-    """
-    return _one_draw(n, _spectrum_draws(n, [beta], [stream], min_relgap))
+    """The matrix and spectral data of row 0 of :func:`_spectrum_draws`
+    on the one stream ``stream``."""
+    b, lam, q, z = _spectrum_draws(n, [beta], [stream], min_relgap)
+    return AntisymTridiagonal(b[0]), SpectralData(n, lam[0], q[0],
+                                                  float(z[0]) if n % 2 else None)
 
 
 def _orders(ns):
@@ -215,22 +198,17 @@ def run_cholesky(seed: int, count: int = 100) -> VerificationReport:
 
 
 def _jacobian_draws(n: int, beta: float, streams):
-    """Row form of :func:`_jacobian_point`, as :func:`_spectrum_draws`
-    returns them: each attempt is one spectrum draw per pending row on its
-    attempt stream, redrawn inside ``_spectrum_draws`` as needed."""
+    """Random spectra with enough margin from the normalization boundary
+    for finite-difference probing of the eliminated coordinate, as
+    :func:`_spectrum_draws` returns them: each attempt is one spectrum draw
+    per pending row on its attempt stream, redrawn inside
+    ``_spectrum_draws`` as needed."""
     def draw(rows, attempt_streams):
-        (b, lam, q, z), errors = _spectrum_draws(n, [beta] * len(rows), attempt_streams)
+        b, lam, q, z = _spectrum_draws(n, [beta] * len(rows), attempt_streams)
         margin = z ** 2 if n % 2 else 2.0 * q[:, -1] ** 2
         accepted = (margin > 1e-3) & (np.min(q, axis=1) > 1e-3)
-        return (b, lam, q, z), accepted, errors
+        return (b, lam, q, z), accepted
     return _redraw_rows(streams, draw, "no interior spectrum found for jacobian probing")
-
-
-def _jacobian_point(n: int, beta: float, stream: RandomStream):
-    """Random spectrum with enough margin from the normalization boundary
-    for finite-difference probing of the eliminated coordinate: the one-row
-    case of :func:`_jacobian_draws`."""
-    return _one_draw(n, _jacobian_draws(n, beta, [stream]))
 
 
 def run_jacobian(seed: int, count: int = 50) -> VerificationReport:
@@ -238,8 +216,7 @@ def run_jacobian(seed: int, count: int = 50) -> VerificationReport:
     root = RandomStream(seed, (3,))
     bound = 1e-5
     for n in (2, 3, 4, 5):
-        rows, errors = _jacobian_draws(n, 2.0, [root.split(n, i) for i in range(count)])
-        _raise_first(errors)
+        rows = _jacobian_draws(n, 2.0, [root.split(n, i) for i in range(count)])
         _, lam, q, z = rows
         analytic = transform._jacobian_analytic_rows(*rows)
         target = analytic / (2.0 * q[:, -1]) if n % 2 == 0 else analytic / z
@@ -256,9 +233,7 @@ def run_vandermonde(seed: int, count: int = 200) -> VerificationReport:
     ns, betas = np.array(list(_random_pairs(rng, count))).reshape(-1, 2).T
     worst = 0.0
     for n, idx in _orders(ns):
-        rows, errors = _spectrum_draws(n, betas[idx], [root.split(i) for i in idx],
-                                       min_relgap=1e-6)
-        _raise_first(errors)
+        rows = _spectrum_draws(n, betas[idx], [root.split(i) for i in idx], min_relgap=1e-6)
         worst = max(worst, float(np.max(transform._vandermonde_residual_rows(*rows))))
     bound = 1e-9
     report.add("log-residual", worst <= bound, statistic=worst, tolerance=bound)
@@ -355,8 +330,7 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
                       for _ in range(pairs)]).reshape(-1, 3)
     mismatches = 0
     for n, idx in _orders(draws[:, 0]):
-        (b, lam, _, _), errors = _spectrum_draws(n, draws[idx, 1], [root.split(i) for i in idx])
-        _raise_first(errors)
+        b, lam, _, _ = _spectrum_draws(n, draws[idx, 1], [root.split(i) for i in idx])
         mu = 0.0 + 1.2 * lam[:, 0] * draws[idx, 2]
         expected = np.sum(lam <= mu[:, None], axis=1)
         mismatches += int(np.count_nonzero(sturm._count_positive_leq_rows(b, mu) != expected))

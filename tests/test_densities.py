@@ -13,7 +13,6 @@ from skewbeta import densities
 from skewbeta.densities import (LogDensityValue, conditional_logpdf_down,
                                 conditional_logpdf_up, dixon_anderson_check,
                                 log_normalization_C, log_selberg_W,
-                                logpdf_singular_values,
                                 logpdf_positive_spectrum, selberg_consistency_check,
                                 eigenvalue_density_total_mass)
 from skewbeta.streams import ParameterError
@@ -74,6 +73,12 @@ class TestNormalizationConstants:
             log_selberg_W(-2.0, 2.0, 3)
 
 
+def _logpdf_singular_values(sigma, n, a, beta):
+    """The log-density of one row of singular values."""
+    return float(densities._logpdf_singular_values_rows(np.array([sigma], dtype=float),
+                                                        n, a, beta)[0])
+
+
 class TestLaguerreDensities:
     def test_n1_matches_gamma_density(self):
         # one singular value sigma of a chi_{2a} entry: sigma^2 / 2 is a
@@ -83,27 +88,25 @@ class TestLaguerreDensities:
         a, sigma = 2.5, 1.7
         expected = ((1 - a) * math.log(2.0) - gammaln(a)
                     + (2 * a - 1) * math.log(sigma) - sigma ** 2 / 2.0)
-        assert logpdf_singular_values([sigma], 1, a, 2.0).log_value == pytest.approx(
-            expected, rel=1e-12)
+        assert _logpdf_singular_values([sigma], 1, a, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_value_change_of_variables(self):
         # the even-order read-off block: sigma = sqrt(2) lam carries the
         # positive-spectrum law of order 2k with a = (2k-1) beta / 4
         sigma = np.array([2.0, 1.1])
         n, beta = 4, 2.0
-        sv = logpdf_singular_values(sigma, 2, (n - 1) * beta / 4.0, beta).log_value
+        sv = _logpdf_singular_values(sigma, 2, (n - 1) * beta / 4.0, beta)
         lam = logpdf_positive_spectrum(sigma / math.sqrt(2.0), n, beta).log_value
         assert sv == pytest.approx(lam - math.log(2.0), rel=1e-12)
 
     def test_n1_total_mass(self):
         a = 1.75
-        val, _ = quad(lambda x: math.exp(logpdf_singular_values([x], 1, a, 2.0).log_value),
-                      0, np.inf)
+        val, _ = quad(lambda x: math.exp(_logpdf_singular_values([x], 1, a, 2.0)), 0, np.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_parameter_constraint(self):
         with pytest.raises(ParameterError):
-            logpdf_singular_values([1.0, 0.5], 2, 0.5, 2.0)
+            _logpdf_singular_values([1.0, 0.5], 2, 0.5, 2.0)
 
 
 class TestConditionalDensities:
@@ -176,10 +179,6 @@ _ROW_CASES = {
         5: [(([2.0, 1.0],), True), (([1.0, 2.0],), False), (([1.0, 1.0],), False),
             (([1.0, 0.0],), False)],
     }),
-    "singular": (logpdf_singular_values, densities._logpdf_singular_values_rows, {
-        1: [(([1.7],), True), (([0.0],), False)],
-        2: [(([2.0, 1.1],), True), (([1.1, 2.0],), False), (([1.0, 1.0],), False)],
-    }),
 }
 
 
@@ -192,13 +191,12 @@ class TestRowFunctions:
         # support predicate, not a reading of the value
         public, rows_fn, cases = _ROW_CASES[law]
         for n, points in cases.items():
-            extra = (2.5 + n * beta,) if law == "singular" else ()
             stacked = [np.array([p[i] for p, _ in points], dtype=float).reshape(len(points), -1)
                        for i in range(len(points[0][0]))]
-            got = rows_fn(*stacked, n, *extra, beta)
+            got = rows_fn(*stacked, n, beta)
             assert got.shape == (len(points),)
             for row, (point, in_support) in zip(got, points):
-                val = public(*point, n, *extra, beta)
+                val = public(*point, n, beta)
                 assert np.array_equal(row, val.log_value, equal_nan=True), (n, point)
                 assert val.in_support is in_support, (n, point)
 

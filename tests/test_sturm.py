@@ -9,12 +9,17 @@ from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.sturm import (PruferPhases, _count_positive_leq_rows, count_positive_leq,
-                            prufer_phases, shooting_vector)
+from skewbeta.sturm import PruferPhases, _count_positive_leq_rows, prufer_phases, shooting_vector
 from skewbeta.verify import _wrap_violations
 
 # an overflow or invalid operation in any Sturm, shooting or Pruefer path fails
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _count_one(t, mu):
+    """The count of one matrix at one point: the one-row case of
+    ``_count_positive_leq_rows``."""
+    return int(_count_positive_leq_rows(t.b[None, :], np.array([mu]))[0])
 
 
 # References: scalar loops of the three-term recurrence, one point and one
@@ -105,23 +110,23 @@ class TestSturmCounting:
         rng = np.random.default_rng(seed)
         for _ in range(50):
             mu = float(rng.uniform(0.0, 1.3 * sd.lam[0]))
-            assert count_positive_leq(t, mu) == int(np.sum(sd.lam <= mu))
+            assert _count_one(t, mu) == int(np.sum(sd.lam <= mu))
 
     def test_count_above_spectrum(self):
         t = build_antisym_tridiagonal(6, 2.0, RandomStream(5))
         sd = positive_spectrum(t)
-        assert count_positive_leq(t, 2.0 * sd.lam[0]) == 3
+        assert _count_one(t, 2.0 * sd.lam[0]) == 3
 
     def test_count_at_zero(self):
         t = build_antisym_tridiagonal(6, 2.0, RandomStream(6))
-        assert count_positive_leq(t, 0.0) == 0
+        assert _count_one(t, 0.0) == 0
 
     def test_count_at_submatrix_eigenvalue(self):
         # mu = b_1 is an eigenvalue of the trailing 2x2 block, so P_2(mu) = 0
         # exactly; the count needs no perturbation there
         t = AntisymTridiagonal([1.0, 1.5, 0.5])
         lam = positive_spectrum(t).lam
-        assert count_positive_leq(t, 1.0) == int(np.sum(lam <= 1.0))
+        assert _count_one(t, 1.0) == int(np.sum(lam <= 1.0))
 
     def test_zero_below_tiny_spectrum(self):
         # beta = 0.05 draws with lambda_min < 1e-12; mu = 0 counts nothing
@@ -130,7 +135,7 @@ class TestSturmCounting:
             t = build_antisym_tridiagonal(12, 0.05, RandomStream(seed))
             if positive_spectrum_batch(t.b[None, :])[0, -1] < 1e-12:
                 tiny += 1
-                assert count_positive_leq(t, 0.0) == 0
+                assert _count_one(t, 0.0) == 0
         assert tiny > 100
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
@@ -138,7 +143,7 @@ class TestSturmCounting:
         for seed in range(20):
             t = build_antisym_tridiagonal(n, 2.0, RandomStream(seed))
             for mu in (-1e-300, -0.5, -3.0 * positive_spectrum(t).lam[0]):
-                assert count_positive_leq(t, mu) == 0
+                assert _count_one(t, mu) == 0
 
     @pytest.mark.parametrize("n", [12, 13, 40])
     def test_brackets_eigenvalues_to_relative_1e13(self, n):
@@ -147,26 +152,27 @@ class TestSturmCounting:
             t = build_antisym_tridiagonal(n, 0.05, RandomStream(seed))
             lam = positive_spectrum_batch(t.b[None, :])[0]
             for i, value in enumerate(lam):
-                assert count_positive_leq(t, value * (1.0 + 1e-13)) == lam.size - i
-                assert count_positive_leq(t, value * (1.0 - 1e-13)) == lam.size - i - 1
+                assert _count_one(t, value * (1.0 + 1e-13)) == lam.size - i
+                assert _count_one(t, value * (1.0 - 1e-13)) == lam.size - i - 1
 
     @pytest.mark.parametrize("n,beta,seed", REFERENCE_CASES)
     def test_matches_loop(self, n, beta, seed):
         t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
         rng = np.random.default_rng(seed)
         for mu in rng.uniform(0.0, 1.3 * positive_spectrum(t).lam[0], 20):
-            assert count_positive_leq(t, mu) == _loop_count(t.b, mu)
+            assert _count_one(t, mu) == _loop_count(t.b, mu)
 
     @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 0.5), (12, 0.05), (40, 0.25)])
     def test_stacked_counts_match_one_matrix_calls(self, n, beta):
-        # one matrix per point; the points include eigenvalues (which count
-        # as <= mu), 0, negative points and points above the spectrum
+        # one matrix per point, stacked or one row at a time; the points
+        # include eigenvalues (which count as <= mu), 0, negative points and
+        # points above the spectrum
         b = antisym_tridiagonal_batch(n, beta, RandomStream(n), 60)
         lam = positive_spectrum_batch(b)
         mu = np.random.default_rng(n).uniform(0.0, 1.3, 60) * lam[:, 0]
         mu[:10], mu[10:15], mu[15:20] = lam[:10, -1], 0.0, -lam[15:20, 0]
         got = _count_positive_leq_rows(b, mu)
-        assert got.tolist() == [count_positive_leq(AntisymTridiagonal(row), m)
+        assert got.tolist() == [_count_one(AntisymTridiagonal(row), m)
                                 for row, m in zip(b, mu)]
         # away from the computed eigenvalues the counts agree with them
         assert got[10:].tolist() == np.sum(lam[10:] <= mu[10:, None], axis=1).tolist()

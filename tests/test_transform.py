@@ -11,12 +11,10 @@ from skewbeta import verify
 from skewbeta.transform import (FiniteDifferenceError, _jacobian_analytic_rows,
                                 _jacobian_numeric_rows, _vandermonde_residual_rows,
                                 SignedPermutation, asps, block_embedding,
-                                cholesky_reindex, jacobian_analytic,
-                                jacobian_numeric, laguerre_map_batch,
+                                cholesky_reindex, laguerre_map_batch,
                                 reversed_cholesky_residual,
                                 shuffle_conjugation_check,
-                                tridiagonal_from_bidiagonal,
-                                vandermonde_identity_check)
+                                tridiagonal_from_bidiagonal)
 
 
 class TestSignedPermutation:
@@ -174,9 +172,13 @@ class TestVandermondeIdentity:
         (2, 2.0, 0), (3, 2.0, 1), (4, 1.0, 2), (7, 2.0, 3), (10, 4.0, 4),
     ])
     def test_log_residual_small(self, n, beta, seed):
-        from skewbeta.verify import _draw_with_spectrum
-        t, sd = _draw_with_spectrum(n, beta, RandomStream(seed), min_relgap=1e-6)
-        assert vandermonde_identity_check(t, sd) < 1e-9
+        rows = verify._spectrum_draws(n, [beta], [RandomStream(seed)], min_relgap=1e-6)
+        assert _vandermonde_residual_rows(*rows)[0] < 1e-9
+
+
+def _jacobian_numeric(sd, **kwargs):
+    """The finite-difference determinant of one row of spectral data."""
+    return float(_jacobian_numeric_rows(sd.n, sd.lam[None, :], sd.q[None, :], **kwargs)[0])
 
 
 class TestJacobian:
@@ -184,79 +186,65 @@ class TestJacobian:
         # single free coordinate: b = lam exactly, so d b/d lam = 1
         sd = positive_spectrum(
             AntisymTridiagonal(laguerre_map_batch(2, 2.0, RandomStream(0), None)))
-        assert jacobian_numeric(sd) == pytest.approx(1.0, rel=1e-7)
+        assert _jacobian_numeric(sd) == pytest.approx(1.0, rel=1e-7)
 
     def test_n3_closed_form(self):
         # analytic value b1 b2 / (q1 lam z); the free-chart determinant picks
         # up an extra 1/z from eliminating z by normalization
-        from skewbeta.verify import _jacobian_point
-        t, sd = _jacobian_point(3, 2.0, RandomStream(1))
-        analytic = jacobian_analytic(t, sd)
-        b1, b2 = t.b
-        assert analytic == pytest.approx(
-            b1 * b2 / (sd.q[0] * sd.lam[0] * sd.z), rel=1e-12)
-        assert jacobian_numeric(sd) == pytest.approx(analytic / sd.z, rel=1e-5)
+        b, lam, q, z = verify._jacobian_draws(3, 2.0, [RandomStream(1)])
+        analytic = _jacobian_analytic_rows(b, lam, q, z)[0]
+        (b1, b2), = b
+        assert analytic == pytest.approx(b1 * b2 / (q[0, 0] * lam[0, 0] * z[0]), rel=1e-12)
+        assert _jacobian_numeric_rows(3, lam, q)[0] == pytest.approx(analytic / z[0], rel=1e-5)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_chart_factors(self, n):
-        from skewbeta.verify import _jacobian_point
-        t, sd = _jacobian_point(n, 2.0, RandomStream(n))
-        analytic = jacobian_analytic(t, sd)
-        target = analytic / (2.0 * sd.q[-1]) if n % 2 == 0 else analytic / sd.z
-        assert jacobian_numeric(sd) == pytest.approx(target, rel=1e-5)
+        b, lam, q, z = verify._jacobian_draws(n, 2.0, [RandomStream(n)])
+        analytic = _jacobian_analytic_rows(b, lam, q, z)[0]
+        target = analytic / (2.0 * q[0, -1]) if n % 2 == 0 else analytic / z[0]
+        assert _jacobian_numeric_rows(n, lam, q)[0] == pytest.approx(target, rel=1e-5)
 
     def test_step_halving_guard(self):
         sd = positive_spectrum(
             AntisymTridiagonal(laguerre_map_batch(4, 2.0, RandomStream(2), None)))
         with pytest.raises(FiniteDifferenceError):
             # absurd step size cannot pass the Richardson consistency check
-            jacobian_numeric(sd, h_scale=0.25, richardson_rtol=1e-12)
+            _jacobian_numeric(sd, h_scale=0.25, richardson_rtol=1e-12)
 
     def test_boundary_point_rejected(self):
         # q1 -> sqrt(1/2) leaves no room for the eliminated coordinate when probed
         sd = SpectralData(4, [2.0, 1.0], [np.sqrt(0.5 - 1e-14), 1e-7])
         with pytest.raises(FiniteDifferenceError):
-            jacobian_numeric(sd)
-
-
-def _rows_of(draws):
-    (b, lam, q, z), errors = draws
-    assert not any(errors)
-    return b, lam, q, z
-
-
-def _one(n, b, lam, q, z, i):
-    return (AntisymTridiagonal(b[i]),
-            SpectralData(n, lam[i], q[i], float(z[i]) if n % 2 else None))
+            _jacobian_numeric(sd)
 
 
 class TestRowForms:
-    """Row i of every row form equals its public one-row call bit for bit."""
+    """Row i of every row form equals its one-row call bit for bit."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_vandermonde_and_analytic(self, n):
         streams = [RandomStream(n).split(i) for i in range(30)]
-        b, lam, q, z = _rows_of(verify._spectrum_draws(n, [0.5, 2.0, 4.0] * 10, streams, 1e-6))
-        residual = _vandermonde_residual_rows(b, lam, q, z)
-        analytic = _jacobian_analytic_rows(b, lam, q, z)
+        rows = verify._spectrum_draws(n, [0.5, 2.0, 4.0] * 10, streams, 1e-6)
+        residual = _vandermonde_residual_rows(*rows)
+        analytic = _jacobian_analytic_rows(*rows)
         for i in range(30):
-            t, sd = _one(n, b, lam, q, z, i)
-            assert residual[i] == vandermonde_identity_check(t, sd)
-            assert analytic[i] == jacobian_analytic(t, sd)
+            one = [r[i:i + 1] for r in rows]
+            assert residual[i] == _vandermonde_residual_rows(*one)[0]
+            assert analytic[i] == _jacobian_analytic_rows(*one)[0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_numeric_jacobian(self, n):
         streams = [RandomStream(n).split(i) for i in range(12)]
-        b, lam, q, z = _rows_of(verify._jacobian_draws(n, 2.0, streams))
+        _, lam, q, _ = verify._jacobian_draws(n, 2.0, streams)
         dets = _jacobian_numeric_rows(n, lam, q)
         for i in range(12):
-            assert dets[i] == jacobian_numeric(_one(n, b, lam, q, z, i)[1])
+            assert dets[i] == _jacobian_numeric_rows(n, lam[i:i + 1], q[i:i + 1])[0]
 
     def test_numeric_jacobian_raises_for_the_first_failing_row(self):
-        # "close": the -h probe of lam_1 crosses lam_2 (ValueError);
-        # "boundary": no room left for the eliminated q_k (FiniteDifferenceError);
-        # "both": the lam probe fails first (ValueError), the q probe later;
-        # at richardson_rtol = 1e-12, "good" fails the step-halving check
+        # "close": the -h probe of lam_1 crosses lam_2; "boundary": no room
+        # left for the eliminated q_k; "both": the two at once.  A batch
+        # holding any of them raises before any reconstruction; at
+        # richardson_rtol = 1e-12, "good" fails the step-halving check
         points = {"good": ([2.0, 1.0], [0.5, 0.5]),
                   "close": ([1.0, 1.0 - 1e-9], [0.5, 0.5]),
                   "boundary": ([2.0, 1.0], [np.sqrt(0.5 - 1e-14), 1e-7]),
@@ -264,22 +252,13 @@ class TestRowForms:
         for rtol, order in ((1e-4, ["good", "close", "boundary"]),
                             (1e-4, ["good", "boundary", "close"]),
                             (1e-4, ["both", "boundary"]),
+                            (1e-4, ["close"]), (1e-4, ["boundary"]), (1e-4, ["both"]),
                             (1e-12, ["good", "close"]),
                             (1e-12, ["close", "good"])):
-            raised = []
-            for name in order:
-                try:
-                    jacobian_numeric(SpectralData(4, *points[name]), richardson_rtol=rtol)
-                except (ValueError, FiniteDifferenceError) as exc:
-                    raised.append(exc)
             lam, q = (np.array([points[r][k] for r in order]) for k in (0, 1))
-            with pytest.raises((ValueError, FiniteDifferenceError)) as exc:
+            with pytest.raises(FiniteDifferenceError, match="leaves the chart"):
                 _jacobian_numeric_rows(4, lam, q, richardson_rtol=rtol)
-            assert type(exc.value) is type(raised[0]) and str(exc.value) == str(raised[0])
-        assert {type(e) for e in raised} == {ValueError, FiniteDifferenceError}
-        # each point raises what it fails first, in the probing order
-        for name, cls in (("close", ValueError), ("boundary", FiniteDifferenceError),
-                          ("both", ValueError)):
-            with pytest.raises((ValueError, FiniteDifferenceError)) as exc:
-                jacobian_numeric(SpectralData(4, *points[name]))
-            assert type(exc.value) is cls
+        lam, q = (np.array([points["good"][k]]) for k in (0, 1))
+        assert _jacobian_numeric_rows(4, lam, q)[0] > 0.0
+        with pytest.raises(FiniteDifferenceError, match="step-halving disagreement"):
+            _jacobian_numeric_rows(4, lam, q, richardson_rtol=1e-12)

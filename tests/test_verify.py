@@ -5,7 +5,7 @@ import pytest
 
 from skewbeta import sturm, transform, verify
 from skewbeta.ensembles import antisym_tridiagonal_batch, build_antisym_tridiagonal
-from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
+from skewbeta.spectral import SpectralData, positive_spectrum, positive_spectrum_batch
 from skewbeta.ensembles import AntisymTridiagonal
 from skewbeta.streams import RandomStream
 
@@ -81,18 +81,26 @@ def _one_row_outcomes(call, streams):
     return out
 
 
-def _assert_rows_equal(n, rows, errors, outcomes, first_draw):
-    """Row i of a row-form draw equals the i-th one-row outcome bit for bit;
-    returns how many rows were redrawn and the exception classes raised."""
+def _as_outcome(n, rows):
+    """The ``(t, sd)`` of a one-row draw."""
     b, lam, q, z = rows
-    redrawn, raised = 0, set()
-    for i, one in enumerate(outcomes):
-        if isinstance(one, Exception):
-            assert type(errors[i]) is type(one) and str(errors[i]) == str(one)
-            raised.add(type(one))
-            continue
-        t, sd = one
-        assert errors[i] is None
+    return AntisymTridiagonal(b[0]), SpectralData(n, lam[0], q[0],
+                                                  float(z[0]) if n % 2 else None)
+
+
+def _assert_batch_matches(batch, references, first_draw):
+    """A batch draw raises a class among those its references raise, or,
+    when every reference succeeds, its rows equal them bit for bit; returns
+    how many rows were redrawn and the exception classes raised."""
+    raised = {type(r) for r in references if isinstance(r, Exception)}
+    if raised:
+        with pytest.raises(ValueError) as exc:  # DegeneracyError is a ValueError
+            batch()
+        assert type(exc.value) in raised
+        return 0, raised
+    b, lam, q, z = batch()
+    redrawn = 0
+    for i, (t, sd) in enumerate(references):
         assert np.array_equal(b[i], t.b) and np.array_equal(lam[i], sd.lam)
         assert np.array_equal(q[i], sd.q)
         assert np.array_equal(z[i], np.nan if sd.z is None else sd.z, equal_nan=True)
@@ -101,6 +109,10 @@ def _assert_rows_equal(n, rows, errors, outcomes, first_draw):
 
 
 class TestRowForms:
+    """A batch draw equals the one-row redraw loops it replaced wherever
+    none of them raises; on one row it raises exactly what the loop
+    raises."""
+
     @pytest.mark.parametrize("n,betas,min_relgap,raises", [
         (4, [0.1, 2.0, 0.5, 0.1] * 10, 1e-6, {ValueError}),  # q <= 0 after redraws
         (12, [0.05] * 30, 0.0, {ValueError}),
@@ -109,13 +121,13 @@ class TestRowForms:
     ])
     def test_spectrum_draws_equal_one_row_calls(self, n, betas, min_relgap, raises):
         streams = [RandomStream(5).split(i) for i in range(len(betas))]
-        rows, errors = verify._spectrum_draws(n, betas, streams, min_relgap)
-        outcomes = _one_row_outcomes(
-            lambda i, s: verify._draw_with_spectrum(n, betas[i], s, min_relgap), streams)
-        _assert_same_outcomes(outcomes, _one_row_outcomes(
-            lambda i, s: _reference_draw(n, betas[i], s, min_relgap), streams))
-        redrawn, raised = _assert_rows_equal(
-            n, rows, errors, outcomes,
+        references = _one_row_outcomes(
+            lambda i, s: _reference_draw(n, betas[i], s, min_relgap), streams)
+        _assert_same_outcomes(_one_row_outcomes(
+            lambda i, s: verify._draw_with_spectrum(n, betas[i], s, min_relgap), streams),
+            references)
+        redrawn, raised = _assert_batch_matches(
+            lambda: verify._spectrum_draws(n, betas, streams, min_relgap), references,
             lambda i: antisym_tridiagonal_batch(n, betas[i], streams[i].split(0), None))
         assert raised == raises
         assert redrawn > 0 or min_relgap == 0.0 or raises
@@ -123,14 +135,15 @@ class TestRowForms:
     @pytest.mark.parametrize("n,beta", [(3, 0.1), (5, 0.1), (4, 2.0)])
     def test_jacobian_draws_equal_one_row_calls(self, n, beta):
         streams = [RandomStream(5).split(i) for i in range(30)]
-        rows, errors = verify._jacobian_draws(n, beta, streams)
-        outcomes = _one_row_outcomes(lambda i, s: verify._jacobian_point(n, beta, s), streams)
-        _assert_same_outcomes(outcomes, _one_row_outcomes(
-            lambda i, s: _reference_jacobian_point(n, beta, s), streams))
-        redrawn, raised = _assert_rows_equal(
-            n, rows, errors, outcomes,
+        references = _one_row_outcomes(lambda i, s: _reference_jacobian_point(n, beta, s),
+                                       streams)
+        _assert_same_outcomes(_one_row_outcomes(
+            lambda i, s: _as_outcome(n, verify._jacobian_draws(n, beta, [s])), streams),
+            references)
+        redrawn, raised = _assert_batch_matches(
+            lambda: verify._jacobian_draws(n, beta, streams), references,
             lambda i: antisym_tridiagonal_batch(n, beta, streams[i].split(0, 0), None))
-        assert redrawn > 0 or beta == 2.0
+        assert redrawn > 0 or beta == 2.0 or raised
         assert raised == ({ValueError} if n == 5 else set())
 
     def test_empty_batches(self):
@@ -138,11 +151,6 @@ class TestRowForms:
         for report in (verify.run_jacobian(SEED, count=0), verify.run_vandermonde(SEED, count=0),
                        verify.run_sturm_prufer(SEED, pairs=0)):
             assert report.all_passed and report.cases[0].statistic == 0.0
-
-    def test_raise_first(self):
-        verify._raise_first([None, None])
-        with pytest.raises(KeyError):
-            verify._raise_first([None, KeyError("a"), ValueError("b")])
 
 
 def _reference_eigenvalue_count(seed: int, pairs: int = 1000) -> int:
@@ -156,7 +164,7 @@ def _reference_eigenvalue_count(seed: int, pairs: int = 1000) -> int:
         t, sd = verify._draw_with_spectrum(n, beta, root.split(i))
         mu = float(rng.uniform(0.0, 1.2 * sd.lam[0]))
         expected = int(np.sum(sd.lam <= mu))
-        if sturm.count_positive_leq(t, mu) != expected:
+        if sturm._count_positive_leq_rows(t.b[None, :], np.array([mu]))[0] != expected:
             mismatches += 1
     return mismatches
 
@@ -168,7 +176,9 @@ def _reference_vandermonde(seed: int, count: int = 200) -> float:
     worst = 0.0
     for i, (n, beta) in enumerate(verify._random_pairs(rng, count)):
         t, sd = verify._draw_with_spectrum(n, beta, root.split(i), min_relgap=1e-6)
-        worst = max(worst, transform.vandermonde_identity_check(t, sd))
+        z = np.array([np.nan if sd.z is None else sd.z])
+        worst = max(worst, float(transform._vandermonde_residual_rows(
+            t.b[None, :], sd.lam[None, :], sd.q[None, :], z)[0]))
     return worst
 
 
@@ -190,7 +200,7 @@ def _record_rows(monkeypatch, module, name):
 class TestDrawOrder:
     """The batched suites check the matrices, spectra and points of the
     one-pair loops they replaced, bit for bit: every row the row form gets
-    is a row its one-row wrapper got in the loop."""
+    is a row it got, one row per call, in the loop."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_eigenvalue_count_matches_one_pair_loop(self, seed, monkeypatch):

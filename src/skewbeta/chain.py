@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import ParameterError, RandomStream, sample_dirichlet, sample_gamma
+from .streams import ParameterError, RandomStream, gamma_table, sample_dirichlet
 
 
 class RootBracketError(RuntimeError):
@@ -260,16 +260,12 @@ def _step_down_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream,
     return secular_roots(0, poles, sample_dirichlet(s, stream, size=reps))
 
 
-def _one_stream(stream: RandomStream, reps: int):
-    """Border weights for all rows from one stream, one call per step."""
-    return lambda shape, cols: sample_gamma(shape, stream, size=(reps, cols))
-
-
-def _stream_per_row(streams):
-    """Border weights for row ``i`` from ``streams[i]``, with the calls the
-    one-row chain makes on it."""
-    return lambda shape, cols: np.concatenate(
-        [sample_gamma(shape, s, size=(1, cols)) for s in streams])
+def _weights(streams, per_stream: int):
+    """Border weights of ``len(streams) * per_stream`` rows, stream ``i``
+    drawing rows ``i * per_stream`` onward in one call per step: one stream
+    draws a whole batch, and one stream per row makes the calls of the
+    one-row chain."""
+    return lambda shape, cols: gamma_table([shape], streams, (per_stream, cols)).reshape(-1, cols)
 
 
 def _chain_sq(n: int, beta: float, draw, reps: int):
@@ -295,7 +291,7 @@ def chain_step_up(lam_prev, n: int, beta: float, stream: RandomStream) -> np.nda
         raise ParameterError(f"expected {k} eigenvalues for step n={n}")
     if np.any(np.diff(lam_prev) >= 0):
         raise ParameterError("eigenvalues must be strictly descending")
-    return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, _one_stream(stream, 1))[0])
+    return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, _weights([stream], 1))[0])
 
 
 def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
@@ -307,7 +303,7 @@ def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
 def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[ChainState]:
     """All intermediate positive spectra of the chain, sizes 1 through n."""
     return [ChainState(m=m, lam=np.sqrt(lam_sq[0]))
-            for m, lam_sq in enumerate(_chain_sq(n, beta, _one_stream(stream, 1), 1),
+            for m, lam_sq in enumerate(_chain_sq(n, beta, _weights([stream], 1), 1),
                                        start=1)]
 
 
@@ -327,14 +323,14 @@ def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
 def chain_sample_batch(n: int, beta: float, stream: RandomStream, reps: int) -> np.ndarray:
     """``reps`` independent positive spectra of the size-n ensemble, shape
     ``(reps, n//2)``; every border step solves all rows at once."""
-    return _last_sqrt(_chain_sq(n, beta, _one_stream(stream, reps), reps))
+    return _last_sqrt(_chain_sq(n, beta, _weights([stream], reps), reps))
 
 
 def chain_sample_rows(n: int, beta: float, streams) -> np.ndarray:
     """One positive spectrum per stream, shape ``(len(streams), n//2)``: row
     ``i`` equals ``chain_sample(n, beta, streams[i])`` exactly, and every
     border step solves all rows at once."""
-    return _last_sqrt(_chain_sq(n, beta, _stream_per_row(streams), len(streams)))
+    return _last_sqrt(_chain_sq(n, beta, _weights(streams, 1), len(streams)))
 
 
 def _last_sqrt(chain) -> np.ndarray:

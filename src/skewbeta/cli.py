@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__, chain, densities, sturm, verify
 from .ensembles import (EnsembleSpec, SizeError, _c_matrix_chis, _laguerre_chis,
-                        antisym_tridiagonal_batch, build_antisym_tridiagonal,
+                        antisym_tridiagonal_rows, build_antisym_tridiagonal,
                         build_dense_antisym_gue, dense_antisym_gue_rows,
                         householder_reduce, householder_reduce_batch)
 from .spectral import positive_spectrum_batch, spectral_rows
@@ -93,8 +93,8 @@ def _spectral_table(b: np.ndarray) -> np.ndarray:
 
 def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
-    draws on ``root.split(i)`` with the calls of the one-replicate builder;
-    the draws are then solved in one batch."""
+    draws on ``root.split(i)`` with the calls of the one-replicate builder,
+    in one draw call for all; the draws are then solved in one batch."""
     if config.reps < 0:
         raise ParameterError(f"reps must be nonnegative, got {config.reps}")
     spec = EnsembleSpec(kind=config.ensemble, n=config.n, beta=config.beta,
@@ -111,18 +111,16 @@ def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     if not streams:
         return header, np.empty((0, len(header)))
     if spec.kind == "antisym-trid":
-        table = _spectral_table(np.array(
-            [antisym_tridiagonal_batch(n, spec.beta, s, None) for s in streams]))
+        table = _spectral_table(antisym_tridiagonal_rows(n, spec.beta, streams))
     elif spec.kind == "antisym-dense-gue":
         table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
     elif spec.kind == "chain":
         table = chain.chain_sample_rows(n, spec.beta, streams)
     else:  # a chi block's singular values are the spectrum of its read-off
         if spec.kind == "laguerre-bidiag":
-            draws = [_laguerre_chis(n, spec.a, spec.beta, s, None) for s in streams]
+            d, e = _laguerre_chis(n, spec.a, spec.beta, streams)
         else:  # c-matrix
-            draws = [_c_matrix_chis(n, spec.beta, s, None) for s in streams]
-        d, e = (np.array(part) for part in zip(*draws))
+            d, e = _c_matrix_chis(n, spec.beta, streams)
         table = positive_spectrum_batch(bidiagonal_read_off(d, e))
     return header, table
 

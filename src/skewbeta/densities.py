@@ -58,8 +58,8 @@ def log_normalization_C(n: int, beta: float) -> float:
     quadrature checks evaluate the density thousands of times per order)."""
     if n < 2:
         raise ParameterError("need n >= 2")
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ParameterError(f"beta must be positive and finite, got {beta}")
     m = n if n % 2 == 0 else n - 1
     js = np.arange(1, m // 2 + 1)
     total = float(np.sum(gammaln(2 * js * beta / 4.0) + gammaln((2 * js - 1) * beta / 4.0))

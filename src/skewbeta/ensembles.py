@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import ParameterError, RandomStream, sample_chi_tilde, sample_normal, \
-    sample_standard_chi
+from .streams import ParameterError, RandomStream, gamma_table, sample_normal
 
 
 class SizeError(ValueError):
@@ -126,11 +125,13 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
-        if not self.beta > 0:
-            raise ParameterError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ParameterError(f"beta must be positive and finite, got {self.beta}")
         if self.kind == "laguerre-bidiag":
             if self.a is None:
                 raise ParameterError("laguerre-bidiag requires parameter a")
+            if not abs(self.a) < np.inf:
+                raise ParameterError(f"a must be finite, got {self.a}")
             if not 2 * self.a - (self.n - 1) * self.beta > 0:
                 raise ParameterError(
                     f"need 2a - (n-1)*beta > 0, got 2*{self.a} - {self.n - 1}*{self.beta}"
@@ -166,12 +167,17 @@ def antisym_tridiagonal_batch(n: int, beta: float, stream: RandomStream,
                               reps: int | None) -> np.ndarray:
     """Vectorized batch of off-diagonal sequences, shape ``(reps, n-1)``;
     ``reps=None`` draws one sequence, shape ``(n-1,)``."""
+    return antisym_tridiagonal_rows(n, beta, [stream], reps)[0]
+
+
+def antisym_tridiagonal_rows(n: int, beta, streams, reps: int | None = None) -> np.ndarray:
+    """Off-diagonal sequences drawn on each stream, shape ``(len(streams),
+    [reps,] n-1)``: row ``i`` is ``antisym_tridiagonal_batch(n, beta_i,
+    streams[i], reps)``, where ``beta`` is one value or a column
+    ``(len(streams), 1)`` of one value per stream."""
     if n < 2:
         raise SizeError(f"need n >= 2, got {n}")
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
-    cols = [sample_chi_tilde(k * beta / 2.0, stream, size=reps) for k in range(1, n)]
-    return np.array(cols).T
+    return gamma_table(np.arange(1, n) * (beta / 4.0), streams, reps, scale=1.0).swapaxes(1, -1)
 
 
 def build_dense_antisym_gue(n: int, stream: RandomStream) -> DenseAntisym:
@@ -241,21 +247,20 @@ def householder_reduce_batch(a: np.ndarray) -> np.ndarray:
 def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStream) -> LowerBidiagonal:
     """Square bidiagonal chi matrix: diagonal ``chi_{2a}, chi_{2a-beta}, ...``,
     subdiagonal ``chi_{(n-1)beta}, ..., chi_beta`` (standard chi convention)."""
-    return LowerBidiagonal(*_laguerre_chis(n, a, beta, stream, None), rows=n)
+    d, e = _laguerre_chis(n, a, beta, [stream])
+    return LowerBidiagonal(d[0], e[0], rows=n)
 
 
-def _laguerre_chis(n: int, a: float, beta: float, stream: RandomStream, reps: int | None):
+def _laguerre_chis(n: int, a: float, beta: float, streams, reps: int | None = None):
     """Diagonal and subdiagonal chi draws of the square Laguerre block, shapes
-    ``(reps, n)`` and ``(reps, n-1)``; ``reps=None`` draws one block."""
+    ``(len(streams), [reps,] n)`` and ``(len(streams), [reps,] n-1)``."""
     if n < 1:
         raise SizeError("need n >= 1")
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
     if not 2 * a - (n - 1) * beta > 0:
         raise ParameterError("need 2a - (n-1)*beta > 0")
     degrees = ([2 * a - j * beta for j in range(n)]
                + [(n - 1 - j) * beta for j in range(n - 1)])
-    return _chi_block(degrees, n, stream, reps)
+    return _chi_block(degrees, n, streams, reps)
 
 
 def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal:
@@ -263,23 +268,22 @@ def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal
     construction after removing the trailing zero column: diagonal
     ``chi_{k*beta}, ..., chi_beta``, subdiagonal ``chi_{(2k-1)beta/2}, ..., chi_{beta/2}``.
     """
-    return LowerBidiagonal(*_c_matrix_chis(k, beta, stream, None), rows=k + 1)
+    d, e = _c_matrix_chis(k, beta, [stream])
+    return LowerBidiagonal(d[0], e[0], rows=k + 1)
 
 
-def _c_matrix_chis(k: int, beta: float, stream: RandomStream, reps: int | None):
+def _c_matrix_chis(k: int, beta: float, streams, reps: int | None = None):
     """Diagonal and subdiagonal chi draws of the C-matrix, both of shape
-    ``(reps, k)``; ``reps=None`` draws one matrix."""
+    ``(len(streams), [reps,] k)``."""
     if k < 1:
         raise SizeError("need k >= 1")
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
     degrees = ([(k - j) * beta for j in range(k)]
                + [(2 * (k - j) - 1) * beta / 2.0 for j in range(k)])
-    return _chi_block(degrees, k, stream, reps)
+    return _chi_block(degrees, k, streams, reps)
 
 
-def _chi_block(degrees, cols: int, stream: RandomStream, reps: int | None):
-    """One standard-chi draw of ``size=reps`` per degree, in order, split
+def _chi_block(degrees, cols: int, streams, reps: int | None):
+    """Standard-chi draws of the given degrees, one row per stream, split
     into the diagonal (the first ``cols``) and the subdiagonal."""
-    chis = np.array([sample_standard_chi(k, stream, size=reps) for k in degrees]).T
+    chis = gamma_table(np.divide(degrees, 2.0), streams, reps, scale=2.0).swapaxes(1, -1)
     return chis[..., :cols], chis[..., cols:]

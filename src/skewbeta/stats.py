@@ -1,5 +1,5 @@
-"""Goodness-of-fit machinery: KS tests, moment z-scores, quadrature CDFs,
-and the machine-readable verification report format."""
+"""Goodness-of-fit machinery: KS tests, quadrature CDFs and the
+machine-readable verification report format."""
 
 from __future__ import annotations
 
@@ -59,18 +59,6 @@ def ks_one_sample(x, cdf) -> KSResult:
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / x.size))))
     return KSResult(statistic=min(d, 1.0), n_x=x.size, n_y=None,
                     p_value=_ks_pvalue(min(d, 1.0), float(x.size)))
-
-
-def moment_test(sample, target_mean: float, target_variance: float) -> float:
-    """Z-score of the sample mean against a target mean, with the standard
-    error computed from the *target* variance."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.size < 100:
-        raise ParameterError("need at least 100 observations")
-    if not target_variance > 0:
-        raise ParameterError("target variance must be positive")
-    se = math.sqrt(target_variance / sample.size)
-    return float((np.mean(sample) - target_mean) / se)
 
 
 def _tanh_sinh(lo: float, hi: float, step: float):

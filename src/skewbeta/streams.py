@@ -15,6 +15,7 @@ constructor can state which convention it uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,52 +52,67 @@ class RandomStream:
         return self._gen
 
 
-def sample_gamma(shape, stream: RandomStream, size=None):
-    """Draw from the rate-1 gamma density ``u**(shape-1) * exp(-u) / Gamma(shape)``.
+def gamma_table(shapes, streams, size=None, scale=None):
+    """Rate-1 gamma draws ``G``, or chis ``sqrt(scale * G)``, one row per
+    stream: shape ``(len(streams), cols) + size`` for ``shapes`` of shape
+    ``(cols,)``, shared by every row, or ``(len(streams), cols)``.
 
-    Shapes below 1 use the boost identity ``Gamma(a) ~ Gamma(a+1) * U**(1/a)``,
-    which avoids the rejection pathologies of direct small-shape sampling.
+    Row ``i`` is filled on ``streams[i]``, column by column, with bare calls:
+    ``gamma(a)`` from shape 1 up, else ``gamma(a + 1)`` and ``random()`` for
+    the boost ``Gamma(a) ~ Gamma(a+1) * U**(1/a)``, which avoids the rejection
+    pathologies of direct small-shape sampling; one transform then serves the
+    whole table.  A chi takes the boost in log space, so it underflows to 0
+    only where its own log falls below about -745, the double floor.
     """
-    shape = float(shape)
-    if not shape > 0:
-        raise ParameterError(f"gamma shape must be positive, got {shape}")
-    gen = stream.generator
-    if shape >= 1.0:
-        return gen.gamma(shape, size=size)
-    boost = gen.gamma(shape + 1.0, size=size)
-    u = gen.random(size=size)
-    return boost * u ** (1.0 / shape)
+    shapes = np.asarray(shapes, dtype=float)
+    flat = shapes.ravel().tolist()
+    # a NaN or an infinity makes the sum non-finite
+    if flat and not (math.isfinite(sum(flat)) and min(flat) > 0):
+        raise ParameterError(f"gamma shapes must be positive and finite, got {shapes}")
+    rows = shapes.tolist() if shapes.ndim == 2 else [flat] * len(streams)
+    boost, u = [], []
+    for stream, row in zip(streams, rows):
+        gamma, random = stream.generator.gamma, stream.generator.random
+        for a in row:
+            if a < 1.0:
+                boost.append(gamma(a + 1.0, size=size))
+                u.append(random(size))
+            else:
+                boost.append(gamma(a, size=size))
+    tail = () if size is None else tuple(np.atleast_1d(size))
+    cells = shapes if shapes.ndim == 2 else shapes[None].repeat(len(streams), axis=0)
+    boost = np.array(boost).reshape(cells.shape + tail)
+    small = cells < 1.0
+    a, u = cells[small], np.array(u).reshape((-1,) + tail)
+    if scale is not None:  # in place: no second table at large sizes
+        boost *= scale
+        a, g = a.reshape(a.shape + (1,) * len(tail)), boost[small]
+        np.sqrt(boost, out=boost)
+        if u.size:
+            boost[small] = np.exp(0.5 * (np.log(g) + np.log(u) / a))
+        return boost
+    for shape in set(a.tolist()):
+        # a Python-float exponent, as one column's draw takes it; a
+        # size=None draw is a Python float, and so is its power
+        e, drawn = 1.0 / shape, u[a == shape]
+        boost[cells == shape] *= drawn ** e if tail else np.array([x ** e for x in drawn.tolist()])
+    return boost
 
 
-def _sqrt_gamma(shape: float, scale: float, stream: RandomStream, size):
-    """``sqrt(scale * G)`` for ``G`` a rate-1 gamma of the given shape, with the
-    generator calls of :func:`sample_gamma`.  Below shape 1 the boost is taken
-    in log space, ``exp((log(scale * boost) + log(u) / shape) / 2)``, so the
-    result does not underflow to 0 where ``u**(1/shape)`` alone would.  It
-    still underflows to 0 where its own log falls below about -745, the
-    double floor, which small shapes reach."""
-    gen = stream.generator
-    if shape >= 1.0:
-        return np.sqrt(scale * gen.gamma(shape, size=size))
-    boost = gen.gamma(shape + 1.0, size=size)
-    u = gen.random(size=size)
-    return np.exp(0.5 * (np.log(scale * boost) + np.log(u) / shape))
+def sample_gamma(shape, stream: RandomStream, size=None):
+    """Draw from the rate-1 gamma density ``u**(shape-1) * exp(-u) / Gamma(shape)``;
+    the one-cell case of :func:`gamma_table`."""
+    return gamma_table([shape], [stream], size)[0, 0]
 
 
 def sample_chi_tilde(k, stream: RandomStream, size=None):
     """Square root of a rate-1 gamma with shape ``k/2``; ``E[x**2] = k/2``."""
-    k = float(k)
-    if not k > 0:
-        raise ParameterError(f"chi-tilde degrees must be positive, got {k}")
-    return _sqrt_gamma(k / 2.0, 1.0, stream, size)
+    return gamma_table([k / 2.0], [stream], size, scale=1.0)[0, 0]
 
 
 def sample_standard_chi(k, stream: RandomStream, size=None):
     """Standard chi variable with ``k`` degrees; equals sqrt(2)*chi_tilde(k) in law."""
-    k = float(k)
-    if not k > 0:
-        raise ParameterError(f"chi degrees must be positive, got {k}")
-    return _sqrt_gamma(k / 2.0, 2.0, stream, size)
+    return gamma_table([k / 2.0], [stream], size, scale=2.0)[0, 0]
 
 
 def sample_dirichlet(s, stream: RandomStream, size=None):
@@ -108,10 +124,8 @@ def sample_dirichlet(s, stream: RandomStream, size=None):
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ParameterError("dirichlet parameter must be a nonempty 1-d sequence")
-    if not np.all(s > 0):
-        raise ParameterError("dirichlet parameters must all be positive")
-    cols = [sample_gamma(si, stream, size=size) for si in s]
-    g = np.stack(cols, axis=-1)
+    # parameters last and contiguous, so the sum adds them in its usual order
+    g = np.ascontiguousarray(np.moveaxis(gamma_table(s, [stream], size)[0], 0, -1))
     return g / np.sum(g, axis=-1, keepdims=True)
 
 

@@ -126,10 +126,10 @@ def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
     if n < 2:
         raise SizeError("need n >= 2")
     if n % 2 == 0:
-        d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, stream, reps)
+        d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, [stream], reps)
     else:
-        d, e = _c_matrix_chis(n // 2, beta, stream, reps)
-    return bidiagonal_read_off(d, e) / math.sqrt(2.0)
+        d, e = _c_matrix_chis(n // 2, beta, [stream], reps)
+    return bidiagonal_read_off(d[0], e[0]) / math.sqrt(2.0)
 
 
 def cholesky_reindex(bsq) -> np.ndarray:

@@ -11,9 +11,9 @@ from scipy.special import betainc, gammainc
 
 from . import chain, densities, sturm, transform
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
-                        antisym_tridiagonal_batch, build_antisym_tridiagonal,
-                        build_c_matrix, dense_antisym_gue_rows,
-                        householder_reduce_batch)
+                        antisym_tridiagonal_batch, antisym_tridiagonal_rows,
+                        build_antisym_tridiagonal, build_c_matrix,
+                        dense_antisym_gue_rows, householder_reduce_batch)
 from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_svd,
                        _check_error, _failed_checks, _first_component_sq_batch,
                        moment_equations_check, positive_spectrum,
@@ -70,8 +70,8 @@ def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
     (``q, z < 1e-2``) are then kept out too.
     """
     def draw(rows, attempt_streams):
-        b = np.array([antisym_tridiagonal_batch(n, betas[i], s, None)
-                      for i, s in zip(rows, attempt_streams)]).reshape(len(rows), n - 1)
+        b = antisym_tridiagonal_rows(n, np.asarray(betas, dtype=float)[rows, None],
+                                     attempt_streams)
         lam, q, z = _bidiagonal_svd(b)
         failed = _failed_checks(b, lam, q, z)
         fatal = np.flatnonzero((failed >= 0) & (failed != _DEGENERATE))
@@ -283,7 +283,7 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
     c = lam * (1.0 + 1e-12)
     for j, beta in enumerate((0.25, 1.0, 2.0, 4.0)):
         x = np.sqrt(chain._step_up_sq(np.full((reps, 1), lam ** 2), 2, beta,
-                                      chain._one_stream(root.split(9, j), reps))[:, 0])
+                                      chain._weights([root.split(9, j)], reps))[:, 0])
         cdf = quadrature_cdf(
             lambda v: densities._conditional_logpdf_up_rows(v[:, None], lam_row, 2, beta),
             c, lam + 8.0)

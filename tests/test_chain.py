@@ -14,8 +14,10 @@ from skewbeta.chain import (ChainState, RootBracketError, chain_sample,
                             chain_sample_batch, chain_sample_rows,
                             chain_step_up, chain_trajectory, secular_roots,
                             step_down)
-from skewbeta.stats import ks_one_sample, moment_test
+from skewbeta.stats import ks_one_sample
 from skewbeta.streams import ParameterError, RandomStream, sample_gamma
+
+from moments import moment_test
 
 
 def _row_roots(constant, a, c) -> np.ndarray:

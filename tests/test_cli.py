@@ -153,6 +153,21 @@ class TestSample:
                            "--n", "4", "--a", "1.0", "--seed", "0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("ensemble,extra,bad", [
+        ("antisym-trid", ("--beta", "inf"), "beta"),
+        ("antisym-trid", ("--beta", "nan"), "beta"),
+        ("chain", ("--beta", "inf"), "beta"),
+        ("c-matrix", ("--beta", "inf"), "beta"),
+        ("laguerre-bidiag", ("--a", "inf"), "a"),
+        ("laguerre-bidiag", ("--a", "5", "--beta", "inf"), "beta"),
+    ])
+    def test_nonfinite_parameter_exits_two(self, capsys, ensemble, extra, bad):
+        # rejected up front, naming the parameter, before any draw
+        code, out, err = run(capsys, "sample", "--ensemble", ensemble, "--n", "4",
+                             "--seed", "0", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} must be")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "sample", "--n", "4", "--seed", "0",
@@ -207,6 +222,12 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--n", "4", "--beta", "2",
                            "--point", "1.0")
         assert code == 2 and "error" in err
+
+    def test_infinite_beta_exits_two(self, capsys):
+        # at inf the log-density was NaN, printed with exit 0
+        code, out, err = run(capsys, "density", "--n", "4", "--beta", "inf",
+                             "--point", "1.5,0.5")
+        assert code == 2 and out == "" and err.startswith("error: beta must be")
 
 
 class TestPruferAndHouseholder:

@@ -9,7 +9,7 @@ from scipy.linalg import hessenberg
 from skewbeta.ensembles import (AntisymTridiagonal, DegenerateInputError,
                                 DenseAntisym, EnsembleSpec, LowerBidiagonal,
                                 SizeError, antisym_tridiagonal_batch,
-                                build_antisym_tridiagonal, build_c_matrix,
+                                antisym_tridiagonal_rows, build_antisym_tridiagonal, build_c_matrix,
                                 build_dense_antisym_gue,
                                 build_laguerre_bidiagonal, dense_antisym_gue_rows,
                                 householder_reduce, householder_reduce_batch)
@@ -80,6 +80,18 @@ class TestEnsembleSpec:
         with pytest.raises(SizeError):
             EnsembleSpec(kind="antisym-trid", n=1, beta=2.0)
 
+    @pytest.mark.parametrize("kind", EnsembleSpec.KINDS)
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -1.0])
+    def test_beta_must_be_positive_and_finite(self, kind, beta):
+        a = 4.0 if kind == "laguerre-bidiag" else None
+        with pytest.raises(ParameterError, match="beta"):
+            EnsembleSpec(kind=kind, n=3, beta=beta, a=a)
+
+    @pytest.mark.parametrize("a", [np.inf, -np.inf, np.nan])
+    def test_laguerre_a_must_be_finite(self, a):
+        with pytest.raises(ParameterError, match="a must be finite"):
+            EnsembleSpec(kind="laguerre-bidiag", n=3, beta=2.0, a=a)
+
 
 class TestBuilders:
     @pytest.mark.parametrize("n", [2, 3, 7])
@@ -107,15 +119,25 @@ class TestBuilders:
 
     @pytest.mark.parametrize("beta", [0.05, 0.5, 4.0])
     def test_builder_is_batch_row(self, beta):
-        # at beta=4 every gamma shape k*beta/4 is >= 1 and the draws agree
-        # exactly; smaller shapes take the boost, whose power of a size-1
-        # array may round an ulp away from the scalar's
-        rtol = 0.0 if beta == 4.0 else 1e-15
+        # reps=None and reps=1 make the same generator calls and one table
+        # transform, so they agree bit for bit on both sides of shape 1
         for n in (2, 3, 6, 11):
             for seed in range(10):
                 b = build_antisym_tridiagonal(n, beta, RandomStream(seed)).b
                 row = antisym_tridiagonal_batch(n, beta, RandomStream(seed), 1)[0]
-                assert np.max(np.abs(b - row) / row) <= rtol
+                assert np.array_equal(b, row)
+
+    def test_rows_are_builders_on_their_streams(self):
+        # one beta for every row, or a column of one beta per row
+        root = RandomStream(6)
+        betas = np.array([0.05, 0.5, 2.0, 4.0, 0.05, 2.0])
+        for beta in (0.5, betas[:, None]):
+            rows = antisym_tridiagonal_rows(7, beta, [root.split(i) for i in range(6)])
+            assert rows.shape == (6, 6)
+            for i in range(6):
+                beta_i = np.broadcast_to(beta, (6, 1))[i, 0]
+                b = build_antisym_tridiagonal(7, beta_i, root.split(i)).b
+                assert np.array_equal(rows[i], b)
 
     def test_dense_gue_variance(self):
         vals = np.concatenate([

@@ -12,8 +12,10 @@ from skewbeta.densities import (_conditional_logpdf_down_rows,
                                 _logpdf_positive_spectrum_rows)
 from skewbeta.stats import (CaseResult, KSResult, VerificationReport,
                             _tanh_sinh, ks_one_sample, ks_two_sample,
-                            moment_test, quadrature_cdf)
+                            quadrature_cdf)
 from skewbeta.streams import ParameterError
+
+from moments import moment_test
 
 
 class TestKSTwoSample:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbeta.streams import (ParameterError, RandomStream, sample_chi_tilde,
-                              sample_dirichlet, sample_gamma, sample_normal,
-                              sample_standard_chi)
+from skewbeta.streams import (ParameterError, RandomStream, gamma_table,
+                              sample_chi_tilde, sample_dirichlet, sample_gamma,
+                              sample_normal, sample_standard_chi)
 
 
 class TestRandomStream:
@@ -105,6 +105,72 @@ class TestChiConventions:
             sample_chi_tilde(0.0, RandomStream(0))
         with pytest.raises(ParameterError):
             sample_standard_chi(-2.0, RandomStream(0))
+
+
+def _per_column_reference(shapes, streams, size, scale):
+    """The table of :func:`gamma_table` drawn one column at a time, each
+    cell with its own generator calls and its own transform."""
+    rows = []
+    for stream, row in zip(streams, np.broadcast_to(shapes, (len(streams), shapes.shape[-1]))):
+        gen, cells = stream.generator, []
+        for a in row.tolist():
+            if a >= 1.0:
+                g = gen.gamma(a, size=size)
+                cells.append(g if scale is None else np.sqrt(scale * g))
+                continue
+            boost = gen.gamma(a + 1.0, size=size)
+            u = gen.random(size=size)
+            cells.append(boost * u ** (1.0 / a) if scale is None
+                         else np.exp(0.5 * (np.log(scale * boost) + np.log(u) / a)))
+        rows.append(cells)
+    tail = () if size is None else (size,)
+    return np.array(rows, dtype=float).reshape((len(streams), shapes.shape[-1]) + tail)
+
+
+class TestGammaTable:
+    @pytest.mark.parametrize("scale", [None, 1.0, 2.0])
+    @pytest.mark.parametrize("size", [None, 7])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 4.0])
+    def test_equals_per_column_draws(self, beta, size, scale):
+        # shapes k*beta/4 fall on both sides of 1 (exactly 1 at beta=4, k=1;
+        # the exponent 1/a = 2 of a = 0.5 at beta=2, k=1)
+        shapes = np.arange(1, 12) * (beta / 4.0)
+        for streams in ([RandomStream(21)], [RandomStream(22).split(i) for i in range(5)]):
+            table = gamma_table(shapes, streams, size, scale)
+            fresh = [RandomStream(s.seed, s.keys) for s in streams]
+            reference = _per_column_reference(shapes, fresh, size, scale)
+            assert table.shape == reference.shape
+            assert table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("scale", [None, 1.0, 2.0])
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_per_row_shapes(self, size, scale):
+        betas = np.array([0.05, 0.5, 2.0, 4.0, 0.5, 2.0])
+        shapes = np.arange(1, 9) * (betas[:, None] / 4.0)
+        streams = [RandomStream(23).split(i) for i in range(betas.size)]
+        table = gamma_table(shapes, streams, size, scale)
+        for i, stream in enumerate(streams):
+            fresh = RandomStream(stream.seed, stream.keys)
+            row = _per_column_reference(shapes[i], [fresh], size, scale)[0]
+            assert table[i].tobytes() == row.tobytes()
+
+    def test_one_cell_wrappers(self):
+        # the one-column case keeps the scalar draw's Python-float power
+        for shape in (0.3, 0.5, 2.5):
+            stream, fresh = RandomStream(24), RandomStream(24)
+            got = [sample_gamma(shape, stream) for _ in range(50)]
+            want = [_per_column_reference(np.array([shape]), [fresh], None, None)[0, 0]
+                    for _ in range(50)]
+            assert got == want
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])
+    def test_rejects_nonpositive_and_nonfinite_shapes(self, bad):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            gamma_table([1.0, bad], [RandomStream(0)], None, 1.0)
+
+    def test_no_streams(self):
+        assert gamma_table([0.5, 2.0], [], None, 1.0).shape == (0, 2)
+        assert gamma_table([0.5, 2.0], [], 4).shape == (0, 2, 4)
 
 
 class TestDirichlet:

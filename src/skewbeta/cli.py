@@ -16,7 +16,7 @@ from .ensembles import (EnsembleSpec, SizeError, _c_matrix_chis, _laguerre_chis,
                         build_dense_antisym_gue, dense_antisym_gue_rows,
                         householder_reduce, householder_reduce_batch)
 from .spectral import positive_spectrum_batch, spectral_rows
-from .streams import ParameterError, RandomStream
+from .streams import ParameterError, RandomStream, seed_streams
 from .transform import bidiagonal_read_off
 
 
@@ -94,7 +94,8 @@ def _spectral_table(b: np.ndarray) -> np.ndarray:
 def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
     draws on ``root.split(i)`` with the calls of the one-replicate builder,
-    in one draw call for all; the draws are then solved in one batch."""
+    in one draw call for all, the streams seeded in one pass; the draws are
+    then solved in one batch."""
     if config.reps < 0:
         raise ParameterError(f"reps must be nonnegative, got {config.reps}")
     spec = EnsembleSpec(kind=config.ensemble, n=config.n, beta=config.beta,
@@ -107,7 +108,7 @@ def _sample_rows(config: RunConfig) -> tuple[list[str], np.ndarray]:
     else:
         header = [f"sigma_{i}" for i in range(1, n + 1)]
     root = RandomStream(config.seed)
-    streams = [root.split(i) for i in range(config.reps)]
+    streams = seed_streams((root.seed, (i,)) for i in range(config.reps))
     if not streams:
         return header, np.empty((0, len(header)))
     if spec.kind == "antisym-trid":
@@ -154,8 +155,11 @@ def cmd_density(config: RunConfig, point: list[float]) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, num = text.split(":")
-    grid = np.linspace(float(lo), float(hi), int(num))
+    try:
+        lo, hi, num = text.split(":")
+        grid = np.linspace(float(lo), float(hi), int(num))
+    except ValueError:
+        raise ParameterError(f"--grid takes lo:hi:num (e.g. 0:4:41), got {text!r}") from None
     return grid[grid > 0]
 
 

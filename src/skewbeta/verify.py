@@ -20,7 +20,7 @@ from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_s
                        positive_spectrum_batch, secular_check)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
                     quadrature_cdf)
-from .streams import RandomStream, sample_gamma
+from .streams import RandomStream, sample_gamma, seed_streams
 
 P_THRESHOLD = 1e-3
 
@@ -41,7 +41,9 @@ def _redraw_rows(streams, draw, message: str):
     results = None
     pending = np.arange(len(streams))
     for attempt in range(100):
-        res, accepted = draw(pending, [streams[i].split(attempt) for i in pending])
+        attempt_streams = seed_streams((streams[i].seed, streams[i].keys + (attempt,))
+                                       for i in pending)
+        res, accepted = draw(pending, attempt_streams)
         if results is None:
             if accepted.all():  # every row drawn at the first attempt
                 return res
@@ -458,9 +460,8 @@ def _singular_value_residual(n: int, beta: float) -> float:
 def run_householder(seed: int, reps: int = 2000) -> VerificationReport:
     """Householder reduction of dense draws lands on the tridiagonal law."""
     report = VerificationReport(suite="householder", seed=seed)
-    root = RandomStream(seed, (10,))
     n = 6
-    dense = dense_antisym_gue_rows(n, [root.split(i) for i in range(reps)])
+    dense = dense_antisym_gue_rows(n, seed_streams((seed, (10, i)) for i in range(reps)))
     b_sq = householder_reduce_batch(dense) ** 2
     for k in range(1, n):
         _add_ks(report, f"b_{k}^2 gamma({k}/2)",

@@ -168,6 +168,22 @@ class TestSample:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad} must be")
 
+    @pytest.mark.parametrize("command", ["sample", "prufer", "householder"])
+    def test_negative_seed_exits_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "4", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be a non-negative integer")
+
+    def test_multi_word_seed_rows_are_split_streams(self, capsys):
+        seed = 2**64 + 5
+        code, out, _ = run(capsys, "sample", "--n", "6", "--reps", "12", "--seed", str(seed),
+                           "--format", "json")
+        assert code == 0
+        rows = np.array(json.loads(out)["rows"])
+        for i in (0, 7, 11):
+            sd = positive_spectrum(build_antisym_tridiagonal(6, 2.0, RandomStream(seed).split(i)))
+            assert np.allclose(rows[i], np.concatenate([sd.lam, sd.q]), rtol=1e-12, atol=0.0)
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "sample", "--n", "4", "--seed", "0",
@@ -253,6 +269,12 @@ class TestPruferAndHouseholder:
     def test_bad_grid_exits_two(self, capsys):
         code, _, err = run(capsys, "prufer", "--n", "4", "--grid", "oops")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["oops", "0:4", "a:b:c", "0:4:2.5", "0:4:5:6"])
+    def test_malformed_grid_names_the_option(self, capsys, grid):
+        code, out, err = run(capsys, "prufer", "--n", "4", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "--grid" in err and "lo:hi:num" in err
 
     def test_householder_document(self, capsys):
         code, out, _ = run(capsys, "householder", "--n", "5", "--seed", "2")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbeta.streams import (ParameterError, RandomStream, gamma_table,
+from skewbeta import verify
+from skewbeta.streams import (_PASS_MIN_STREAMS, ParameterError, RandomStream, gamma_table,
                               sample_chi_tilde, sample_dirichlet, sample_gamma,
-                              sample_normal, sample_standard_chi)
+                              sample_normal, sample_standard_chi, seed_state,
+                              seed_streams)
 
 
 class TestRandomStream:
@@ -35,6 +37,119 @@ class TestRandomStream:
     def test_split_extends_key_path(self):
         s = RandomStream(5).split(2).split(4)
         assert s.keys == (2, 4)
+
+    def test_integer_like_keys_are_normalized(self):
+        s = RandomStream(np.uint64(5), [np.int64(2)]).split(np.int32(4))
+        assert s == RandomStream(5, (2, 4)) and hash(s) == hash(RandomStream(5, (2, 4)))
+        assert type(s.seed) is int and all(type(k) is int for k in s.keys)
+
+    @pytest.mark.parametrize("seed,keys,name", [
+        (-1, (), "seed"), (1.5, (), "seed"), ("3", (), "seed"),
+        (0, (-2,), "key"), (0, (1, 1.7), "key"), (0, (None,), "key"),
+    ])
+    def test_rejects_bad_seed_and_keys(self, seed, keys, name):
+        with pytest.raises(ParameterError, match=name):
+            RandomStream(seed, keys)
+
+    def test_split_rejects_negative_and_float_keys(self):
+        root = RandomStream(3)
+        with pytest.raises(ParameterError, match="-1"):
+            root.split(-1)
+        with pytest.raises(ParameterError, match="1.7"):
+            root.split(1.7)
+
+    def test_generator_is_built_on_first_access(self):
+        s = RandomStream(4).split(1)
+        assert s._gen is None
+        assert s.generator is s.generator
+
+
+def _numpy_generator(seed, keys):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=keys)))
+
+
+def _assert_numpy_streams(streams, pairs):
+    assert [(s.seed, s.keys) for s in streams] == [(sd, tuple(k)) for sd, k in pairs]
+    for s, (seed, keys) in zip(streams, pairs):
+        want = _numpy_generator(seed, keys)
+        assert np.array_equal(s.generator.random(4), want.random(4))
+        assert np.array_equal(s.generator.gamma(0.3, 3), want.gamma(0.3, 3))
+
+
+SEEDS = (0, 1, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 17)
+PATHS = ((), (3,), (0, 7), (2**33, 1), (5, 2**70, 6))
+
+
+class TestSeedStreams:
+    """The one-pass seeding equals numpy's SeedSequence bit for bit."""
+
+    def test_state_words_equal_seed_sequence(self):
+        pairs = [(seed, keys) for seed in SEEDS for keys in PATHS]
+        words = seed_state([RandomStream(*p) for p in pairs])
+        assert words.dtype == np.uint64 and words.shape == (len(pairs), 4)
+        for row, (seed, keys) in zip(words, pairs):
+            want = np.random.SeedSequence(seed, spawn_key=keys).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_word_counts_in_one_call(self, seed):
+        # depths 0-3 and keys of one, two and three 32-bit words side by side
+        pairs = [(seed, keys) for keys in PATHS + ((1, 2, 3), (2**64, 0, 2**32))] * 3
+        streams = seed_streams(pairs)
+        assert all(s._state is not None for s in streams)
+        _assert_numpy_streams(streams, pairs)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 1000])
+    def test_counts(self, count):
+        pairs = [(7, (i,)) for i in range(count)]
+        streams = seed_streams(pairs)
+        assert len(streams) == count
+        assert streams == [RandomStream(7).split(i) for i in range(count)]
+        for row, (seed, keys) in zip(seed_state(streams), pairs):
+            want = np.random.SeedSequence(seed, spawn_key=keys).generate_state(4, np.uint64)
+            assert np.array_equal(row, want)
+        idx = sorted({0, count // 2, count - 1}) if count else []
+        _assert_numpy_streams([streams[i] for i in idx], [pairs[i] for i in idx])
+
+    def test_grandchildren_split_on_numpy(self):
+        children = seed_streams((2**64 + 5, (0, i)) for i in range(10))
+        for i, child in enumerate(children):
+            _assert_numpy_streams([child.split(3), child.split(2**40, 1)],
+                                  [(2**64 + 5, (0, i, 3)), (2**64 + 5, (0, i, 2**40, 1))])
+
+    def test_generators_are_built_on_first_draw(self):
+        streams = seed_streams((1, (i,)) for i in range(20))
+        assert all(s._gen is None for s in streams)
+        first = streams[3].generator
+        assert streams[3].generator is first
+        assert all(s._gen is None for j, s in enumerate(streams) if j != 3)
+
+    def test_validates_pairs(self):
+        with pytest.raises(ParameterError, match="seed"):
+            seed_streams([(-1, (i,)) for i in range(20)])
+        with pytest.raises(ParameterError, match="key"):
+            seed_streams([(1, (i - 10,)) for i in range(20)])
+
+    def test_redraw_rows_equal_one_row_loop(self):
+        # accept a row when its attempt's first uniform is below 0.3: rows
+        # leave over many attempts, so the pending list crosses from the
+        # one-pass seeding to numpy's
+        streams = [RandomStream(9, (4,)).split(i) for i in range(40)]
+        sizes = []
+
+        def draw(rows, attempt_streams):
+            sizes.append(len(rows))
+            u = np.array([s.generator.random() for s in attempt_streams])
+            keys = np.array([s.keys[-1] for s in attempt_streams], dtype=float)
+            return (u[:, None], keys[:, None]), u < 0.3
+
+        u, attempts = verify._redraw_rows(streams, draw, "never")
+        for i, stream in enumerate(streams):
+            attempt = next(a for a in range(100)
+                           if stream.split(a).generator.random() < 0.3)
+            assert attempts[i, 0] == attempt
+            assert u[i, 0] == stream.split(attempt).generator.random()
+        assert sizes[0] >= _PASS_MIN_STREAMS > min(sizes)
 
 
 class TestGamma:

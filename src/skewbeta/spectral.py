@@ -183,6 +183,166 @@ _dbdsqr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(
 _UPLO = ctypes.c_char(b"U")  # B is upper bidiagonal; read-only
 
 
+def _dbdsqr_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) of each row's ``B`` and the first
+    entries of its right singular vectors, ``(reps, m)`` -> ``(reps, k)``
+    twice, for finite top-down superdiagonals ``s``: one LAPACK ``dbdsqr``
+    call per row.  With ``NCVT=1`` on ``VT = e_1`` it rotates that one row
+    only, O(k^2) time and O(k) memory per row."""
+    reps, m = s.shape
+    k, order = (m + 1) // 2, m // 2 + 1  # positive eigenvalues, order of B
+    # one float buffer: per row B's diagonal, superdiagonal (one slot spare)
+    # and VT, which dbdsqr overwrites with the singular values and P^T e_1;
+    # then the work array.  One int buffer: n, ncvt, nru, ncc, ldvt, 1, then
+    # one info per row.
+    buf = np.zeros((3 * reps + 4) * order)
+    rows = buf[:3 * reps * order].reshape(reps, 3, order)
+    rows[:, 0, :k] = s[:, 0::2]
+    rows[:, 1, :order - 1] = s[:, 1::2]
+    rows[:, 2, 0] = 1.0
+    ints = np.zeros(6 + reps, dtype=np.intc)
+    ints[:6] = order, 1, 0, 0, order, 1
+    stride, p_buf, p_int = 8 * order, buf.ctypes.data, ints.ctypes.data
+    p_n, p_ncvt, p_nru, p_ncc, p_ldvt, p_one = range(p_int, p_int + 24, 4)
+    p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * reps * stride
+    call = _dbdsqr
+    for d, info in zip(range(p_buf, p_buf + 3 * reps * stride, 3 * stride),
+                       range(p_int + 24, p_int + 24 + 4 * reps, 4)):
+        call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,
+             p_work, p_one, p_work, p_one, p_work, info)
+    if ints[6:].any():
+        raise ConvergenceError(f"dbdsqr did not converge on {np.count_nonzero(ints[6:])} "
+                               f"of {reps} rows")
+    return rows[:, 0, :k].copy(), rows[:, 2, :k].copy()
+
+
+# LAPACK's safe minimum and maximum (la_constants), DLAMCH('EPS'), and the
+# range in which dlartg squares its arguments unscaled
+_SAFMIN = 2.0 ** -1022
+_SAFMAX = 2.0 ** 1022
+_EPS = 2.0 ** -53
+_RTMIN, _RTMAX = math.sqrt(_SAFMIN), math.sqrt(_SAFMAX / 2.0)
+
+
+def _dlartg(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's ``dlartg`` on arrays: ``c, s, r`` with
+    ``[[c, s], [-s, c]] @ [f, g] = [r, 0]``.  Outside [RTMIN, RTMAX] it
+    divides both by the larger magnitude first; inside, that scale is 1,
+    which leaves every operation of the unscaled branch exact."""
+    f1, g1 = np.abs(f), np.abs(g)
+    big = np.maximum(f1, g1)
+    u = np.where((np.minimum(f1, g1) > _RTMIN) & (big < _RTMAX), 1.0,
+                 np.minimum(_SAFMAX, np.maximum(_SAFMIN, big)))
+    fs, gs = f / u, g / u
+    d = np.sqrt(fs * fs + gs * gs)
+    r = np.copysign(d, f)
+    c, s, r = np.abs(fs) / d, gs / r, r * u
+    if ((f == 0.0) | (g == 0.0)).any():  # LAPACK's exact cases
+        c = np.where(g == 0.0, 1.0, np.where(f == 0.0, 0.0, c))
+        s = np.where(g == 0.0, 0.0, np.where(f == 0.0, np.copysign(1.0, g), s))
+        r = np.where(g == 0.0, f, np.where(f == 0.0, g1, r))
+    return c, s, r
+
+
+def _dlasv2(f: np.ndarray, g: np.ndarray,
+            h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's ``dlasv2`` on arrays: the singular values ``smax >= smin >= 0``
+    of ``[[f, g], [0, h]]`` and its right rotation ``(csr, snr)``, each
+    output accurate to a few ulps (Demmel & Kahan 1990).  The signs dlasv2
+    gives the singular values are dropped.  A branch that no row takes is
+    not evaluated."""
+    swap = np.abs(h) > np.abs(f)
+    ft, ht = np.where(swap, h, f), np.where(swap, f, h)
+    fa, ha, ga = np.abs(ft), np.abs(ht), np.abs(g)
+    # the normal case
+    d = fa - ha
+    el = np.where(d == fa, 1.0, d / fa)  # copes with an infinite f or h
+    m = g / ft
+    t = 2.0 - el
+    mm = m * m
+    s = np.sqrt(t * t + mm)
+    r = np.where(el == 0.0, np.abs(m), np.sqrt(el * el + mm))
+    a = 0.5 * (s + r)
+    smin, smax = ha / a, fa * a
+    tt = (m / (s + t) + m / (r + el)) * (1.0 + a)
+    tiny = mm == 0.0  # m is tiny
+    if tiny.any():
+        tt = np.where(tiny, np.where(el == 0.0, np.copysign(2.0, ft) * np.copysign(1.0, g),
+                                     g / np.copysign(d, ft) + m / t), tt)
+    el = np.sqrt(tt * tt + 4.0)
+    crt, srt = 2.0 / el, tt / el
+    clt = (crt + srt * m) / a
+    slt = (ht / ft) * srt / a
+    big = (ga > fa) & (fa / ga < _EPS)  # g very large
+    if big.any():
+        smax = np.where(big, ga, smax)
+        smin = np.where(big, np.where(ha > 1.0, fa / (ga / ha), (fa / ga) * ha), smin)
+        clt, slt = np.where(big, 1.0, clt), np.where(big, ht / g, slt)
+        crt, srt = np.where(big, ft / g, crt), np.where(big, 1.0, srt)
+    diag = ga == 0.0
+    if diag.any():
+        smax, smin = np.where(diag, fa, smax), np.where(diag, ha, smin)
+        clt, slt = np.where(diag, 1.0, clt), np.where(diag, 0.0, slt)
+        crt, srt = np.where(diag, 1.0, crt), np.where(diag, 0.0, srt)
+    return smax, smin, np.where(swap, slt, crt), np.where(swap, clt, srt)
+
+
+# up to n = 5 (B of order <= 3, b of length <= 4) the per-row call's fixed
+# cost of 1.5-3 us is nearly all of dbdsqr's time, so a numpy port of its
+# steps runs all rows at once instead, in blocks that bound its temporaries
+_PORT_MAX_M = 4
+_PORT_BLOCK = 4096
+
+
+def _ported_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_dbdsqr_rows` returns for ``m = s.shape[1]`` in 1..4, from
+    a numpy port of the steps ``dbdsqr`` takes on such rows.  Order 1: the
+    singular value is ``|d_1|``.  Order 2: one ``dlasv2`` step.  Order 3
+    (``d_3 = 0``): one zero-shift QR sweep (two ``dlartg`` pairs), which sets
+    ``e_2`` to exactly 0, then ``dlasv2`` on the leading 2x2 block.  The
+    right rotations are applied to ``VT^T e_1``.  ``dlasv2`` orders its
+    singular values, and the split-off 0 is the smallest, so dbdsqr's sort
+    moves nothing.
+
+    dbdsqr's deflation tests (a superdiagonal below its tolerance is set to
+    0 and the matrix split there) are not ported.  Where dbdsqr deflates,
+    this returns dlasv2's small positive first component in place of an
+    exact 0, and at order 3 a lam within a few ulps of its.  Elsewhere
+    it is dbdsqr's output bit for bit at orders 1 and 2; at order 3 ``drot``
+    may fuse the multiply-adds of the last rotation, which moves the vector
+    entries by an ulp or so, and a sweep over entries that span more than
+    about 1e300 can underflow, which dbdsqr's tests avoid (draws of the
+    ensemble come nowhere near)."""
+    reps, m = s.shape
+    k = (m + 1) // 2
+    lam, vt = np.empty((reps, k)), np.ones((reps, k))
+    if m == 1:
+        lam[:, 0] = np.abs(s[:, 0])
+        return lam, vt
+    # np.where evaluates every branch on every row
+    with np.errstate(all="ignore"):
+        for lo in range(0, reps, _PORT_BLOCK):
+            rows = slice(lo, lo + _PORT_BLOCK)
+            blk = s[rows]
+            d1, e1 = blk[:, 0], blk[:, 1]
+            d2 = blk[:, 2] if m > 2 else np.zeros(blk.shape[0])
+            if m == 4:
+                c1, s1, r = _dlartg(d1, e1)
+                oldcs, oldsn, d1 = _dlartg(r, d2 * s1)
+                c2, _, r = _dlartg(d2 * c1, blk[:, 3])
+                # dlartg(oldcs * r, d_3 * s_2 = 0) returns its f unrotated
+                e1, d2 = oldsn * r, oldcs * r
+            smax, smin, csr, snr = _dlasv2(d1, e1, d2)
+            if m == 4:  # rotate VT^T e_1 as the sweep left it
+                v1, v2 = c1, -(c2 * s1)
+                csr, snr = csr * v1 + snr * v2, csr * v2 - snr * v1
+            # else VT^T e_1 = e_1 rotates to (csr, -snr)
+            lam[rows, 0], vt[rows, 0] = smax, csr
+            if k > 1:
+                lam[rows, 1], vt[rows, 1] = smin, snr
+    return lam, vt
+
+
 def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive eigenvalues ``lam`` (descending), first components ``q`` and
     null-vector components ``z`` for a batch of off-diagonal sequences:
@@ -196,45 +356,25 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     zero eigenvalue).  So ``lam`` are the singular values of ``B`` and ``q``
     the first entries of its right singular vectors over sqrt(2).  LAPACK's
     ``dbdsqr`` computes the singular values to high relative accuracy
-    (implicit zero-shift QR) and the singular vectors to absolute accuracy;
-    with ``NCVT=1`` on ``VT = e_1`` it rotates that one row only, O(k^2) time
-    and O(k) memory per row.  ``z`` is ``1/|x|`` for the closed-form null
-    vector ``x`` (``x_0 = 1``, zero at odd positions,
-    ``x_{2j+2} = -x_{2j} s_{2j} / s_{2j+1}``), summed in log space, so it is
-    relatively accurate.
+    (implicit zero-shift QR) and the singular vectors to absolute accuracy.
+    Orders n <= 5 take :func:`_ported_rows`, a numpy port of dbdsqr's own
+    steps on all rows at once; at n <= 4 its one ``dlasv2`` step makes q
+    relatively accurate too, where dbdsqr can deflate a small q to exactly
+    0.  Larger orders call dbdsqr once per row (:func:`_dbdsqr_rows`).
+    ``z`` is ``1/|x|`` for the closed-form null vector ``x`` (``x_0 = 1``,
+    zero at odd positions, ``x_{2j+2} = -x_{2j} s_{2j} / s_{2j+1}``), summed
+    in log space, so it is relatively accurate.
 
-    A row with a non-finite entry comes back as NaN, because ``dbdsqr`` never
-    returns on one.
+    A row with a non-finite entry comes back as NaN; it is solved as a row
+    of ones, because ``dbdsqr`` never returns on one.
     """
     b_batch = np.asarray(b_batch, dtype=float)
     reps, m = b_batch.shape
-    k, order = (m + 1) // 2, m // 2 + 1  # positive eigenvalues, order of B
-    s = b_batch[:, ::-1]
-    # one float buffer: per row B's diagonal, superdiagonal (one slot spare)
-    # and VT, which dbdsqr overwrites with the singular values and P^T e_1;
-    # then the work array.  One int buffer: n, ncvt, nru, ncc, ldvt, 1, then
-    # one info per row.
-    buf = np.zeros((3 * reps + 4) * order)
-    rows = buf[:3 * reps * order].reshape(reps, 3, order)
-    rows[:, 0, :k] = s[:, 0::2]
-    rows[:, 1, :order - 1] = s[:, 1::2]
-    rows[:, 2, 0] = 1.0
-    ints = np.zeros(6 + reps, dtype=np.intc)
-    ints[:6] = order, 1, 0, 0, order, 1
+    k = (m + 1) // 2
     finite = np.isfinite(b_batch).all(axis=1)
-    good = np.flatnonzero(finite)
-    stride, p_buf, p_int = 8 * order, buf.ctypes.data, ints.ctypes.data
-    p_n, p_ncvt, p_nru, p_ncc, p_ldvt, p_one = range(p_int, p_int + 24, 4)
-    p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * reps * stride
-    call = _dbdsqr
-    for d, info in zip((p_buf + 3 * stride * good).tolist(), (p_int + 24 + 4 * good).tolist()):
-        call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,
-             p_work, p_one, p_work, p_one, p_work, info)
-    if ints[6:].any():
-        raise ConvergenceError(f"dbdsqr did not converge on {np.count_nonzero(ints[6:])} "
-                               f"of {reps} rows")
-    lam = rows[:, 0, :k].copy()
-    q = np.abs(rows[:, 2, :k]) / math.sqrt(2.0)
+    s = b_batch[:, ::-1] if finite.all() else np.where(finite[:, None], b_batch[:, ::-1], 1.0)
+    lam, vt = (_ported_rows if 1 <= m <= _PORT_MAX_M else _dbdsqr_rows)(s)
+    q = np.abs(vt) / math.sqrt(2.0)
     z = np.full(reps, np.nan)
     if m % 2 == 0:
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows
@@ -245,7 +385,7 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             log_x = np.zeros((reps, k + 1))  # log |x_{2j}|
             np.cumsum(log_s[:, 0::2] - log_s[:, 1::2], axis=1, out=log_x[:, 1:])
             z = np.exp(-0.5 * np.logaddexp.reduce(2.0 * log_x, axis=1))
-    if good.size < reps:
+    if not finite.all():
         lam[~finite] = q[~finite] = z[~finite] = np.nan
     return lam, q, z
 

@@ -13,8 +13,8 @@ import skewbeta
 from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import (CharPolySequence, ConditioningError, DegeneracyError,
-                               SpectralData, _bidiagonal_svd, _charpoly,
-                               _first_component_sq_batch, _reconstruct_rows,
+                               SpectralData, _bidiagonal_svd, _charpoly, _dbdsqr_rows,
+                               _first_component_sq_batch, _ported_rows, _reconstruct_rows,
                                charpoly_sequence, moment_equations_check,
                                positive_spectrum, positive_spectrum_batch,
                                reconstruct_tridiagonal,
@@ -339,24 +339,84 @@ def _run_guarded(code: str) -> str:
 
 
 class TestBidiagonalCore:
-    @pytest.mark.parametrize("n", [12, 13, 40, 41])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 13, 40, 41])
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0, 2.0])
     def test_mpmath_oracle_unfiltered(self, n, beta):
         # every draw, none filtered.  lam is relatively accurate (worst
-        # 9.8e-15 on 800 draws scanned over these sizes and beta 0.05-2).
-        # dbdsqr's rotations make q only absolutely accurate (worst 1.7e-13;
-        # a deflated component comes back as exactly 0, true values below
-        # 2.3e-17), so q's bound is 1e-10 relative plus 1e-12 absolute.  z is
-        # the closed-form null vector, relatively accurate (worst 1.9e-14).
+        # 9.8e-15 on 800 draws scanned over n 12-41 and beta 0.05-2).  At
+        # n >= 5 q is only absolutely accurate, through the rotations of VT
+        # (worst 1.7e-13; dbdsqr returns a deflated component as exactly 0,
+        # true values below 2.3e-17), so q's bound is 1e-10 relative plus
+        # 1e-12 absolute.  At n <= 4 q comes from one dlasv2 step and is
+        # relatively accurate (worst 6.5e-16 on 4,800 draws scanned, down
+        # to q = 7e-57 at beta 0.05).  z is the closed-form null vector,
+        # relatively accurate (worst 1.9e-14).
         stream = RandomStream(n).split(int(100 * beta))
         for i in range(4):
             b = build_antisym_tridiagonal(n, beta, stream.split(i)).b
             lam, q, z = (a[0] for a in _bidiagonal_svd(b[None, :]))
             ref_lam, ref_q, ref_z = _oracle_spectrum(b, lam)
             assert np.all(np.abs(lam - ref_lam) <= 1e-14 * ref_lam)
-            assert np.all(np.abs(q - ref_q) <= 1e-10 * ref_q + 1e-12)
+            if n <= 4:
+                assert np.all(np.abs(q - ref_q) <= 1e-14 * ref_q)
+            else:
+                assert np.all(np.abs(q - ref_q) <= 1e-10 * ref_q + 1e-12)
             if n % 2:
                 assert abs(z - ref_z) <= 1e-13 * ref_z
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0, 4.0])
+    def test_port_equals_dbdsqr_loop(self, n, beta):
+        # at n <= 4 bit for bit wherever dbdsqr did not deflate (where it
+        # did, its q is exactly 0 and the port's positive).  At n = 5 drot
+        # may fuse the multiply-adds of the last rotation, and below beta = 1
+        # dbdsqr's tolerance branches move lam by an ulp or so
+        b = antisym_tridiagonal_batch(n, beta, RandomStream(n).split(int(100 * beta)), 5000)
+        s = b[:, ::-1]
+        (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+        q, ref_q = np.abs(vt), np.abs(ref_vt)
+        if n <= 4:
+            kept = (ref_q > 0).all(axis=1)
+            assert np.all(q > 0) and kept.mean() > 0.9
+            assert np.array_equal(lam[kept], ref_lam[kept])
+            assert np.array_equal(q[kept], ref_q[kept])
+            assert np.array_equal(lam[~kept], ref_lam[~kept])
+        elif beta >= 1.0:
+            assert np.array_equal(lam, ref_lam)
+            assert np.all(np.abs(q - ref_q) <= 2e-15)
+        else:
+            assert np.all(np.abs(lam - ref_lam) <= 2e-15 * ref_lam)
+
+    def test_port_branches_equal_dbdsqr(self):
+        # rows that take dlasv2's rare branches (m = g/f tiny, g huge, g = 0,
+        # |h| > |f|) and, at n = 5, dlartg's scaled one (entries beyond 2^510)
+        s = np.array([[1.0, 1e-170, 1e-160], [1e-160, 1e-170, 1.0], [1e-20, 1.0, 1e-25],
+                      [1.0, 0.0, 2.0], [2.0, 0.0, 1.0], [0.5, 1.0, 2.0], [3.0, 1e300, 1e-300]])
+        (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+        assert np.array_equal(lam, ref_lam) and np.array_equal(np.abs(vt), np.abs(ref_vt))
+        # dlartg's scaled branch was rewritten in LAPACK 3.10, so no bits here
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            s = np.array([[1.3, 0.7, 0.4, 0.2], [0.9, 1.7, 0.3, 2.5]]) * scale
+            (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+            assert np.all(np.abs(lam - ref_lam) <= 5e-16 * ref_lam)
+            assert np.all(np.abs(np.abs(vt) - np.abs(ref_vt)) <= 5e-16)
+
+    def test_port_keeps_small_q_positive(self):
+        # dbdsqr deflates a negligible superdiagonal and leaves its q at
+        # exactly 0 on about 5% of these rows; dlasv2 resolves every one
+        b = antisym_tridiagonal_batch(4, 0.05, RandomStream(4).split(5), 20000)
+        assert np.any(_dbdsqr_rows(b[:, ::-1])[1] == 0)
+        assert np.all(_bidiagonal_svd(b)[1] > 0)
+        spectral_rows(b)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_no_rows(self, m):
+        lam, q, z = _bidiagonal_svd(np.ones((0, m)))
+        assert lam.shape == q.shape == (0, (m + 1) // 2) and z.shape == (0,)
+
+    def test_order_one(self):
+        lam, q, z = _bidiagonal_svd(np.ones((3, 0)))
+        assert lam.shape == q.shape == (3, 0) and np.array_equal(z, np.ones(3))
 
     @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 0.5), (12, 0.25), (41, 1.0)])
     def test_batch_rows_equal_scalar(self, n, beta):
@@ -411,7 +471,8 @@ class TestBidiagonalCore:
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])
     def test_no_degeneracy_error(self, n, beta):
         # SpectralData still rejects a q that dbdsqr deflated to exactly 0
-        # (about 12-16% of draws at beta = 0.05, 0-0.2% at 0.25); that must
+        # (about 12-16% of draws at beta = 0.05, 0-0.2% at 0.25; the port
+        # that solves n <= 5 instead deflates nothing at n <= 4); that must
         # be the only failure
         for row in antisym_tridiagonal_batch(n, beta, RandomStream(n).split(1), 200):
             try:
@@ -434,14 +495,25 @@ class TestBidiagonalCore:
         out = _run_guarded(
             "import numpy as np\n"
             "from skewbeta.spectral import _bidiagonal_svd\n"
-            "b = np.array([[1.0, np.inf, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],"
-            " [1.0, 2.0, np.nan, 4.0], [-np.inf, 1.0, 1.0, 1.0]])\n"
+            "b = np.array([[1.0, np.inf, 2.0, 3.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],"
+            " [1.0, 2.0, np.nan, 4.0, 1.0, 1.0], [-np.inf, 1.0, 1.0, 1.0, 1.0, 1.0]])\n"
             "lam, q, z = _bidiagonal_svd(b)\n"
             "one = _bidiagonal_svd(b[1:2])\n"
             "bad = [0, 2, 3]\n"
             "print(np.isnan(lam[bad]).all() and np.isnan(q[bad]).all() and np.isnan(z[bad]).all(),"
             " np.array_equal(lam[1], one[0][0]) and np.array_equal(q[1], one[1][0]))\n")
         assert out == "True True"
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_nonfinite_ported_rows_are_nan(self, m):
+        b = np.arange(1.0, 4.0 * m + 1.0).reshape(4, m)
+        b[0, -1], b[2, 0], b[3, m // 2] = np.inf, np.nan, -np.inf
+        with np.errstate(all="raise"):
+            lam, q, z = _bidiagonal_svd(b)
+        bad = [0, 2, 3]
+        assert np.isnan(lam[bad]).all() and np.isnan(q[bad]).all() and np.isnan(z[bad]).all()
+        assert np.isfinite(lam[1]).all() and np.isfinite(q[1]).all()
+        assert np.array_equal(lam[1], _bidiagonal_svd(b[1:2])[0][0])
 
     def test_nonfinite_scalar_raises(self):
         out = _run_guarded(

@@ -114,10 +114,11 @@ class TestRowForms:
     raises."""
 
     @pytest.mark.parametrize("n,betas,min_relgap,raises", [
-        (4, [0.1, 2.0, 0.5, 0.1] * 10, 1e-6, {ValueError}),  # q <= 0 after redraws
+        (4, [0.1, 2.0, 0.5, 0.1] * 10, 1e-6, set()),  # no q deflated to 0 at n <= 4
         (12, [0.05] * 30, 0.0, {ValueError}),
         (7, [0.25, 1.0] * 15, 1e-6, set()),
         (4, [2.0] * 3, 1.0, {verify.DegeneracyError}),  # never accepted
+        (12, [0.05, 2.0, 0.5, 0.05] * 10, 1e-6, {ValueError}),  # dbdsqr's q = 0 after redraws
     ])
     def test_spectrum_draws_equal_one_row_calls(self, n, betas, min_relgap, raises):
         streams = [RandomStream(5).split(i) for i in range(len(betas))]
@@ -132,8 +133,10 @@ class TestRowForms:
         assert raised == raises
         assert redrawn > 0 or min_relgap == 0.0 or raises
 
-    @pytest.mark.parametrize("n,beta", [(3, 0.1), (5, 0.1), (4, 2.0)])
+    @pytest.mark.parametrize("n,beta", [(3, 0.1), (5, 0.1), (4, 2.0), (13, 0.05)])
     def test_jacobian_draws_equal_one_row_calls(self, n, beta):
+        # dbdsqr deflates a small q to exactly 0 at n = 13, which raises;
+        # the port that solves n <= 5 keeps it positive
         streams = [RandomStream(5).split(i) for i in range(30)]
         references = _one_row_outcomes(lambda i, s: _reference_jacobian_point(n, beta, s),
                                        streams)
@@ -144,7 +147,7 @@ class TestRowForms:
             lambda: verify._jacobian_draws(n, beta, streams), references,
             lambda i: antisym_tridiagonal_batch(n, beta, streams[i].split(0, 0), None))
         assert redrawn > 0 or beta == 2.0 or raised
-        assert raised == ({ValueError} if n == 5 else set())
+        assert raised == ({ValueError} if n == 13 else set())
 
     def test_empty_batches(self):
         # no draws: every case passes with statistic 0, as the loops did

@@ -65,19 +65,6 @@ class SpectralData:
             total += self.z ** 2
         return abs(total - 1.0)
 
-    def full_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the similar symmetric tridiagonal matrix: (lam, -lam[, 0])."""
-        parts = [self.lam, -self.lam]
-        if self.n % 2 == 1:
-            parts.append(np.zeros(1))
-        return np.concatenate(parts)
-
-    def full_weights(self) -> np.ndarray:
-        """Squared first components matching :meth:`full_spectrum` order."""
-        parts = [self.q ** 2, self.q ** 2]
-        if self.n % 2 == 1:
-            parts.append(np.array([self.z ** 2]))
-        return np.concatenate(parts)
 
 @dataclass(frozen=True)
 class CharPolySequence:
@@ -310,9 +297,10 @@ def _ported_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact 0, and at order 3 a lam within a few ulps of its.  Elsewhere
     it is dbdsqr's output bit for bit at orders 1 and 2; at order 3 ``drot``
     may fuse the multiply-adds of the last rotation, which moves the vector
-    entries by an ulp or so, and a sweep over entries that span more than
-    about 1e300 can underflow, which dbdsqr's tests avoid (draws of the
-    ensemble come nowhere near)."""
+    entries by an ulp or so.  The sweep's rotations are ratios of entries,
+    so a row with a nonzero entry below SAFMIN times its largest would
+    underflow one of them; such rows take dbdsqr, whose tolerance tests
+    split them first (draws of the ensemble come nowhere near)."""
     reps, m = s.shape
     k = (m + 1) // 2
     lam, vt = np.empty((reps, k)), np.ones((reps, k))
@@ -340,6 +328,11 @@ def _ported_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             lam[rows, 0], vt[rows, 0] = smax, csr
             if k > 1:
                 lam[rows, 1], vt[rows, 1] = smin, snr
+    if m == 4:
+        a = np.abs(s)
+        wide = ((0.0 < a) & (a < _SAFMIN * a.max(axis=1, keepdims=True))).any(axis=1)
+        if wide.any():
+            lam[wide], vt[wide] = _dbdsqr_rows(s[wide])
     return lam, vt
 
 
@@ -458,6 +451,18 @@ def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     return 2.0 * _bidiagonal_svd(b_batch)[1][:, 0] ** 2
 
 
+def _signed_spectrum(n: int, lam: np.ndarray, q: np.ndarray,
+                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues ``(lam, -lam[, 0])`` of each row's symmetric
+    counterpart of ``i*T`` and their squared first components
+    ``(q**2, q**2[, z**2])``, shape ``(rows, n)`` each, for spectral data
+    in the layout of :func:`_bidiagonal_svd`."""
+    odd = n % 2 == 1
+    d = [lam, -lam] + ([np.zeros_like(z)[:, None]] if odd else [])
+    c = [q, q] + ([z[:, None]] if odd else [])
+    return np.concatenate(d, axis=-1), np.concatenate(c, axis=-1) ** 2
+
+
 def _reconstruct_rows(n: int, lam: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Inverse map of every row of spectral data (``lam`` and ``q`` of shape
     ``(rows, n//2)``, ``z`` of shape ``(rows,)``, NaN at even n): the
@@ -470,10 +475,9 @@ def _reconstruct_rows(n: int, lam: np.ndarray, q: np.ndarray, z: np.ndarray) -> 
     violates the normalization invariant (``ValueError``) or breaks down
     (:class:`ConditioningError`) raises.
     """
-    odd = n % 2 == 1
-    total = 2.0 * np.sum(q ** 2, axis=-1) + (z ** 2 if odd else 0.0)
-    d = np.concatenate([lam, -lam] + ([np.zeros((lam.shape[0], 1))] if odd else []), axis=-1)
-    w = np.sqrt(np.concatenate([q, q] + ([z[:, None]] if odd else []), axis=-1) ** 2)
+    total = 2.0 * np.sum(q ** 2, axis=-1) + (z ** 2 if n % 2 else 0.0)
+    d, w = _signed_spectrum(n, lam, q, z)
+    w = np.sqrt(w)
     basis = [w / np.linalg.norm(w, axis=-1, keepdims=True)]
     prev = np.zeros_like(basis[0])
     beta = np.zeros((lam.shape[0], 1))
@@ -506,52 +510,3 @@ def reconstruct_tridiagonal(sd: SpectralData) -> AntisymTridiagonal:
     :func:`_reconstruct_rows`."""
     z = np.array([np.nan if sd.z is None else sd.z])
     return AntisymTridiagonal(_reconstruct_rows(sd.n, sd.lam[None, :], sd.q[None, :], z)[0])
-
-
-def secular_check(t: AntisymTridiagonal, sd: SpectralData | None = None,
-                  rng: np.random.Generator | None = None, points: int = 10) -> float:
-    """Max relative residual of ``P_{n-1}(x)/P_n(x) = sum_i c_i/(x - mu_i)``
-    at random real evaluation points away from the spectrum.
-
-    Points are drawn one at a time from ``rng``, rejecting any within
-    ``1e-3 * lam_max`` of the spectrum, and then evaluated together."""
-    if sd is None:
-        sd = positive_spectrum(t)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = t.n
-    lam_max = sd.lam[0]
-    mu = sd.full_spectrum()
-    xs = []
-    while len(xs) < points:
-        x = float(rng.uniform(-2.0 * lam_max, 2.0 * lam_max))
-        if np.min(np.abs(x - mu)) < 1e-3 * lam_max:
-            continue
-        xs.append(x)
-    xs = np.array(xs)
-    vals, shifts = _charpoly(t.b, xs, (n - 1, n))
-    signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
-    lhs = signs[0] * signs[1] * np.exp(logmags[0] - logmags[1])
-    rhs = np.sum(sd.full_weights() / (xs[:, None] - mu), axis=1)
-    rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-    return float(np.max(rel, initial=0.0))
-
-
-def moment_equations_check(t: AntisymTridiagonal, sd: SpectralData) -> np.ndarray:
-    """Residuals of the first three moment identities relating ``b`` to
-    ``(lambda, q)``:
-
-    ``1 = sum 2q^2 (+ z^2)``,
-    ``b_{n-1}^2 = sum 2q^2 lam^2``,
-    ``b_{n-1}^4 + b_{n-1}^2 b_{n-2}^2 = sum 2q^2 lam^4``.
-    """
-    b = t.b
-    q2 = 2.0 * sd.q ** 2
-    res = np.empty(3)
-    total = np.sum(q2) + (sd.z ** 2 if sd.z is not None else 0.0)
-    res[0] = abs(1.0 - total)
-    bn1 = b[-1] ** 2
-    res[1] = abs(bn1 - np.sum(q2 * sd.lam ** 2))
-    lhs3 = bn1 ** 2 + (bn1 * b[-2] ** 2 if b.size >= 2 else 0.0)
-    res[2] = abs(lhs3 - np.sum(q2 * sd.lam ** 4))
-    return res

@@ -9,8 +9,11 @@ Two chi conventions coexist in the literature this package follows:
   ``x**(k-1) * exp(-x**2/2)``), equal in distribution to
   ``sqrt(2) * chi_tilde(k)``.
 
-Both are exposed as separate named operations so that every matrix
-constructor can state which convention it uses.
+Both come from one kernel, :func:`gamma_table`, whose ``scale`` names the
+convention: ``scale=1.0`` draws ``chi_tilde`` and ``scale=2.0`` draws
+``standard_chi``.  Each matrix constructor passes the scale of the
+convention it uses; :func:`sample_chi_tilde` and :func:`sample_standard_chi`
+are the one-cell cases.
 """
 
 from __future__ import annotations
@@ -244,10 +247,8 @@ def gamma_table(shapes, streams, size=None, scale=None):
             boost[small] = np.exp(0.5 * (np.log(g) + np.log(u) / a))
         return boost
     for shape in set(a.tolist()):
-        # a Python-float exponent, as one column's draw takes it; a
-        # size=None draw is a Python float, and so is its power
-        e, drawn = 1.0 / shape, u[a == shape]
-        boost[cells == shape] *= drawn ** e if tail else np.array([x ** e for x in drawn.tolist()])
+        # a Python-float exponent, as one column's draw takes it
+        boost[cells == shape] *= u[a == shape] ** (1.0 / shape)
     return boost
 
 

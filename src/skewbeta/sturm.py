@@ -91,7 +91,8 @@ def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.nda
 
 def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Continuous phases ``theta_i``, i = 2..n, at every point of the 1-d
-    array ``mu > 0``, shape ``(mu.size, n-1)``.
+    array ``mu > 0``, shape ``(mu.size, n-1)``, for one off-diagonal
+    sequence ``b`` of shape ``(n-1,)`` or one per point, ``(mu.size, n-1)``.
 
     The principal phase ``raw_i`` in (0, pi] (0 where ``b_{i-1}**2 P_{i-2}``
     underflows) solves
@@ -101,15 +102,15 @@ def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     ``K_i = [i odd] + N_{i-2}(mu)``, ``N_m`` the positive eigenvalues
     ``<= mu`` of the order-m trailing matrix; branches start at mu = 0.
     """
-    vals, shifts = _charpoly(b, mu, range(b.size + 1))
+    vals, shifts = _charpoly(b, mu, range(b.shape[-1] + 1))
     # P_{i-2} on the scale of P_{i-1}; their shifts differ only where step
     # i-1 rescaled, else the factor is exactly 1
     prev = vals[:-1] * np.exp(shifts[:-1] - shifts[1:])
-    raw = _atan2((b ** 2)[:, None] * prev, vals[1:]).astype(float)
+    raw = _atan2(np.atleast_2d(b ** 2).T * prev, vals[1:]).astype(float)
     # a zero P_{i-2} gives pi; a numerator that underflowed keeps the sign of
     # P_{i-2} in its zero, so only a negative raw (-0 or -pi) moves up by pi
     raw = np.where(vals[:-1] == 0.0, math.pi, np.where(np.signbit(raw), raw + math.pi, raw))
-    wraps = np.arange(2, b.size + 2)[:, None] % 2 + _counts_leq(vals[:-1])
+    wraps = np.arange(2, b.shape[-1] + 2)[:, None] % 2 + _counts_leq(vals[:-1])
     return (raw - wraps * math.pi).T
 
 

@@ -6,18 +6,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import betainc, gammainc
 
 from . import chain, densities, sturm, transform
 from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
                         antisym_tridiagonal_batch, antisym_tridiagonal_rows,
-                        build_antisym_tridiagonal, build_c_matrix,
-                        dense_antisym_gue_rows, householder_reduce_batch)
+                        build_c_matrix, dense_antisym_gue_rows, dense_tridiagonal,
+                        householder_reduce_batch)
 from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_svd,
-                       _check_error, _failed_checks, _first_component_sq_batch,
-                       moment_equations_check, positive_spectrum,
-                       positive_spectrum_batch, secular_check)
+                       _charpoly, _check_error, _failed_checks, _first_component_sq_batch,
+                       _signed_spectrum, positive_spectrum_batch)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
                     quadrature_cdf)
 from .streams import RandomStream, sample_gamma, seed_streams
@@ -87,8 +85,8 @@ def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
             accepted &= (gaps >= min_relgap * lam_sq[:, :1]).all(axis=1)
             # tiny first components are kept out too: the reference routes
             # the identities compare them against (the eigenvectors of
-            # _first_component_residual, the secular sum) resolve them only
-            # to absolute accuracy
+            # _first_component_residual_rows, the secular sum) resolve them
+            # only to absolute accuracy
             accepted &= (q >= 1e-2).all(axis=1) & ~(z < 1e-2)
         return (b, lam, q, z), accepted
     return _redraw_rows(streams, draw, f"no well-separated spectrum after 100 draws (n={n})")
@@ -116,50 +114,87 @@ def _random_pairs(rng: np.random.Generator, count: int, n_max: int = 12):
 
 
 def run_identities(seed: int, count: int = 200) -> VerificationReport:
-    """Exact spectral identities on random matrices.  The squared-Vandermonde
-    product, the shuffle conjugation and the Cholesky reindexing have suites
-    of their own (``vandermonde``, ``shuffle``, ``cholesky``)."""
+    """Exact spectral identities on random matrices, checked on the rows of
+    each order at once.  The squared-Vandermonde product, the shuffle
+    conjugation and the Cholesky reindexing have suites of their own."""
     report = VerificationReport(suite="identities", seed=seed)
     root = RandomStream(seed)
     rng = np.random.default_rng(seed)
-    worst = {"secular": 0.0, "first-components": 0.0, "frobenius": 0.0, "moments": 0.0}
-    for i, (n, beta) in enumerate(_random_pairs(rng, count)):
-        t, sd = _draw_with_spectrum(n, beta, root.split(i), min_relgap=1e-6)
-        worst["secular"] = max(worst["secular"],
-                               secular_check(t, sd, rng))
-        worst["first-components"] = max(worst["first-components"],
-                                        _first_component_residual(t, sd))
-        worst["frobenius"] = max(worst["frobenius"], _frobenius_residual(t, sd))
-        worst["moments"] = max(worst["moments"],
-                               float(np.max(moment_equations_check(t, sd))))
+    ns, betas = np.array(list(_random_pairs(rng, count))).reshape(-1, 2).T
     bounds = {"secular": 1e-9, "first-components": 1e-8, "frobenius": 1e-10,
               "moments": 1e-9}
+    worst = dict.fromkeys(bounds, 0.0)
+    for n, idx in _orders(ns):
+        rows = _spectrum_draws(n, betas[idx], [root.split(i) for i in idx], min_relgap=1e-6)
+        lam_sq = np.sum(rows[1] ** 2, axis=1)
+        residuals = {
+            "secular": _secular_residual_rows(*rows, _secular_points(*rows, rng)),
+            "first-components": _first_component_residual_rows(*rows),
+            "frobenius": np.abs(np.sum(rows[0] ** 2, axis=1) - lam_sq) / np.maximum(1.0, lam_sq),
+            "moments": _moment_residual_rows(*rows),
+        }
+        for name, res in residuals.items():
+            worst[name] = max(worst[name], float(np.max(res)))
     for name, value in worst.items():
         report.add(name, value <= bounds[name], statistic=value,
                    tolerance=bounds[name])
     return report
 
 
+def _secular_points(b, lam, q, z, rng: np.random.Generator, points: int = 10) -> np.ndarray:
+    """``(rows, points)`` evaluation points uniform in ``(-2 lam_max,
+    2 lam_max)`` of each row and at least ``1e-3 lam_max`` away from its
+    spectrum: every row's candidates come from one ``rng.uniform`` call, and
+    only the entries too close are redrawn, in row-major order."""
+    d, _ = _signed_spectrum(b.shape[1] + 1, lam, q, z)
+    span = np.repeat(2.0 * lam[:, :1], points, axis=1)
+    x = rng.uniform(-span, span)
+    while True:
+        near = np.min(np.abs(x[:, :, None] - d[:, None, :]), axis=2) < 1e-3 * lam[:, :1]
+        if not near.any():
+            return x
+        x[near] = rng.uniform(-span[near], span[near])
+
+
+def _secular_residual_rows(b, lam, q, z, x: np.ndarray) -> np.ndarray:
+    """Worst relative residual of ``P_{n-1}(x)/P_n(x) = sum_i c_i/(x - mu_i)``
+    over each row's points ``x`` (``(rows, points)``), with ``mu`` the
+    row's full spectrum and ``c`` its squared first components: one
+    ``_charpoly`` pass over every point, each with its row's ``b``."""
+    n = b.shape[1] + 1
+    d, c = _signed_spectrum(n, lam, q, z)
+    vals, shifts = _charpoly(np.repeat(b, x.shape[1], axis=0), x.ravel(), (n - 1, n))
+    signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
+    lhs = (signs[0] * signs[1] * np.exp(logmags[0] - logmags[1])).reshape(x.shape)
+    rhs = np.sum(c[:, None, :] / (x[:, :, None] - d[:, None, :]), axis=2)
+    return np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs)), axis=1)
+
+
+def _moment_residual_rows(b, lam, q, z) -> np.ndarray:
+    """``(rows, 3)`` residuals of the first three moment identities relating
+    ``b`` to the spectral data, ``sum_i c_i mu_i**(2j)`` over the full
+    spectrum ``mu`` with squared first components ``c`` against
+    ``1``, ``b_{n-1}**2`` and ``b_{n-1}**4 + b_{n-1}**2 b_{n-2}**2``."""
+    d, c = _signed_spectrum(b.shape[1] + 1, lam, q, z)
+    top = b[:, -1] ** 2
+    below = b[:, -2] ** 2 if b.shape[1] > 1 else 0.0
+    moments = np.stack([np.sum(c * d ** (2 * j), axis=1) for j in range(3)], axis=1)
+    return np.abs(np.stack([np.ones_like(top), top, top ** 2 + top * below], axis=1) - moments)
+
+
+def _first_component_residual_rows(b, lam, q, z) -> np.ndarray:
+    """Worst difference per row between ``q`` and the first entries of the
+    eigenvectors of the top ``n//2`` eigenvalues of the dense symmetric
+    counterpart, from one stacked ``np.linalg.eigh`` call."""
+    _, vecs = np.linalg.eigh(dense_tridiagonal(b[:, ::-1], 1.0))
+    first = np.abs(vecs[:, 0, ::-1][:, :lam.shape[1]])
+    return np.max(np.abs(first - q), axis=1)
+
+
 def _random_square_bidiagonal(k: int, stream: RandomStream) -> LowerBidiagonal:
     d = 0.25 + stream.generator.random(k)
     e = 0.25 + stream.generator.random(k - 1)
     return LowerBidiagonal(d, e, rows=k)
-
-
-def _first_component_residual(t: AntisymTridiagonal, sd) -> float:
-    """Compare the product-formula first components against eigenvectors."""
-    diag, sup = t.symmetric_counterpart()
-    vals, vecs = eigh_tridiagonal(diag, sup)
-    order = np.argsort(vals)[::-1]
-    first = np.abs(vecs[0, order[:t.n // 2]])
-    return float(np.max(np.abs(first - sd.q)))
-
-
-def _frobenius_residual(t: AntisymTridiagonal, sd) -> float:
-    """Sum of squared off-diagonals equals sum of squared positive eigenvalues."""
-    lhs = float(np.sum(t.b ** 2))
-    rhs = float(np.sum(sd.lam ** 2))
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
 def run_shuffle(seed: int, count: int = 50) -> VerificationReport:
@@ -341,58 +376,64 @@ def run_sturm_prufer(seed: int, pairs: int = 1000) -> VerificationReport:
 
     anchor_worst = 0.0
     monotone_ok = True
-    for i in range(20):
-        n = 4 + i % 7
-        t = build_antisym_tridiagonal(n, 2.0, root.split(1000 + i))
-        sd = positive_spectrum(t)
-        grid = np.linspace(0.0, 1.5 * sd.lam[0], 200)[1:]
-        phases = sturm.prufer_phases(t, grid)
-        idx = np.arange(2, n + 1)
-        expect0 = np.where(idx % 2 == 0, math.pi / 2.0, 0.0)
-        start = sturm.prufer_phases(t, np.array([1e-300]))[0].theta
-        anchor_worst = max(anchor_worst, float(np.max(np.abs(start - expect0))))
-        stacked = np.stack([p.theta for p in phases])
-        if np.any(np.diff(stacked, axis=0) >= 0):
-            monotone_ok = False
+    for n, idx in _orders(4 + np.arange(20) % 7):
+        b, _, theta = _phase_rows(n, 2.0, [root.split(1000 + i) for i in idx])
+        start = sturm._phases(b, np.full(len(b), 1e-300))
+        anchor_worst = max(anchor_worst,
+                           float(np.max(np.abs(start - sturm._anchor_phases(n)))))
+        monotone_ok &= not np.any(np.diff(theta, axis=1) >= 0)
     report.add("anchor-phases", anchor_worst <= 1e-9,
                statistic=anchor_worst, tolerance=1e-9)
     report.add("monotone-decrease", monotone_ok,
                statistic=0.0 if monotone_ok else 1.0, tolerance=0.0)
 
     violations = 0
-    for j, beta in enumerate(np.repeat((0.05, 0.25, 2.0), 20)):
-        t = build_antisym_tridiagonal(4 + j % 9, beta, root.split(2000 + j))
-        grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
-        violations += _wrap_violations(t, sturm.prufer_phases(t, grid))[0]
+    betas = np.repeat((0.05, 0.25, 2.0), 20)
+    for n, idx in _orders(4 + np.arange(betas.size) % 9):
+        rows = _phase_rows(n, betas[idx, None], [root.split(2000 + j) for j in idx])
+        violations += _wrap_violations(*rows)[0]
     report.add("wrap-counts", violations == 0, statistic=float(violations), tolerance=0.0)
     return report
 
 
-def _wrap_violations(t: AntisymTridiagonal, phases) -> tuple[int, int]:
-    """Entries of a Pruefer phase table off the branch that an independent
+def _phase_rows(n: int, beta, streams):
+    """One matrix of order ``n`` per stream (``beta`` one value or a column
+    of one per stream) and its Pruefer phases on ``linspace(0, 1.5 lam_max,
+    200)[1:]``, from one recurrence pass: ``(b, mu, theta)`` of shapes
+    ``(rows, n-1)``, ``(rows, 199)`` and ``(rows, 199, n-1)``."""
+    b = antisym_tridiagonal_rows(n, beta, streams)
+    mu = np.linspace(0.0, 1.5 * positive_spectrum_batch(b)[:, 0], 200, axis=-1)[:, 1:]
+    theta = sturm._phases(np.repeat(b, mu.shape[1], axis=0), mu.ravel())
+    return b, mu, theta.reshape(mu.shape + (n - 1,))
+
+
+def _wrap_violations(b: np.ndarray, mu: np.ndarray, theta: np.ndarray) -> tuple[int, int]:
+    """Entries of Pruefer phase tables off the branch that an independent
     eigenvalue count fixes or risen along the grid, and entries skipped as
-    too close to call.
+    too close to call, summed over the matrices ``b`` ``(rows, n-1)`` with
+    ascending positive grids ``mu`` ``(rows, points)`` and phases ``theta``
+    ``(rows, points, n-1)``.
 
     ``theta_i(mu)`` must lie in ``(-K pi, -(K-1) pi]`` (up to rounding of
     ``K pi``) with ``K = [i odd] + #(lambda(T_{i-2}) <= mu)``, the eigenvalues
-    of the order-(i-2) trailing matrix taken from the bidiagonal SVD, not from
-    a Sturm count.  It must also not rise above its exact value at mu = 0 or
-    its value at the previous point, which tells a phase at ``-K pi`` from one
-    a full pi higher at ``-(K-1) pi``.  Entries within 1e-10 relative of such
-    an eigenvalue are skipped.
+    of the order-(i-2) trailing matrices taken from one bidiagonal SVD of
+    all rows, not from a Sturm count.  It must also not rise above its exact
+    value at mu = 0 or its value at the previous point, which tells a phase
+    at ``-K pi`` from one a full pi higher at ``-(K-1) pi``.  Entries within
+    1e-10 relative of such an eigenvalue are skipped.
     """
-    mu = np.array([p.mu for p in phases])[:, None]
-    theta = np.stack([p.theta for p in phases])
-    start = np.where(np.arange(2, t.n + 1) % 2 == 0, math.pi / 2.0, 0.0)
+    mu = mu[:, :, None]
+    start = sturm._anchor_phases(b.shape[1] + 1)
     violations = skipped = 0
-    for i in range(2, t.n + 1):
-        lam = positive_spectrum_batch(t.b[None, :max(i - 3, 0)])[0]
-        near = np.any(np.abs(mu - lam) <= 1e-10 * lam, axis=1)
-        k = i % 2 + np.sum(lam <= mu, axis=1)
+    for i in range(2, b.shape[1] + 2):
+        lam = positive_spectrum_batch(b[:, :max(i - 3, 0)])[:, None, :]
+        near = np.any(np.abs(mu - lam) <= 1e-10 * lam, axis=2)
+        k = i % 2 + np.sum(lam <= mu, axis=2)
         tol = 1e-12 * (k + 1)
-        th = theta[:, i - 2]
+        th = theta[:, :, i - 2]
         inside = (th >= -k * math.pi - tol) & (th <= -(k - 1) * math.pi + tol)
-        inside &= (np.diff(th, prepend=start[i - 2]) <= tol) | np.r_[False, near[:-1]]
+        after_near = np.pad(near[:, :-1], ((0, 0), (1, 0)))
+        inside &= (np.diff(th, axis=1, prepend=start[i - 2]) <= tol) | after_near
         violations += int(np.sum(~inside & ~near))
         skipped += int(np.sum(near))
     return violations, skipped

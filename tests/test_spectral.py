@@ -15,12 +15,12 @@ from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
 from skewbeta.spectral import (CharPolySequence, ConditioningError, DegeneracyError,
                                SpectralData, _bidiagonal_svd, _charpoly, _dbdsqr_rows,
                                _first_component_sq_batch, _ported_rows, _reconstruct_rows,
-                               charpoly_sequence, moment_equations_check,
-                               positive_spectrum, positive_spectrum_batch,
-                               reconstruct_tridiagonal,
-                               secular_check, spectral_rows)
+                               _signed_spectrum, charpoly_sequence, positive_spectrum,
+                               positive_spectrum_batch, reconstruct_tridiagonal,
+                               spectral_rows)
 from skewbeta.streams import RandomStream
-from skewbeta.verify import _draw_with_spectrum
+from skewbeta.verify import (_draw_with_spectrum, _moment_residual_rows, _secular_points,
+                             _secular_residual_rows)
 
 
 def _loop_sequence(b, x):
@@ -71,8 +71,10 @@ class TestSpectralData:
             SpectralData(4, [1.0, 2.0], [0.5, 0.5])
 
     def test_full_spectrum_odd(self):
-        sd = SpectralData(3, [1.5], [0.4], z=np.sqrt(1.0 - 2 * 0.16))
-        assert np.array_equal(sd.full_spectrum(), [1.5, -1.5, 0.0])
+        z = np.sqrt(1.0 - 2 * 0.16)
+        d, c = _signed_spectrum(3, np.array([[1.5]]), np.array([[0.4]]), np.array([z]))
+        assert np.array_equal(d, [[1.5, -1.5, 0.0]])
+        assert np.array_equal(c, [[0.4 ** 2, 0.4 ** 2, z ** 2]])
 
 
 class TestCharpolySequence:
@@ -326,6 +328,18 @@ class TestFirstComponents:
             assert np.all(np.abs(got - ref) <= 1e-10 * ref)
 
 
+def _order3_oracle(s) -> np.ndarray:
+    """The two singular values of ``B = [[d1, e1, 0], [0, d2, e2], [0, 0, 0]]``
+    for ``s = (d1, e1, d2, e2)`` (n = 5), from the eigenvalues of the 2x2
+    ``B B^T`` in 50-digit arithmetic, whose exponents do not underflow."""
+    with mp.workdps(50):
+        d1, e1, d2, e2 = (mp.mpf(float(v)) for v in s)
+        half = (d1 ** 2 + e1 ** 2 + d2 ** 2 + e2 ** 2) / 2
+        det = (d1 * d2) ** 2 + (d1 * e2) ** 2 + (e1 * e2) ** 2
+        top = half + mp.sqrt(half ** 2 - det)
+        return np.array([float(mp.sqrt(top)), float(mp.sqrt(det / top))])
+
+
 def _run_guarded(code: str) -> str:
     """Run ``code`` in a fresh interpreter and return its output; a run that
     has not finished within a minute fails the test (LAPACK's dbdsqr never
@@ -400,6 +414,30 @@ class TestBidiagonalCore:
             (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
             assert np.all(np.abs(lam - ref_lam) <= 5e-16 * ref_lam)
             assert np.all(np.abs(np.abs(vt) - np.abs(ref_vt)) <= 5e-16)
+
+    def test_wide_n5_rows_take_dbdsqr(self):
+        # the n = 5 sweep's rotations are ratios of entries, so on rows whose
+        # nonzero entries span more than 1/SAFMIN one of them underflows
+        # (here the second dlartg cosine, 1e-325, gave lam_2 = 0); those
+        # rows take dbdsqr
+        s = np.array([[7.2e-208, 1.1e-154, 1.06e171, 8.5e-148]])
+        lam = positive_spectrum_batch(s[:, ::-1])
+        assert np.array_equal(lam, _dbdsqr_rows(s)[0])
+        assert np.all(np.abs(lam - _order3_oracle(s[0])) <= 1e-15 * lam)
+        s = 10.0 ** np.random.default_rng(0).uniform(-300, 300, (20000, 4))
+        lam, ref = positive_spectrum_batch(s[:, ::-1]), _dbdsqr_rows(s)[0]
+        pos = (ref > 0).all(axis=1)
+        assert pos.mean() > 0.9
+        assert np.all(np.abs(lam - ref)[pos] <= 1e-10 * ref[pos])
+
+    def test_tiny_n5_rows_stay_on_port(self):
+        # dbdsqr's absolute threshold (about 6 N^2 SAFMIN) deflates entries
+        # near 1e-307 wrongly; the port resolves them to a few ulps
+        s = 1e-307 * np.random.default_rng(3).uniform(0.5, 2.0, (5, 4))
+        lam = positive_spectrum_batch(s[:, ::-1])
+        ref = np.array([_order3_oracle(row) for row in s])
+        assert np.all(np.abs(lam - ref) <= 1e-15 * ref)
+        assert np.any(np.abs(_dbdsqr_rows(s)[0] - ref) > 1e-3 * ref)
 
     def test_port_keeps_small_q_positive(self):
         # dbdsqr deflates a negligible superdiagonal and leaves its q at
@@ -526,37 +564,47 @@ class TestBidiagonalCore:
         assert out == "ValueError"
 
 
+def _one_row(t):
+    """``(b, lam, q, z)`` of one matrix, one row each."""
+    return (t.b[None, :],) + spectral_rows(t.b[None, :])
+
+
 class TestResidualChecks:
     @pytest.mark.parametrize("n,beta", [(2, 2.0), (3, 2.0), (6, 1.0), (9, 4.0)])
     def test_secular(self, n, beta):
-        t = build_antisym_tridiagonal(n, beta, RandomStream(30 + n))
-        assert secular_check(t) < 1e-9
+        rows = _one_row(build_antisym_tridiagonal(n, beta, RandomStream(30 + n)))
+        x = _secular_points(*rows, np.random.default_rng(0))
+        assert _secular_residual_rows(*rows, x)[0] < 1e-9
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_secular_matches_pointwise(self, n):
-        # same rng draws in the same order, same residual as one point at a time
+        # the same residual as one point at a time, at the same points
         t = build_antisym_tridiagonal(n, 2.0, RandomStream(60 + n))
         sd = positive_spectrum(t)
-        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        got = secular_check(t, sd, rng, points=25)
-        mu, c = sd.full_spectrum(), sd.full_weights()
-        worst, drawn = 0.0, 0
-        while drawn < 25:
-            x = float(ref_rng.uniform(-2.0 * sd.lam[0], 2.0 * sd.lam[0]))
-            if np.min(np.abs(x - mu)) < 1e-3 * sd.lam[0]:
-                continue
-            drawn += 1
-            seq = charpoly_sequence(t, x)
+        rows = _one_row(t)
+        x = _secular_points(*rows, np.random.default_rng(n), points=25)[0]
+        got = _secular_residual_rows(*rows, x[None, :])[0]
+        mu = np.r_[sd.lam, -sd.lam, [0.0] * (n % 2)]
+        c = np.r_[sd.q, sd.q, [sd.z] * (n % 2)] ** 2
+        worst = 0.0
+        for v in x.tolist():
+            seq = charpoly_sequence(t, v)
             lhs = seq.signs[n - 1] * seq.signs[n] * np.exp(seq.logmags[n - 1] - seq.logmags[n])
-            rhs = float(np.sum(c / (x - mu)))
+            rhs = float(np.sum(c / (v - mu)))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         assert got == worst
-        assert rng.random() == ref_rng.random()
+        # one uniform draw for every point, and only the points within
+        # 1e-3 lam_max of the spectrum redrawn
+        span = 2.0 * sd.lam[0]
+        first = np.random.default_rng(n).uniform(-span, span, 25)
+        far = np.min(np.abs(first[:, None] - mu), axis=1) >= 1e-3 * sd.lam[0]
+        assert np.array_equal(x[far], first[far]) and not np.any(x[~far] == first[~far])
+        assert np.all(np.min(np.abs(x[:, None] - mu), axis=1) >= 1e-3 * sd.lam[0])
+        assert np.all(np.abs(x) <= span)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
     def test_moment_equations(self, n):
         t = build_antisym_tridiagonal(n, 2.0, RandomStream(50 + n))
-        sd = positive_spectrum(t)
-        res = moment_equations_check(t, sd)
+        res = _moment_residual_rows(*_one_row(t))[0]
         scale = max(1.0, float(np.max(t.b)) ** 4)
-        assert np.all(res < 1e-10 * scale)
+        assert res.shape == (3,) and np.all(res < 1e-10 * scale)

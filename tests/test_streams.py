@@ -234,7 +234,7 @@ def _per_column_reference(shapes, streams, size, scale):
                 cells.append(g if scale is None else np.sqrt(scale * g))
                 continue
             boost = gen.gamma(a + 1.0, size=size)
-            u = gen.random(size=size)
+            u = np.array(gen.random(size=size))  # the array power at every size
             cells.append(boost * u ** (1.0 / a) if scale is None
                          else np.exp(0.5 * (np.log(scale * boost) + np.log(u) / a)))
         rows.append(cells)
@@ -270,13 +270,14 @@ class TestGammaTable:
             assert table[i].tobytes() == row.tobytes()
 
     def test_one_cell_wrappers(self):
-        # the one-column case keeps the scalar draw's Python-float power
-        for shape in (0.3, 0.5, 2.5):
-            stream, fresh = RandomStream(24), RandomStream(24)
-            got = [sample_gamma(shape, stream) for _ in range(50)]
-            want = [_per_column_reference(np.array([shape]), [fresh], None, None)[0, 0]
-                    for _ in range(50)]
-            assert got == want
+        # a scalar draw is the size=1 draw of the same stream, bit for bit
+        # (below shape 1 both raise U to 1/a with the array power)
+        for wrapper in (sample_gamma, sample_chi_tilde, sample_standard_chi):
+            for shape in (0.3, 0.5, 0.7, 2.5):
+                stream, fresh = RandomStream(24), RandomStream(24)
+                got = [wrapper(shape, stream) for _ in range(200)]
+                want = [wrapper(shape, fresh, size=1)[0] for _ in range(200)]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])
     def test_rejects_nonpositive_and_nonfinite_shapes(self, bad):

@@ -9,11 +9,18 @@ from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.sturm import PruferPhases, _count_positive_leq_rows, prufer_phases, shooting_vector
+from skewbeta.sturm import (PruferPhases, _count_positive_leq_rows, _phases, prufer_phases,
+                           shooting_vector)
 from skewbeta.verify import _wrap_violations
 
 # an overflow or invalid operation in any Sturm, shooting or Pruefer path fails
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _violations(t, phases):
+    """``_wrap_violations`` of one matrix and its list of phases."""
+    return _wrap_violations(t.b[None, :], np.array([[p.mu for p in phases]]),
+                            np.stack([p.theta for p in phases])[None])
 
 
 def _count_one(t, mu):
@@ -155,6 +162,13 @@ class TestSturmCounting:
                 assert _count_one(t, value * (1.0 + 1e-13)) == lam.size - i
                 assert _count_one(t, value * (1.0 - 1e-13)) == lam.size - i - 1
 
+    def test_stacked_matrices_match_one_matrix_calls(self):
+        # one b per point gives each matrix's phases bit for bit
+        b = antisym_tridiagonal_batch(7, 0.5, RandomStream(14), 5)
+        mu = np.linspace(0.05, 4.0, 30)
+        stacked = _phases(np.repeat(b, mu.size, axis=0), np.tile(mu, len(b)))
+        assert np.array_equal(stacked, np.concatenate([_phases(row, mu) for row in b]))
+
     @pytest.mark.parametrize("n,beta,seed", REFERENCE_CASES)
     def test_matches_loop(self, n, beta, seed):
         t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
@@ -214,6 +228,13 @@ class TestShootingVector:
         t = build_antisym_tridiagonal(4, 2.0, RandomStream(9))
         with pytest.raises(ValueError):
             shooting_vector(t, 0.7, x1=0.0)
+
+    def test_stacked_matrices_match_one_matrix_calls(self):
+        # one b per point gives each matrix's phases bit for bit
+        b = antisym_tridiagonal_batch(7, 0.5, RandomStream(14), 5)
+        mu = np.linspace(0.05, 4.0, 30)
+        stacked = _phases(np.repeat(b, mu.size, axis=0), np.tile(mu, len(b)))
+        assert np.array_equal(stacked, np.concatenate([_phases(row, mu) for row in b]))
 
     @pytest.mark.parametrize("n,beta,seed", REFERENCE_CASES)
     def test_matches_loop(self, n, beta, seed):
@@ -287,6 +308,13 @@ class TestPruferPhases:
         with pytest.raises(ValueError):
             prufer_phases(t, grid)
 
+    def test_stacked_matrices_match_one_matrix_calls(self):
+        # one b per point gives each matrix's phases bit for bit
+        b = antisym_tridiagonal_batch(7, 0.5, RandomStream(14), 5)
+        mu = np.linspace(0.05, 4.0, 30)
+        stacked = _phases(np.repeat(b, mu.size, axis=0), np.tile(mu, len(b)))
+        assert np.array_equal(stacked, np.concatenate([_phases(row, mu) for row in b]))
+
     @pytest.mark.parametrize("n,beta,seed", REFERENCE_CASES)
     def test_matches_loop(self, n, beta, seed):
         t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
@@ -300,7 +328,7 @@ class TestPruferPhases:
             except _Unresolved:
                 # where the bisection gives up, the branches still follow
                 # the Sturm counts
-                assert _wrap_violations(t, phases)[0] == 0
+                assert _violations(t, phases)[0] == 0
                 continue
             assert np.array_equal(np.stack([p.theta for p in phases]), expect)
 
@@ -313,12 +341,12 @@ class TestPruferPhases:
         for seed in range(3):
             t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
             grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
-            assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+            assert _violations(t, prufer_phases(t, grid)) == (0, 0)
 
     def test_branches_follow_eigenvalue_counts_order_1000(self):
         t = build_antisym_tridiagonal(1000, 2.0, RandomStream(3))
         grid = np.linspace(0.0, 1.5 * positive_spectrum(t).lam[0], 200)[1:]
-        assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+        assert _violations(t, prufer_phases(t, grid)) == (0, 0)
 
     def test_underflowed_off_diagonal(self):
         # b_1**2 = 1e-400 rounds to 0, so b_1**2 P_0 is +0 and atan2 gives a
@@ -329,7 +357,7 @@ class TestPruferPhases:
         theta = np.stack([p.theta for p in phases])
         assert np.all(theta[1:, 0] == 0.0)
         assert np.all(np.diff(theta, axis=0) <= 0)
-        assert _wrap_violations(t, phases) == (0, 0)
+        assert _violations(t, phases) == (0, 0)
 
     def test_branches_follow_eigenvalue_counts_beta_001(self):
         # 3 of these 20 draws have an off-diagonal whose square underflows
@@ -339,7 +367,7 @@ class TestPruferPhases:
             t = build_antisym_tridiagonal(8, 0.01, RandomStream(seed))
             underflowed += bool(np.any(t.b ** 2 == 0.0))
             grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
-            assert _wrap_violations(t, prufer_phases(t, grid)) == (0, 0)
+            assert _violations(t, prufer_phases(t, grid)) == (0, 0)
         assert underflowed > 0
 
     def test_wrap_check_flags_a_branch_off_by_pi(self):
@@ -348,7 +376,7 @@ class TestPruferPhases:
         theta = np.stack([p.theta for p in phases])
         theta[7, 4] += math.pi
         moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
-        assert _wrap_violations(t, moved)[0] == 1
+        assert _violations(t, moved)[0] == 1
 
     def test_wrap_check_flags_a_rise_by_pi(self):
         # -K pi and -(K-1) pi both pass the branch test; a phase that rises
@@ -358,4 +386,4 @@ class TestPruferPhases:
         theta = np.stack([p.theta for p in phases])
         theta[1:, 0] = math.pi
         moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
-        assert _wrap_violations(t, moved)[0] == 1
+        assert _violations(t, moved)[0] == 1

@@ -151,7 +151,8 @@ class TestRowForms:
 
     def test_empty_batches(self):
         # no draws: every case passes with statistic 0, as the loops did
-        for report in (verify.run_jacobian(SEED, count=0), verify.run_vandermonde(SEED, count=0),
+        for report in (verify.run_identities(SEED, count=0), verify.run_jacobian(SEED, count=0),
+                       verify.run_vandermonde(SEED, count=0),
                        verify.run_sturm_prufer(SEED, pairs=0)):
             assert report.all_passed and report.cases[0].statistic == 0.0
 
@@ -200,6 +201,43 @@ def _record_rows(monkeypatch, module, name):
     return rows
 
 
+def _reference_phase_cases(seed: int) -> list[float]:
+    """The one-matrix loops the anchor-phases, monotone-decrease and
+    wrap-counts cases replaced: their three statistics."""
+    root = RandomStream(seed, (9,))
+    anchor_worst, monotone_ok = 0.0, True
+    for i in range(20):
+        n = 4 + i % 7
+        t = build_antisym_tridiagonal(n, 2.0, root.split(1000 + i))
+        grid = np.linspace(0.0, 1.5 * positive_spectrum(t).lam[0], 200)[1:]
+        theta = np.stack([p.theta for p in sturm.prufer_phases(t, grid)])
+        start = sturm.prufer_phases(t, np.array([1e-300]))[0].theta
+        anchor_worst = max(anchor_worst, float(np.max(np.abs(start - sturm._anchor_phases(n)))))
+        monotone_ok &= not np.any(np.diff(theta, axis=0) >= 0)
+    violations = 0
+    for j, beta in enumerate(np.repeat((0.05, 0.25, 2.0), 20)):
+        t = build_antisym_tridiagonal(4 + j % 9, beta, root.split(2000 + j))
+        grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
+        theta = np.stack([p.theta for p in sturm.prufer_phases(t, grid)])
+        violations += verify._wrap_violations(t.b[None, :], grid[None, :], theta[None])[0]
+    return [anchor_worst, 0.0 if monotone_ok else 1.0, float(violations)]
+
+
+def _record_phases(monkeypatch):
+    """Replace ``sturm._phases`` by a spy that records, for every point, the
+    bytes of its matrix's ``b``, the point and the phases there."""
+    rows = []
+    real = sturm._phases
+
+    def spy(b, mu):
+        theta = real(b, mu)
+        b = np.broadcast_to(b, (mu.size, b.shape[-1]))
+        rows.extend(r.tobytes() for r in np.concatenate([b, mu[:, None], theta], axis=1))
+        return theta
+    monkeypatch.setattr(sturm, "_phases", spy)
+    return rows
+
+
 class TestDrawOrder:
     """The batched suites check the matrices, spectra and points of the
     one-pair loops they replaced, bit for bit: every row the row form gets
@@ -214,6 +252,16 @@ class TestDrawOrder:
         assert case.name == "eigenvalue-count"
         assert case.statistic == float(_reference_eigenvalue_count(seed))
         assert len(rows) == 1000 and batched == sorted(rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_phase_cases_match_one_matrix_loop(self, seed, monkeypatch):
+        rows = _record_phases(monkeypatch)
+        cases = verify.run_sturm_prufer(seed).cases[1:]
+        batched = sorted(rows)
+        rows.clear()
+        assert [c.name for c in cases] == ["anchor-phases", "monotone-decrease", "wrap-counts"]
+        assert [c.statistic for c in cases] == _reference_phase_cases(seed)
+        assert len(rows) == 20 * 200 + 60 * 199 and batched == sorted(rows)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_vandermonde_matches_one_pair_loop(self, seed, monkeypatch):
@@ -231,6 +279,38 @@ class TestDrawOrder:
         uniform, unit = np.random.default_rng(2), np.random.default_rng(2)
         expected = [uniform.uniform(0.0, 1.2 * v) for v in lam]
         assert np.array_equal(0.0 + 1.2 * lam * [unit.random() for _ in lam], expected)
+
+
+class TestIdentityRows:
+    """The identity checks of the ``identities`` suite on rows of spectral
+    data."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_rows_equal_one_row_calls(self, n):
+        betas = [0.5, 1.0, 2.0, 4.0] * 3
+        rows = verify._spectrum_draws(n, betas, [RandomStream(6).split(i) for i in range(12)],
+                                      min_relgap=1e-6)
+        x = verify._secular_points(*rows, np.random.default_rng(n))
+        forms = (lambda *r: verify._secular_residual_rows(*r[:4], r[4]),
+                 lambda *r: verify._moment_residual_rows(*r[:4]),
+                 lambda *r: verify._first_component_residual_rows(*r[:4]))
+        for form in forms:
+            batch = form(*rows, x)
+            one = np.concatenate([form(*(a[i:i + 1] for a in rows + (x,))) for i in range(12)])
+            assert batch.shape[0] == 12 and np.array_equal(batch, one)
+
+    def test_perturbed_q_fails_first_components(self, monkeypatch):
+        real = verify._spectrum_draws
+
+        def perturbed(n, *args, **kwargs):
+            b, lam, q, z = real(n, *args, **kwargs)
+            if n == 7:
+                q = q.copy()
+                q[0, 0] += 1e-6
+            return b, lam, q, z
+        monkeypatch.setattr(verify, "_spectrum_draws", perturbed)
+        case = {c.name: c for c in verify.run_identities(SEED).cases}["first-components"]
+        assert case.status == "fail" and abs(case.statistic - 1e-6) <= 1e-8
 
 
 class TestSuitesPass:

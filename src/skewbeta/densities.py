@@ -24,13 +24,10 @@ class LogDensityValue:
     log_value: float
     in_support: bool
 
-    @classmethod
-    def out_of_support(cls) -> "LogDensityValue":
-        return cls(-math.inf, False)
-
 
 def _strictly_descending_positive(x: np.ndarray):
-    return np.all(x > 0, axis=-1) & np.all(np.diff(x, axis=-1) < 0, axis=-1)
+    return (np.all((x > 0) & (x < np.inf), axis=-1)
+            & np.all(np.diff(x, axis=-1) < 0, axis=-1))
 
 
 def _log_gap_sq(a, b):

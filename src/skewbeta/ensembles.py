@@ -50,11 +50,6 @@ class AntisymTridiagonal:
     def to_dense(self) -> np.ndarray:
         return dense_tridiagonal(self.superdiagonal_top_down(), -1.0)
 
-    def symmetric_counterpart(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the symmetric tridiagonal matrix with
-        the same characteristic polynomial as ``i * T``."""
-        return np.zeros(self.n), self.superdiagonal_top_down()
-
 
 @dataclass(frozen=True)
 class DenseAntisym:

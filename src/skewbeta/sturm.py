@@ -130,8 +130,8 @@ def prufer_phases(t: AntisymTridiagonal, grid) -> list[PruferPhases]:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) <= 0) or grid[0] < 0:
-        raise ValueError("grid must be strictly increasing and nonnegative")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0) and grid[0] >= 0):
+        raise ValueError("grid must be finite, strictly increasing and nonnegative")
     theta = np.empty((grid.size, t.n - 1))
     start = int(grid[0] == 0.0)
     theta[:start] = _anchor_phases(t.n)

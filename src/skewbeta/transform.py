@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensembles import (LowerBidiagonal, SizeError, _c_matrix_chis, _laguerre_chis,
                         dense_tridiagonal)
-from .densities import _log_vandermonde_sq
+from .densities import _interleave, _log_vandermonde_sq
 from .spectral import _reconstruct_rows
 from .streams import ParameterError, RandomStream
 
@@ -77,15 +77,6 @@ def block_embedding(y: np.ndarray) -> np.ndarray:
     v[:r, r:] = -y
     v[r:, :r] = y.T
     return v
-
-
-def _interleave(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """(d_0, e_0, d_1, e_1, ...) along the last axis; ``e`` may be one
-    shorter than ``d``."""
-    out = np.empty(d.shape[:-1] + (d.shape[-1] + e.shape[-1],))
-    out[..., 0::2] = d
-    out[..., 1::2] = e
-    return out
 
 
 def tridiagonal_from_bidiagonal(b: LowerBidiagonal) -> np.ndarray:

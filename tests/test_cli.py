@@ -245,6 +245,13 @@ class TestDensity:
                              "--point", "1.5,0.5")
         assert code == 2 and out == "" and err.startswith("error: beta must be")
 
+    @pytest.mark.parametrize("point", ["inf,0.5", "1.5,nan"])
+    def test_nonfinite_point_exits_two(self, capsys, point):
+        # these printed NaN, which is not JSON, with exit 0
+        code, out, err = run(capsys, "density", "--n", "4", "--beta", "2",
+                             "--point", point)
+        assert code == 2 and out == "" and err.startswith("error: --point")
+
 
 class TestPruferAndHouseholder:
     def test_prufer_table(self, capsys):
@@ -270,7 +277,8 @@ class TestPruferAndHouseholder:
         code, _, err = run(capsys, "prufer", "--n", "4", "--grid", "oops")
         assert code == 2
 
-    @pytest.mark.parametrize("grid", ["oops", "0:4", "a:b:c", "0:4:2.5", "0:4:5:6"])
+    @pytest.mark.parametrize("grid", ["oops", "0:4", "a:b:c", "0:4:2.5", "0:4:5:6",
+                                      "0:inf:4", "nan:1:4"])
     def test_malformed_grid_names_the_option(self, capsys, grid):
         code, out, err = run(capsys, "prufer", "--n", "4", "--grid", grid)
         assert code == 2 and out == ""
@@ -283,6 +291,44 @@ class TestPruferAndHouseholder:
         assert len(doc["dense"]) == 5
         assert len(doc["superdiagonal_top_down"]) == 4
         assert all(v > 0 for v in doc["superdiagonal_top_down"])
+
+
+class TestOptions:
+    # each subcommand takes only the options its handler reads, and its
+    # provenance records exactly those of them that shaped the output
+    @pytest.mark.parametrize("argv", [
+        ("householder", "--n", "4", "--beta", "0.5"),
+        ("householder", "--reps", "9"),
+        ("householder", "--format", "csv"),
+        ("verify", "--suite", "dixon-anderson", "--beta", "-3"),
+        ("verify", "--suite", "dixon-anderson", "--reps", "-5"),
+        ("verify", "--suite", "dixon-anderson", "--n", "4"),
+        ("density", "--point", "1.5,0.5", "--seed", "1"),
+        ("density", "--point", "1.5,0.5", "--format", "csv"),
+        ("prufer", "--n", "4", "--reps", "3"),
+        ("prufer", "--n", "4", "--a", "3"),
+        ("sample", "--grid", "0:4:41"),
+    ])
+    def test_unread_option_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv,keys", [
+        (("sample", "--n", "4"), ["version", "command", "seed", "ensemble", "n", "beta", "reps"]),
+        (("sample", "--ensemble", "laguerre-bidiag", "--n", "4", "--a", "6"),
+         ["version", "command", "seed", "ensemble", "n", "beta", "a", "reps"]),
+        (("prufer", "--n", "4", "--grid", "0:3:4"), ["version", "command", "seed", "n", "beta"]),
+        (("density", "--n", "4", "--point", "1.5,0.5"), ["version", "command", "n", "beta"]),
+        (("householder", "--n", "4"), ["version", "command", "seed", "n"]),
+    ])
+    def test_provenance_records_the_options_read(self, capsys, argv, keys):
+        code, out, _ = run(capsys, *argv, *(("--format", "json") if argv[0] in
+                                            ("sample", "prufer") else ()))
+        assert code == 0
+        assert list(json.loads(out)["provenance"]) == keys
 
 
 class TestStartup:

@@ -35,6 +35,11 @@ class TestEigenvalueDensity:
     def test_unordered_out_of_support(self):
         assert not logpdf_positive_spectrum([1.0, 2.0], 4, 2.0).in_support
 
+    def test_infinite_eigenvalue_out_of_support(self):
+        # an infinite eigenvalue gave a NaN log-density flagged in support
+        val = logpdf_positive_spectrum([math.inf, 0.5], 4, 2.0)
+        assert not val.in_support and val.log_value == -math.inf
+
     def test_wrong_length_raises(self):
         with pytest.raises(ParameterError):
             logpdf_positive_spectrum([1.0], 4, 2.0)
@@ -140,6 +145,11 @@ class TestConditionalDensities:
         lam = np.array([1.3])
         assert not conditional_logpdf_up([1.0], lam, 2, 2.0).in_support
         assert conditional_logpdf_up([2.0], lam, 2, 2.0).in_support
+
+    def test_up_infinite_root_out_of_support(self):
+        # an infinite root gave a NaN log-density flagged in support
+        val = conditional_logpdf_up([math.inf, 0.5], [1.0], 3, 2.0)
+        assert not val.in_support and val.log_value == -math.inf
 
     def test_down_interlacing_enforced(self):
         lam = np.array([2.1, 0.9])
@@ -332,5 +342,9 @@ class TestDixonAnderson:
 
 class TestLogDensityValue:
     def test_out_of_support_constructor(self):
-        v = LogDensityValue.out_of_support()
-        assert not v.in_support and v.log_value == -math.inf
+        # the one-row wrappers build the out-of-support value themselves
+        for v in (logpdf_positive_spectrum([0.0], 2, 2.0),
+                  conditional_logpdf_up([0.5, 2.0], [1.0], 3, 2.0),
+                  conditional_logpdf_down([2.0], [1.0, 0.5], 3, 2.0)):
+            assert v == LogDensityValue(-math.inf, False)
+            assert not v.in_support and v.log_value == -math.inf

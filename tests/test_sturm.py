@@ -302,6 +302,7 @@ class TestPruferPhases:
 
     @pytest.mark.parametrize("grid", [
         np.zeros(0), np.array([1.0, 0.5]), np.array([-1.0, 1.0]),
+        np.array([0.5, np.nan, 1.0]), np.array([0.5, 1.0, np.inf]),
     ])
     def test_grid_validation(self, grid):
         t = build_antisym_tridiagonal(4, 2.0, RandomStream(13))
@@ -387,3 +388,17 @@ class TestPruferPhases:
         theta[1:, 0] = math.pi
         moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
         assert _violations(t, moved)[0] == 1
+
+    def test_wrap_check_lets_the_phase_after_a_skipped_point_rise(self):
+        # P_4 vanishes exactly at mu = 1, an eigenvalue of the order-4
+        # trailing matrix: theta_6 there may sit a branch low at -pi, which
+        # is skipped, and the next phase then rises from it without being
+        # off its own branch
+        t = AntisymTridiagonal([2.0, 3.0, 2.0, 1.0, 1.0])
+        phases = prufer_phases(t, np.array([0.5, 1.0, 1.5]))
+        assert _violations(t, phases) == (0, 1)
+        theta = np.stack([p.theta for p in phases])
+        theta[1, 4] -= math.pi
+        assert theta[2, 4] > theta[1, 4]
+        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
+        assert _violations(t, moved) == (0, 1)

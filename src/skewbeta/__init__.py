@@ -8,9 +8,8 @@ anti-symmetric Gaussian beta-ensemble in reduced tridiagonal form.
 __version__ = "0.1.0"
 
 from .ensembles import (AntisymTridiagonal, DenseAntisym, EnsembleSpec,
-                        LowerBidiagonal, build_antisym_tridiagonal,
-                        build_c_matrix, build_dense_antisym_gue,
-                        build_laguerre_bidiagonal, householder_reduce)
+                        build_antisym_tridiagonal, build_dense_antisym_gue,
+                        householder_reduce)
 from .spectral import SpectralData, positive_spectrum, reconstruct_tridiagonal
 from .streams import RandomStream
 
@@ -18,13 +17,10 @@ __all__ = [
     "AntisymTridiagonal",
     "DenseAntisym",
     "EnsembleSpec",
-    "LowerBidiagonal",
     "RandomStream",
     "SpectralData",
     "build_antisym_tridiagonal",
-    "build_c_matrix",
     "build_dense_antisym_gue",
-    "build_laguerre_bidiagonal",
     "householder_reduce",
     "positive_spectrum",
     "reconstruct_tridiagonal",

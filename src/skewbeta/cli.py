@@ -4,6 +4,7 @@ suites, Pruefer phase tables and a Householder reduction demonstration."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -114,8 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except KeyError:
         sys.stderr.write(f"unknown suite: {args.suite}\n")
         return 2
-    doc = json.dumps({"reports": [json.loads(r.to_json()) for r in reports]},
-                     indent=2)
+    doc = json.dumps({"reports": [dataclasses.asdict(r) for r in reports]}, indent=2)
     _write(doc, args.out)
     return 0 if all(r.all_passed for r in reports) else 1
 
@@ -134,15 +134,18 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    grid = np.empty(0)
     try:
         lo, hi, num = text.split(":")
         lo, hi = float(lo), float(hi)
-        grid = np.linspace(lo, hi, int(num)) if math.isfinite(hi - lo) else None
+        if math.isfinite(hi - lo) and hi > lo:
+            grid = np.linspace(lo, hi, int(num))
     except ValueError:
-        grid = None
-    if grid is None:
+        pass
+    grid = grid[grid > 0]
+    if not grid.size:
         raise ParameterError(f"--grid takes lo:hi:num (e.g. 0:4:41), got {text!r}")
-    return grid[grid > 0]
+    return grid
 
 
 def cmd_prufer(args: argparse.Namespace) -> int:

@@ -71,42 +71,6 @@ class DenseAntisym:
 
 
 @dataclass(frozen=True)
-class LowerBidiagonal:
-    """Lower bidiagonal matrix with nonnegative entries.
-
-    ``rows`` is ``len(d)`` or ``len(d) + 1``; in the latter case the extra
-    row carries only the last subdiagonal entry.
-    """
-
-    d: np.ndarray
-    e: np.ndarray
-    rows: int
-
-    def __post_init__(self) -> None:
-        d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        e = np.atleast_1d(np.asarray(self.e, dtype=float)) if np.size(self.e) else np.zeros(0)
-        if self.rows not in (d.size, d.size + 1):
-            raise ValueError("rows must equal cols or cols + 1")
-        expected_e = d.size - 1 if self.rows == d.size else d.size
-        if e.size != expected_e:
-            raise ValueError(f"expected {expected_e} subdiagonal entries, got {e.size}")
-        if np.any(d < 0) or np.any(e < 0):
-            raise ValueError("bidiagonal entries must be nonnegative")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-
-    @property
-    def cols(self) -> int:
-        return self.d.size
-
-    def to_dense(self) -> np.ndarray:
-        mat = np.zeros((self.rows, self.cols))
-        mat[range(self.cols), range(self.cols)] = self.d
-        mat[range(1, self.e.size + 1), range(self.e.size)] = self.e
-        return mat
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
     """Validated parameters for one matrix family."""
 
@@ -122,6 +86,11 @@ class EnsembleSpec:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
         if not 0 < self.beta < np.inf:
             raise ParameterError(f"beta must be positive and finite, got {self.beta}")
+        if self.kind == "antisym-dense-gue" and self.beta != 2.0:
+            raise ParameterError(f"beta must be 2 for antisym-dense-gue, got {self.beta}")
+        if self.a is not None and self.kind != "laguerre-bidiag":
+            raise ParameterError(f"a applies to laguerre-bidiag only, got a={self.a} "
+                                 f"for {self.kind}")
         if self.kind == "laguerre-bidiag":
             if self.a is None:
                 raise ParameterError("laguerre-bidiag requires parameter a")
@@ -239,16 +208,12 @@ def householder_reduce_batch(a: np.ndarray) -> np.ndarray:
     return sup[:, ::-1]
 
 
-def build_laguerre_bidiagonal(n: int, a: float, beta: float, stream: RandomStream) -> LowerBidiagonal:
-    """Square bidiagonal chi matrix: diagonal ``chi_{2a}, chi_{2a-beta}, ...``,
-    subdiagonal ``chi_{(n-1)beta}, ..., chi_beta`` (standard chi convention)."""
-    d, e = _laguerre_chis(n, a, beta, [stream])
-    return LowerBidiagonal(d[0], e[0], rows=n)
-
-
 def _laguerre_chis(n: int, a: float, beta: float, streams, reps: int | None = None):
-    """Diagonal and subdiagonal chi draws of the square Laguerre block, shapes
-    ``(len(streams), [reps,] n)`` and ``(len(streams), [reps,] n-1)``."""
+    """Diagonal and subdiagonal chi draws of the square n x n Laguerre
+    bidiagonal block, shapes ``(len(streams), [reps,] n)`` and
+    ``(len(streams), [reps,] n-1)``: diagonal ``chi_{2a}, chi_{2a-beta},
+    ...``, subdiagonal ``chi_{(n-1)beta}, ..., chi_beta`` (standard chi
+    convention)."""
     if n < 1:
         raise SizeError("need n >= 1")
     if not 2 * a - (n - 1) * beta > 0:
@@ -258,18 +223,12 @@ def _laguerre_chis(n: int, a: float, beta: float, streams, reps: int | None = No
     return _chi_block(degrees, n, streams, reps)
 
 
-def build_c_matrix(k: int, beta: float, stream: RandomStream) -> LowerBidiagonal:
-    """The (k+1) x k bidiagonal chi matrix obtained from the odd-case block
-    construction after removing the trailing zero column: diagonal
-    ``chi_{k*beta}, ..., chi_beta``, subdiagonal ``chi_{(2k-1)beta/2}, ..., chi_{beta/2}``.
-    """
-    d, e = _c_matrix_chis(k, beta, [stream])
-    return LowerBidiagonal(d[0], e[0], rows=k + 1)
-
-
 def _c_matrix_chis(k: int, beta: float, streams, reps: int | None = None):
     """Diagonal and subdiagonal chi draws of the C-matrix, both of shape
-    ``(len(streams), [reps,] k)``."""
+    ``(len(streams), [reps,] k)``.  The C-matrix is the (k+1) x k lower
+    bidiagonal chi block of the odd-case construction with its trailing
+    zero column removed: diagonal ``chi_{k*beta}, ..., chi_beta``,
+    subdiagonal ``chi_{(2k-1)beta/2}, ..., chi_{beta/2}``."""
     if k < 1:
         raise SizeError("need k >= 1")
     degrees = ([(k - j) * beta for j in range(k)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -159,14 +159,4 @@ class VerificationReport:
         return self.failures == 0 and len(self.cases) > 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "suite": self.suite,
-            "seed": self.seed,
-            "cases": [{
-                "name": c.name,
-                "status": c.status,
-                "statistic": c.statistic,
-                "tolerance": c.tolerance,
-                "p_value": c.p_value,
-            } for c in self.cases],
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)

@@ -12,8 +12,7 @@ Two chi conventions coexist in the literature this package follows:
 Both come from one kernel, :func:`gamma_table`, whose ``scale`` names the
 convention: ``scale=1.0`` draws ``chi_tilde`` and ``scale=2.0`` draws
 ``standard_chi``.  Each matrix constructor passes the scale of the
-convention it uses; :func:`sample_chi_tilde` and :func:`sample_standard_chi`
-are the one-cell cases.
+convention it uses.
 """
 
 from __future__ import annotations
@@ -250,22 +249,6 @@ def gamma_table(shapes, streams, size=None, scale=None):
         # a Python-float exponent, as one column's draw takes it
         boost[cells == shape] *= u[a == shape] ** (1.0 / shape)
     return boost
-
-
-def sample_gamma(shape, stream: RandomStream, size=None):
-    """Draw from the rate-1 gamma density ``u**(shape-1) * exp(-u) / Gamma(shape)``;
-    the one-cell case of :func:`gamma_table`."""
-    return gamma_table([shape], [stream], size)[0, 0]
-
-
-def sample_chi_tilde(k, stream: RandomStream, size=None):
-    """Square root of a rate-1 gamma with shape ``k/2``; ``E[x**2] = k/2``."""
-    return gamma_table([k / 2.0], [stream], size, scale=1.0)[0, 0]
-
-
-def sample_standard_chi(k, stream: RandomStream, size=None):
-    """Standard chi variable with ``k`` degrees; equals sqrt(2)*chi_tilde(k) in law."""
-    return gamma_table([k / 2.0], [stream], size, scale=2.0)[0, 0]
 
 
 def sample_dirichlet(s, stream: RandomStream, size=None):

@@ -9,12 +9,10 @@ Jacobian) with a finite-difference cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (LowerBidiagonal, SizeError, _c_matrix_chis, _laguerre_chis,
-                        dense_tridiagonal)
+from .ensembles import SizeError, _c_matrix_chis, _laguerre_chis, dense_tridiagonal
 from .densities import _interleave, _log_vandermonde_sq
 from .spectral import _reconstruct_rows
 from .streams import ParameterError, RandomStream
@@ -24,84 +22,58 @@ class FiniteDifferenceError(RuntimeError):
     """Finite-difference derivative failed its step-halving consistency check."""
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Signed permutation of size 2n: row ``i`` of the matrix has a single
-    nonzero ``sign[i]`` in column ``col[i]``."""
-
-    size: int
-    col: np.ndarray
-    sign: np.ndarray
-
-    def __post_init__(self) -> None:
-        col = np.asarray(self.col, dtype=np.int64)
-        sign = np.asarray(self.sign, dtype=np.int64)
-        if col.size != self.size or sign.size != self.size:
-            raise ParameterError("column and sign arrays must have length size")
-        if sorted(col.tolist()) != list(range(self.size)):
-            raise ParameterError("column map must be a permutation")
-        if not np.all(np.abs(sign) == 1):
-            raise ParameterError("signs must be +-1")
-        object.__setattr__(self, "col", col)
-        object.__setattr__(self, "sign", sign)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size), dtype=np.int64)
-        m[np.arange(self.size), self.col] = self.sign
-        return m
-
-
-def asps(n: int) -> SignedPermutation:
-    """Alternating-sign perfect shuffle of size 2n.
+def asps(n: int) -> np.ndarray:
+    """Alternating-sign perfect shuffle of size 2n, as a 2n x 2n int64
+    matrix with one nonzero +-1 in each row.
 
     The underlying shuffle sends row i (1-based) to column (i+1)/2 for odd
     i and n + i/2 for even i; the sign of row i is (-1)**floor(i/2).
     """
     if n < 1:
         raise SizeError("need n >= 1")
-    col = np.empty(2 * n, dtype=np.int64)
-    sign = np.empty(2 * n, dtype=np.int64)
-    for r in range(2 * n):
-        i = r + 1
-        col[r] = (i + 1) // 2 - 1 if i % 2 == 1 else n + i // 2 - 1
-        sign[r] = -1 if (i // 2) % 2 == 1 else 1
-    return SignedPermutation(size=2 * n, col=col, sign=sign)
+    r = np.arange(2 * n)  # row i = r + 1
+    m = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    m[r, r // 2 + n * (r % 2)] = 1 - 2 * ((r + 1) // 2 % 2)
+    return m
 
 
 def block_embedding(y: np.ndarray) -> np.ndarray:
-    """The anti-symmetric matrix ``[[0, -Y], [Y^T, 0]]``; its eigenvalues are
-    plus/minus i times the singular values of Y."""
+    """The anti-symmetric matrices ``[[0, -Y], [Y^T, 0]]`` of a stack of
+    blocks ``(..., r, c)``; their eigenvalues are plus/minus i times the
+    singular values of Y."""
     y = np.asarray(y, dtype=float)
-    r, c = y.shape
-    v = np.zeros((r + c, r + c))
-    v[:r, r:] = -y
-    v[r:, :r] = y.T
+    r, c = y.shape[-2:]
+    v = np.zeros(y.shape[:-2] + (r + c, r + c))
+    v[..., :r, r:] = -y
+    v[..., r:, :r] = np.swapaxes(y, -1, -2)
     return v
 
 
-def tridiagonal_from_bidiagonal(b: LowerBidiagonal) -> np.ndarray:
-    """Dense reduced-form tridiagonal whose superdiagonal (top-down) reads
-    the bidiagonal entries interleaved: d_0, e_0, d_1, e_1, ..."""
-    return dense_tridiagonal(_interleave(b.d, b.e), -1.0)
-
-
 def bidiagonal_read_off(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Bottom-up off-diagonal sequences of the tridiagonals that
-    :func:`tridiagonal_from_bidiagonal` reads off blocks of diagonals ``d``
-    and subdiagonals ``e`` (stacked along the leading axes).  Their positive
-    spectra are the singular values of the blocks."""
+    """Bottom-up off-diagonal sequences of the tridiagonals read off lower
+    bidiagonal blocks of diagonals ``d`` and subdiagonals ``e`` (stacked
+    along the leading axes): the superdiagonal reads ``d_0, e_0, d_1, e_1,
+    ...`` top-down.  Their positive spectra are the singular values of the
+    blocks."""
     return _interleave(d, e)[..., ::-1]
 
 
-def shuffle_conjugation_check(b: LowerBidiagonal) -> float:
-    """Max deviation of ``Q V_B Q^T`` from the tridiagonal read off ``B``;
-    exactly zero (the conjugation only permutes entries and flips signs)."""
-    if b.rows != b.cols:
+def shuffle_conjugation_check(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Max deviation of ``Q V_B Q^T`` from the tridiagonal read off ``B``,
+    one per square lower bidiagonal block ``B`` of diagonals ``d``
+    ``(..., k)`` and subdiagonals ``e`` ``(..., k-1)``; exactly zero (the
+    conjugation only permutes entries and flips signs)."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    k = d.shape[-1]
+    if e.shape[-1] != k - 1:
         raise SizeError("shuffle conjugation needs a square bidiagonal block")
-    q = asps(b.cols).matrix().astype(float)
-    v = block_embedding(b.to_dense())
-    target = tridiagonal_from_bidiagonal(b)
-    return float(np.max(np.abs(q @ v @ q.T - target)))
+    blocks = np.zeros(d.shape + (k,))
+    idx = np.arange(k)
+    blocks[..., idx, idx] = d
+    blocks[..., idx[1:], idx[:-1]] = e
+    q = asps(k).astype(float)
+    target = dense_tridiagonal(_interleave(d, e), -1.0)
+    return np.max(np.abs(q @ block_embedding(blocks) @ q.T - target), axis=(-2, -1))
 
 
 def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
@@ -124,7 +96,8 @@ def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
 
 
 def cholesky_reindex(bsq) -> np.ndarray:
-    """Solve the bidiagonal refactorization recursion.
+    """Solve the bidiagonal refactorization recursion along the last axis
+    (leading axes are independent sequences).
 
     Input: positive ``(b_1^2, ..., b_{2k+1}^2)``.  Output, in index order,
     ``(x_2^2, x_3^2, ..., x_{2k+1}^2)``:
@@ -142,36 +115,40 @@ def cholesky_reindex(bsq) -> np.ndarray:
     factor of the tridiagonal Gram matrix built from ``b``.
     """
     bsq = np.atleast_1d(np.asarray(bsq, dtype=float))
-    if bsq.size < 3 or bsq.size % 2 == 0:
+    m = bsq.shape[-1]
+    if m < 3 or m % 2 == 0:
         raise ParameterError("need an odd number (>= 3) of squared entries")
     if not np.all(bsq > 0):
         raise ParameterError("squared entries must be positive")
-    k = (bsq.size - 1) // 2
-    x = np.empty(2 * k + 2)  # x[j] holds x_j^2; slots 0,1 unused
-    y = bsq[0]
+    k = (m - 1) // 2
+    x = np.empty(bsq.shape[:-1] + (2 * k + 2,))  # x[..., j] holds x_j^2; slots 0,1 unused
+    y = bsq[..., 0]
     for i in range(1, k + 1):
-        x[2 * i + 1] = bsq[2 * i - 1] + y
-        x[2 * i] = bsq[2 * i - 1] * bsq[2 * i] / x[2 * i + 1]
-        y = bsq[2 * i] * y / x[2 * i + 1]
-    return x[2:]
+        x[..., 2 * i + 1] = bsq[..., 2 * i - 1] + y
+        x[..., 2 * i] = bsq[..., 2 * i - 1] * bsq[..., 2 * i] / x[..., 2 * i + 1]
+        y = bsq[..., 2 * i] * y / x[..., 2 * i + 1]
+    return x[..., 2:]
 
 
-def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
+def reversed_cholesky_residual(d: np.ndarray, e: np.ndarray, b_top_sq) -> np.ndarray:
     """Relative residual between :func:`cholesky_reindex` and a direct
-    reversed-Cholesky factor of the Gram matrix of ``c``, computed by
-    orthogonal rotations of ``c`` itself.
+    reversed-Cholesky factor of the Gram matrix of each block ``c``,
+    computed by orthogonal rotations of ``c`` itself: one per block.
 
-    ``c`` is the (k+1) x k chi bidiagonal block; ``b_top_sq`` supplies the
-    extra squared entry ``b_{2k+1}^2`` the recursion consumes.  The factor
-    ``X`` (lower bidiagonal, ``X^T X = c^T c``) must have squared diagonal
-    ``(x_{2k+1}^2, x_{2k-1}^2, ..., x_3^2)`` and squared subdiagonal
-    ``(x_{2k-2}^2, ..., x_2^2)``, both top-down.
+    ``c`` is a (k+1) x k lower bidiagonal chi block of diagonals ``d``
+    ``(..., k)`` and subdiagonals ``e`` ``(..., k)``; ``b_top_sq``
+    ``(...)`` supplies the extra squared entry ``b_{2k+1}^2`` the recursion
+    consumes.  The factor ``X`` (lower bidiagonal, ``X^T X = c^T c``) must
+    have squared diagonal ``(x_{2k+1}^2, x_{2k-1}^2, ..., x_3^2)`` and
+    squared subdiagonal ``(x_{2k-2}^2, ..., x_2^2)``, both top-down.
     """
-    if c.rows != c.cols + 1:
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    k = d.shape[-1]
+    if e.shape[-1] != k:
         raise SizeError("expected a (k+1) x k bidiagonal block")
-    k = c.cols
     # the bottom-up read-off of c, as in laguerre_map_batch, squared
-    x = cholesky_reindex(np.append(bidiagonal_read_off(c.d, c.e) ** 2, b_top_sq))
+    top = np.asarray(b_top_sq, dtype=float)[..., None]
+    x = cholesky_reindex(np.concatenate([bidiagonal_read_off(d, e) ** 2, top], axis=-1))
 
     # X = Q^T c for the Givens rotations that chase the last row of c up to
     # the first: row j of X has hypot(d_j, g) on the diagonal and
@@ -180,20 +157,20 @@ def reversed_cholesky_residual(c: LowerBidiagonal, b_top_sq: float) -> float:
     # or quotient of positive numbers, so tiny entries keep full relative
     # accuracy; a dense QR or Cholesky factor resolves them only to
     # eps * ||c||.
-    diag_sq = np.empty(k)
-    sub_sq = np.empty(k - 1)
-    g = c.e[k - 1]
+    diag_sq = np.empty(d.shape)
+    sub_sq = np.empty(d.shape[:-1] + (k - 1,))
+    g = e[..., k - 1]
     for j in range(k - 1, -1, -1):
-        x_jj = math.hypot(c.d[j], g)
-        diag_sq[j] = x_jj ** 2
+        x_jj = np.hypot(d[..., j], g)
+        diag_sq[..., j] = np.square(x_jj)
         if j:
-            sub_sq[j - 1] = (c.d[j] * c.e[j - 1] / x_jj) ** 2
-            g *= c.e[j - 1] / x_jj
+            sub_sq[..., j - 1] = np.square(d[..., j] * e[..., j - 1] / x_jj)
+            g = g * (e[..., j - 1] / x_jj)
 
-    # x[j] = x_{j+2}^2; x_{2k}^2 involves b_{2k+1}^2, which c does not hold
-    expected = np.concatenate([x[:-2:2], x[1::2]])
-    got = np.concatenate([diag_sq, sub_sq])[::-1]
-    return float(np.max(np.abs(got - expected) / expected))
+    # x[..., j] = x_{j+2}^2; x_{2k}^2 involves b_{2k+1}^2, which c does not hold
+    expected = np.concatenate([x[..., :-2:2], x[..., 1::2]], axis=-1)
+    got = np.concatenate([diag_sq, sub_sq], axis=-1)[..., ::-1]
+    return np.max(np.abs(got - expected) / expected, axis=-1)
 
 
 def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,

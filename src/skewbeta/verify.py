@@ -9,16 +9,15 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from . import chain, densities, sturm, transform
-from .ensembles import (AntisymTridiagonal, LowerBidiagonal,
-                        antisym_tridiagonal_batch, antisym_tridiagonal_rows,
-                        build_c_matrix, dense_antisym_gue_rows, dense_tridiagonal,
+from .ensembles import (AntisymTridiagonal, _c_matrix_chis, antisym_tridiagonal_batch,
+                        antisym_tridiagonal_rows, dense_antisym_gue_rows, dense_tridiagonal,
                         householder_reduce_batch)
 from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_svd,
                        _charpoly, _check_error, _failed_checks, _first_component_sq_batch,
                        _signed_spectrum, positive_spectrum_batch)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
                     quadrature_cdf)
-from .streams import RandomStream, sample_gamma, seed_streams
+from .streams import RandomStream, gamma_table, seed_streams
 
 P_THRESHOLD = 1e-3
 
@@ -191,26 +190,23 @@ def _first_component_residual_rows(b, lam, q, z) -> np.ndarray:
     return np.max(np.abs(first - q), axis=1)
 
 
-def _random_square_bidiagonal(k: int, stream: RandomStream) -> LowerBidiagonal:
-    d = 0.25 + stream.generator.random(k)
-    e = 0.25 + stream.generator.random(k - 1)
-    return LowerBidiagonal(d, e, rows=k)
-
-
 def run_shuffle(seed: int, count: int = 50) -> VerificationReport:
+    """The alternating-sign perfect shuffle is orthogonal and conjugates the
+    block embedding of a square bidiagonal block onto the tridiagonal read
+    off it; block ``i`` has order ``2 + i % 9`` and entries
+    ``0.25 + U(0, 1)`` drawn on ``root.split(i)``, diagonal first."""
     report = VerificationReport(suite="shuffle", seed=seed)
     root = RandomStream(seed, (1,))
     worst_orth = 0
-    worst_resid = 0.0
     for k in range(1, 11):
-        q = transform.asps(k)
-        m = q.matrix()
-        worst_orth = max(worst_orth, int(np.max(np.abs(m @ m.T - np.eye(2 * k,
-                                                                        dtype=np.int64)))))
-    for i in range(count):
-        k = 2 + i % 9
-        blk = _random_square_bidiagonal(k, root.split(i))
-        worst_resid = max(worst_resid, transform.shuffle_conjugation_check(blk))
+        m = transform.asps(k)
+        worst_orth = max(worst_orth, int(np.abs(m @ m.T - np.eye(2 * k, dtype=np.int64)).max()))
+    worst_resid = 0.0
+    for k, idx in _orders(2 + np.arange(count) % 9):
+        gens = [root.split(int(i)).generator for i in idx]
+        d = 0.25 + np.array([g.random(k) for g in gens])
+        e = 0.25 + np.array([g.random(k - 1) for g in gens])
+        worst_resid = max(worst_resid, float(np.max(transform.shuffle_conjugation_check(d, e))))
     report.add("orthogonality", worst_orth == 0, statistic=float(worst_orth),
                tolerance=0.0)
     report.add("conjugation", worst_resid <= 0.0, statistic=worst_resid,
@@ -219,16 +215,19 @@ def run_shuffle(seed: int, count: int = 50) -> VerificationReport:
 
 
 def run_cholesky(seed: int, count: int = 100) -> VerificationReport:
+    """The reindexing recursion against a direct reversed-Cholesky factor:
+    C-matrix ``i`` has ``k = 1 + i % 8`` and ``beta = _BETAS[i % 4]`` (one
+    beta per k), and its stream ``root.split(i)`` then draws the extra
+    squared entry ``Gamma((2k+1) beta / 4)``."""
     report = VerificationReport(suite="cholesky", seed=seed)
     root = RandomStream(seed, (2,))
     worst = 0.0
-    for i in range(count):
-        stream = root.split(i)
-        k = 1 + i % 8
-        beta = _BETAS[i % 4]
-        c = build_c_matrix(k, beta, stream)
-        top = sample_gamma((2 * k + 1) * beta / 4.0, stream)
-        worst = max(worst, transform.reversed_cholesky_residual(c, top))
+    for k, idx in _orders(1 + np.arange(count) % 8):
+        beta = _BETAS[(k - 1) % 4]
+        streams = [root.split(int(i)) for i in idx]
+        d, e = _c_matrix_chis(k, beta, streams)
+        top = gamma_table([(2 * k + 1) * beta / 4.0], streams)[:, 0]
+        worst = max(worst, float(np.max(transform.reversed_cholesky_residual(d, e, top))))
     bound = 1e-12
     report.add("reindex-vs-direct", worst <= bound, statistic=worst, tolerance=bound)
     return report

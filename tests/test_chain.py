@@ -15,7 +15,7 @@ from skewbeta.chain import (ChainState, RootBracketError, chain_sample,
                             chain_step_up, chain_trajectory, secular_roots,
                             step_down)
 from skewbeta.stats import ks_one_sample
-from skewbeta.streams import ParameterError, RandomStream, sample_gamma
+from skewbeta.streams import ParameterError, RandomStream, gamma_table
 
 from moments import moment_test
 
@@ -264,9 +264,10 @@ class TestSharedSolver:
         stream = RandomStream(31, (int(100 * beta), constant))
         rows, p = 6, 6
         poles = np.zeros((rows, p))
-        poles[:, :-1] = -np.sort(-sample_gamma(2.0 * beta, stream, size=(rows, p - 1)), axis=1)
-        weights = np.concatenate([sample_gamma(beta / 2.0, stream, size=(rows, p - 1)),
-                                  sample_gamma(beta / 4.0, stream, size=(rows, 1))], axis=1)
+        poles[:, :-1] = -np.sort(-gamma_table([2.0 * beta], [stream], (rows, p - 1))[0, 0],
+                                 axis=1)
+        weights = np.concatenate([gamma_table([beta / 2.0], [stream], (rows, p - 1))[0, 0],
+                                  gamma_table([beta / 4.0], [stream], (rows, 1))[0, 0]], axis=1)
         assert np.all(weights > 0) and np.all(np.diff(poles, axis=1) < 0)
         _assert_matches_oracle(constant, poles, weights)
 

@@ -13,9 +13,8 @@ import skewbeta
 from skewbeta import transform
 from skewbeta.chain import chain_sample
 from skewbeta.cli import main
-from skewbeta.ensembles import (build_antisym_tridiagonal, build_c_matrix,
-                                build_dense_antisym_gue, build_laguerre_bidiagonal,
-                                householder_reduce)
+from skewbeta.ensembles import (_c_matrix_chis, _laguerre_chis, build_antisym_tridiagonal,
+                                build_dense_antisym_gue, householder_reduce)
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
 
@@ -24,6 +23,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _sampled_block(ensemble: str, n: int, a: float, beta: float, stream: RandomStream):
+    """The chi block ``sample --ensemble ensemble`` draws on ``stream``: its
+    diagonal, its subdiagonal and the dense lower bidiagonal matrix
+    (n x n, or (n+1) x n for the C-matrix)."""
+    d, e = (_laguerre_chis(n, a, beta, [stream]) if ensemble == "laguerre-bidiag"
+            else _c_matrix_chis(n, beta, [stream]))
+    d, e = d[0], e[0]
+    dense = np.zeros((e.size + 1, n))
+    dense[range(n), range(n)] = d
+    dense[range(1, e.size + 1), range(e.size)] = e
+    return d, e, dense
 
 
 class TestSample:
@@ -79,14 +91,13 @@ class TestSample:
     @pytest.mark.parametrize("ensemble,n,extra", [
         ("antisym-dense-gue", 7, ()),
         ("antisym-dense-gue", 8, ()),
-        ("laguerre-bidiag", 5, ("--a", "6")),
-        ("c-matrix", 4, ()),
+        ("laguerre-bidiag", 5, ("--a", "6", "--beta", "1.5")),
+        ("c-matrix", 4, ("--beta", "1.5")),
     ])
     def test_batched_rows_equal_scalar_route(self, capsys, ensemble, n, extra):
         # row i is the one-replicate builder on root.split(i) plus its solve
         code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", str(n),
-                           "--beta", "1.5", "--reps", "6", "--seed", "4",
-                           "--format", "json", *extra)
+                           "--reps", "6", "--seed", "4", "--format", "json", *extra)
         assert code == 0
         root = RandomStream(4)
         for i, row in enumerate(json.loads(out)["rows"]):
@@ -95,11 +106,10 @@ class TestSample:
                 sd = positive_spectrum(householder_reduce(build_dense_antisym_gue(n, stream)))
                 expected = [*sd.lam, *sd.q] + ([sd.z] if n % 2 else [])
             else:
-                blk = (build_laguerre_bidiagonal(n, 6.0, 1.5, stream)
-                       if ensemble == "laguerre-bidiag" else build_c_matrix(n, 1.5, stream))
+                d, e, blk = _sampled_block(ensemble, n, 6.0, 1.5, stream)
                 expected = positive_spectrum_batch(
-                    transform.bidiagonal_read_off(blk.d, blk.e)[None, :])[0]
-                dense = np.linalg.svd(blk.to_dense(), compute_uv=False)
+                    transform.bidiagonal_read_off(d, e)[None, :])[0]
+                dense = np.linalg.svd(blk, compute_uv=False)
                 assert np.allclose(row, dense, rtol=1e-12, atol=0.0)
             assert np.array_equal(row, expected)
 
@@ -119,12 +129,11 @@ class TestSample:
         worst = 0.0
         for i in np.argsort(rows[:, -1])[:20]:
             stream = root.split(int(i))
-            blk = (build_laguerre_bidiagonal(n, 0.5, 0.05, stream)
-                   if ensemble == "laguerre-bidiag" else build_c_matrix(n, 0.05, stream))
+            _, _, blk = _sampled_block(ensemble, n, 0.5, 0.05, stream)
             # enough digits that the smallest value is resolved to 60 of them
             dps = 60 + max(0, int(-np.log10(rows[i, -1])))
             with mp.workdps(dps):
-                sv = mp.svd_r(mp.matrix(blk.to_dense().tolist()), compute_uv=False)
+                sv = mp.svd_r(mp.matrix(blk.tolist()), compute_uv=False)
                 ref = sorted((sv[j] for j in range(n)), reverse=True)
                 worst = max(worst, max(float(abs(got - r) / r) for got, r in zip(rows[i], ref)))
         assert worst <= 1e-13
@@ -168,6 +177,19 @@ class TestSample:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad} must be")
 
+    @pytest.mark.parametrize("ensemble,extra,bad", [
+        ("antisym-dense-gue", ("--beta", "0.5"), "beta"),
+        ("chain", ("--a", "3"), "a"),
+        ("c-matrix", ("--a", "3"), "a"),
+    ])
+    def test_parameter_the_draw_ignores_exits_two(self, capsys, ensemble, extra, bad):
+        # the dense draw is beta = 2 only, and only laguerre-bidiag reads a;
+        # these exited 0 and recorded the value in the provenance
+        code, out, err = run(capsys, "sample", "--ensemble", ensemble, "--n", "4",
+                             "--seed", "1", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} ")
+
     @pytest.mark.parametrize("command", ["sample", "prufer", "householder"])
     def test_negative_seed_exits_two(self, capsys, command):
         code, out, err = run(capsys, command, "--n", "4", "--seed", "-1")
@@ -203,7 +225,7 @@ class TestVerify:
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(transform, "reversed_cholesky_residual",
-                            lambda c, top: 1.0)
+                            lambda d, e, top: 1.0)
         code, out, _ = run(capsys, "verify", "--suite", "cholesky",
                            "--seed", "20260823")
         assert code == 1
@@ -278,7 +300,7 @@ class TestPruferAndHouseholder:
         assert code == 2
 
     @pytest.mark.parametrize("grid", ["oops", "0:4", "a:b:c", "0:4:2.5", "0:4:5:6",
-                                      "0:inf:4", "nan:1:4"])
+                                      "0:inf:4", "nan:1:4", "0:4:1", "0:4:0", "4:0:5"])
     def test_malformed_grid_names_the_option(self, capsys, grid):
         code, out, err = run(capsys, "prufer", "--n", "4", "--grid", grid)
         assert code == 2 and out == ""

@@ -7,11 +7,10 @@ import pytest
 from scipy.linalg import hessenberg
 
 from skewbeta.ensembles import (AntisymTridiagonal, DegenerateInputError,
-                                DenseAntisym, EnsembleSpec, LowerBidiagonal,
-                                SizeError, antisym_tridiagonal_batch,
-                                antisym_tridiagonal_rows, build_antisym_tridiagonal, build_c_matrix,
-                                build_dense_antisym_gue,
-                                build_laguerre_bidiagonal, dense_antisym_gue_rows,
+                                DenseAntisym, EnsembleSpec, SizeError, _c_matrix_chis,
+                                _laguerre_chis, antisym_tridiagonal_batch,
+                                antisym_tridiagonal_rows, build_antisym_tridiagonal,
+                                build_dense_antisym_gue, dense_antisym_gue_rows,
                                 householder_reduce, householder_reduce_batch)
 from skewbeta.streams import ParameterError, RandomStream, sample_normal
 
@@ -43,25 +42,6 @@ class TestAntisymTridiagonal:
         skew_vals = np.sort(np.linalg.eigvals(1j * t.to_dense()).real)
         assert np.allclose(sym_vals, skew_vals, atol=1e-12)
         assert np.all(d == 0)
-
-
-class TestLowerBidiagonal:
-    def test_square_dense_layout(self):
-        blk = LowerBidiagonal([1.0, 2.0], [3.0], rows=2)
-        assert np.array_equal(blk.to_dense(), [[1.0, 0.0], [3.0, 2.0]])
-
-    def test_tall_dense_layout(self):
-        blk = LowerBidiagonal([1.0], [2.0], rows=2)
-        assert np.array_equal(blk.to_dense(), [[1.0], [2.0]])
-
-    @pytest.mark.parametrize("d,e,rows", [
-        ([1.0, 2.0], [3.0], 4),       # row count out of range
-        ([1.0, 2.0], [3.0, 4.0], 2),  # too many subdiagonal entries
-        ([1.0, -2.0], [3.0], 2),      # negative entry
-    ])
-    def test_validation(self, d, e, rows):
-        with pytest.raises(ValueError):
-            LowerBidiagonal(d, e, rows=rows)
 
 
 class TestEnsembleSpec:
@@ -153,21 +133,23 @@ class TestBuilders:
         assert np.allclose(dense.a, -dense.a.T)
 
     def test_laguerre_bidiagonal_shapes(self):
-        blk = build_laguerre_bidiagonal(3, 4.0, 2.0, RandomStream(5))
-        assert blk.rows == 3 and blk.cols == 3 and blk.e.size == 2
+        # a square block: 3 diagonal and 2 subdiagonal entries
+        d, e = _laguerre_chis(3, 4.0, 2.0, [RandomStream(5)])
+        assert d.shape == (1, 3) and e.shape == (1, 2)
 
     def test_laguerre_parameter_constraint(self):
         with pytest.raises(ParameterError):
-            build_laguerre_bidiagonal(4, 2.0, 2.0, RandomStream(0))
+            _laguerre_chis(4, 2.0, 2.0, [RandomStream(0)])
 
     def test_c_matrix_shapes(self):
-        blk = build_c_matrix(3, 2.0, RandomStream(6))
-        assert blk.rows == 4 and blk.cols == 3 and blk.e.size == 3
+        # a 4 x 3 block: as many subdiagonal entries as diagonal ones
+        d, e = _c_matrix_chis(3, 2.0, [RandomStream(6)])
+        assert d.shape == (1, 3) and e.shape == (1, 3)
 
     @pytest.mark.parametrize("builder,args", [
         (build_antisym_tridiagonal, (1, 2.0)),
         (build_dense_antisym_gue, (1,)),
-        (build_c_matrix, (0, 2.0)),
+        (_c_matrix_chis, (0, 2.0)),
         pytest.param(partial(antisym_tridiagonal_batch, reps=3), (1, 2.0),
                      id="antisym_tridiagonal_batch-args3"),
     ])

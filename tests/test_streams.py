@@ -7,9 +7,19 @@ from hypothesis import strategies as st
 
 from skewbeta import verify
 from skewbeta.streams import (_PASS_MIN_STREAMS, ParameterError, RandomStream, gamma_table,
-                              sample_chi_tilde, sample_dirichlet, sample_gamma,
-                              sample_normal, sample_standard_chi, seed_state,
-                              seed_streams)
+                              sample_dirichlet, sample_normal, seed_state, seed_streams)
+
+
+def _gamma(shape, stream, size=None):
+    return gamma_table([shape], [stream], size)[0, 0]
+
+
+def _chi_tilde(k, stream, size=None):
+    return gamma_table([k / 2.0], [stream], size, scale=1.0)[0, 0]
+
+
+def _standard_chi(k, stream, size=None):
+    return gamma_table([k / 2.0], [stream], size, scale=2.0)[0, 0]
 
 
 class TestRandomStream:
@@ -155,47 +165,47 @@ class TestSeedStreams:
 class TestGamma:
     @pytest.mark.parametrize("shape", [0.125, 0.5, 1.0, 2.5, 10.0])
     def test_moments(self, shape):
-        x = sample_gamma(shape, RandomStream(0), size=200000)
+        x = _gamma(shape, RandomStream(0), size=200000)
         assert np.all(x > 0)
         assert np.mean(x) == pytest.approx(shape, rel=0.02)
         assert np.var(x) == pytest.approx(shape, rel=0.05)
 
     def test_small_shape_has_mass_near_zero(self):
-        x = sample_gamma(0.1, RandomStream(1), size=50000)
+        x = _gamma(0.1, RandomStream(1), size=50000)
         # P(X < 1e-4) = gammainc(0.1, 1e-4) ~ 0.42 for shape 0.1
         assert np.mean(x < 1e-4) > 0.3
 
     @pytest.mark.parametrize("shape", [0.0, -1.0])
     def test_invalid_shape(self, shape):
         with pytest.raises(ParameterError):
-            sample_gamma(shape, RandomStream(0))
+            _gamma(shape, RandomStream(0))
 
 
 class TestChiConventions:
     def test_chi_tilde_second_moment(self):
         # E[x^2] = k/2 under the rate-1 gamma convention
-        x = sample_chi_tilde(3.0, RandomStream(2), size=200000)
+        x = _chi_tilde(3.0, RandomStream(2), size=200000)
         assert np.mean(x ** 2) == pytest.approx(1.5, rel=0.02)
 
     def test_standard_chi_second_moment(self):
         # E[x^2] = k under the standard convention
-        x = sample_standard_chi(3.0, RandomStream(3), size=200000)
+        x = _standard_chi(3.0, RandomStream(3), size=200000)
         assert np.mean(x ** 2) == pytest.approx(3.0, rel=0.02)
 
     def test_conventions_differ_by_sqrt2(self):
-        tilde = sample_chi_tilde(4.0, RandomStream(4), size=200000)
-        std = sample_standard_chi(4.0, RandomStream(5), size=200000)
+        tilde = _chi_tilde(4.0, RandomStream(4), size=200000)
+        std = _standard_chi(4.0, RandomStream(5), size=200000)
         assert np.mean(std) == pytest.approx(np.sqrt(2.0) * np.mean(tilde), rel=0.02)
 
     @pytest.mark.parametrize("shape", [0.0125, 0.125, 0.5, 1.0, 2.5])
     def test_chi_follow_gamma_draws(self, shape):
-        # the generator calls of sample_gamma, in the same order: bit-equal
+        # the generator calls of the gamma draw, in the same order: bit-equal
         # square roots from shape 1 up; below it the boost is taken in log
         # space, which moves a value by ulps (up to about eps*|log g|)
         streams = [RandomStream(11) for _ in range(3)]
-        g = sample_gamma(shape, streams[0], size=20000)
-        tilde = sample_chi_tilde(2.0 * shape, streams[1], size=20000)
-        std = sample_standard_chi(2.0 * shape, streams[2], size=20000)
+        g = _gamma(shape, streams[0], size=20000)
+        tilde = _chi_tilde(2.0 * shape, streams[1], size=20000)
+        std = _standard_chi(2.0 * shape, streams[2], size=20000)
         assert len({s.generator.random() for s in streams}) == 1
         if shape >= 1.0:
             assert np.array_equal(tilde, np.sqrt(g))
@@ -209,17 +219,17 @@ class TestChiConventions:
         # shape 0.0125 is beta = 0.05 on the first off-diagonal: u**80
         # underflows to 0 on about 1e-4 of draws, its log-space square root
         # does not
-        g = sample_gamma(0.0125, RandomStream(12), size=200000)
-        tilde = sample_chi_tilde(0.025, RandomStream(12), size=200000)
-        std = sample_standard_chi(0.025, RandomStream(12), size=200000)
+        g = _gamma(0.0125, RandomStream(12), size=200000)
+        tilde = _chi_tilde(0.025, RandomStream(12), size=200000)
+        std = _standard_chi(0.025, RandomStream(12), size=200000)
         assert np.count_nonzero(g == 0.0) > 0
         assert np.all(tilde > 0) and np.all(std > 0)
 
     def test_invalid_degrees(self):
         with pytest.raises(ParameterError):
-            sample_chi_tilde(0.0, RandomStream(0))
+            _chi_tilde(0.0, RandomStream(0))
         with pytest.raises(ParameterError):
-            sample_standard_chi(-2.0, RandomStream(0))
+            _standard_chi(-2.0, RandomStream(0))
 
 
 def _per_column_reference(shapes, streams, size, scale):
@@ -270,13 +280,13 @@ class TestGammaTable:
             assert table[i].tobytes() == row.tobytes()
 
     def test_one_cell_wrappers(self):
-        # a scalar draw is the size=1 draw of the same stream, bit for bit
+        # a size=None draw is the size=1 draw of the same stream, bit for bit
         # (below shape 1 both raise U to 1/a with the array power)
-        for wrapper in (sample_gamma, sample_chi_tilde, sample_standard_chi):
+        for scale in (None, 1.0, 2.0):
             for shape in (0.3, 0.5, 0.7, 2.5):
                 stream, fresh = RandomStream(24), RandomStream(24)
-                got = [wrapper(shape, stream) for _ in range(200)]
-                want = [wrapper(shape, fresh, size=1)[0] for _ in range(200)]
+                got = [gamma_table([shape], [stream], None, scale) for _ in range(200)]
+                want = [gamma_table([shape], [fresh], 1, scale)[..., 0] for _ in range(200)]
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, np.inf, np.nan])

@@ -3,46 +3,56 @@
 import numpy as np
 import pytest
 
-from skewbeta.ensembles import (AntisymTridiagonal, LowerBidiagonal, build_c_matrix,
-                                build_laguerre_bidiagonal)
+from skewbeta.ensembles import AntisymTridiagonal, _c_matrix_chis, _laguerre_chis
 from skewbeta.spectral import SpectralData, positive_spectrum
-from skewbeta.streams import ParameterError, RandomStream, sample_gamma
+from skewbeta.streams import ParameterError, RandomStream, gamma_table
 from skewbeta import verify
 from skewbeta.transform import (FiniteDifferenceError, _jacobian_analytic_rows,
                                 _jacobian_numeric_rows, _vandermonde_residual_rows,
-                                SignedPermutation, asps, block_embedding,
+                                asps, bidiagonal_read_off, block_embedding,
                                 cholesky_reindex, laguerre_map_batch,
                                 reversed_cholesky_residual,
-                                shuffle_conjugation_check,
-                                tridiagonal_from_bidiagonal)
+                                shuffle_conjugation_check)
 
 
-class TestSignedPermutation:
-    def test_matrix_layout(self):
-        p = SignedPermutation(2, [1, 0], [1, -1])
-        assert np.array_equal(p.matrix(), [[0, 1], [-1, 0]])
+def _read_off_block(n: int, beta: float, stream: RandomStream):
+    """Diagonal and subdiagonal of the chi block that ``laguerre_map_batch``
+    reads order ``n`` off, drawn on ``stream``."""
+    if n % 2 == 0:
+        d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, [stream])
+    else:
+        d, e = _c_matrix_chis(n // 2, beta, [stream])
+    return d[0], e[0]
 
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            SignedPermutation(2, [0, 0], [1, 1])
-        with pytest.raises(ParameterError):
-            SignedPermutation(2, [0, 1], [1, 2])
+
+def _cholesky_draw(k: int, beta: float, streams):
+    """C-matrices and extra squared entries as the cholesky suite draws
+    them: the chis first, then the gamma, on each stream."""
+    d, e = _c_matrix_chis(k, beta, streams)
+    return d, e, gamma_table([(2 * k + 1) * beta / 4.0], streams)[:, 0]
 
 
 class TestAsps:
     def test_smallest_case(self):
-        assert np.array_equal(asps(1).matrix(), [[1, 0], [0, -1]])
+        assert np.array_equal(asps(1), [[1, 0], [0, -1]])
+
+    def test_matrix_layout(self):
+        # rows 1..4 go to columns 1, 3, 2, 4 with signs +, -, -, +
+        assert asps(2).dtype == np.int64
+        assert np.array_equal(asps(2), [[1, 0, 0, 0], [0, 0, -1, 0],
+                                        [0, -1, 0, 0], [0, 0, 0, 1]])
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_orthogonality(self, k):
-        m = asps(k).matrix()
+        m = asps(k)
         assert np.array_equal(m @ m.T, np.eye(2 * k, dtype=np.int64))
 
     def test_shuffle_structure(self):
         # odd rows land in the first block of columns, even rows in the second
-        q = asps(3)
-        assert q.col[0::2].tolist() == [0, 1, 2]
-        assert q.col[1::2].tolist() == [3, 4, 5]
+        rows, col = np.nonzero(asps(3))
+        assert rows.tolist() == list(range(6))
+        assert col[0::2].tolist() == [0, 1, 2]
+        assert col[1::2].tolist() == [3, 4, 5]
 
 
 class TestShuffleConjugation:
@@ -57,18 +67,15 @@ class TestShuffleConjugation:
     @pytest.mark.parametrize("k", [1, 2, 3, 6])
     def test_conjugation_is_exact(self, k):
         gen = np.random.default_rng(k)
-        blk = LowerBidiagonal(0.5 + gen.random(k), 0.5 + gen.random(k - 1), rows=k)
-        assert shuffle_conjugation_check(blk) == 0.0
+        assert shuffle_conjugation_check(0.5 + gen.random(k), 0.5 + gen.random(k - 1)) == 0.0
 
     def test_tridiagonal_read_off(self):
-        blk = LowerBidiagonal([1.0, 3.0], [2.0], rows=2)
-        t = tridiagonal_from_bidiagonal(blk)
-        assert np.array_equal(np.diag(t, 1), [1.0, 2.0, 3.0])
+        t = AntisymTridiagonal(bidiagonal_read_off(np.array([1.0, 3.0]), np.array([2.0])))
+        assert np.array_equal(np.diag(t.to_dense(), 1), [1.0, 2.0, 3.0])
 
     def test_rejects_tall_block(self):
-        blk = LowerBidiagonal([1.0], [1.0], rows=2)
         with pytest.raises(ValueError):
-            shuffle_conjugation_check(blk)
+            shuffle_conjugation_check([1.0], [1.0])
 
 
 class TestLaguerreMap:
@@ -91,16 +98,12 @@ class TestLaguerreMap:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     def test_sample_is_the_one_row_case(self, n):
-        # reps=None reads off the one-replicate builder's block bit for bit
+        # reps=None reads off the one-replicate block bit for bit
         beta = 0.5
-        if n % 2 == 0:
-            blk = build_laguerre_bidiagonal(n // 2, (n - 1) * beta / 4.0, beta,
-                                            RandomStream(n))
-        else:
-            blk = build_c_matrix(n // 2, beta, RandomStream(n))
+        d, e = _read_off_block(n, beta, RandomStream(n))
         top_down = np.empty(n - 1)
-        top_down[0::2] = blk.d
-        top_down[1::2] = blk.e
+        top_down[0::2] = d
+        top_down[1::2] = e
         assert np.array_equal(laguerre_map_batch(n, beta, RandomStream(n), None),
                               top_down[::-1] / np.sqrt(2.0))
 
@@ -110,14 +113,10 @@ class TestLaguerreMap:
         # sqrt(2) times the top-down sequence reads d_0, e_0, d_1, ... of the
         # Laguerre block (even n) or the C-matrix (odd n) on an equal stream
         beta = 2.0
-        if n % 2 == 0:
-            blk = build_laguerre_bidiagonal(n // 2, (n - 1) * beta / 4.0, beta,
-                                            RandomStream(n))
-        else:
-            blk = build_c_matrix(n // 2, beta, RandomStream(n))
+        d, e = _read_off_block(n, beta, RandomStream(n))
         entries = np.empty(n - 1)
-        entries[0::2] = blk.d
-        entries[1::2] = blk.e
+        entries[0::2] = d
+        entries[1::2] = e
         b = laguerre_map_batch(n, beta, RandomStream(n), reps)
         top_down = np.sqrt(2.0) * (b if reps is None else b[0])[::-1]
         # a size-1 draw below gamma shape 1 may round an ulp away from a scalar one
@@ -156,15 +155,40 @@ class TestCholeskyReindex:
 
     @pytest.mark.parametrize("k,beta", [(1, 2.0), (3, 1.0), (5, 4.0), (8, 0.5)])
     def test_against_direct_cholesky(self, k, beta):
-        stream = RandomStream(10 * k)
-        c = build_c_matrix(k, beta, stream)
-        top = sample_gamma((2 * k + 1) * beta / 4.0, stream)
-        assert reversed_cholesky_residual(c, top) < 1e-12
+        d, e, top = _cholesky_draw(k, beta, [RandomStream(10 * k)])
+        assert reversed_cholesky_residual(d[0], e[0], top[0]) < 1e-12
 
     def test_residual_requires_tall_block(self):
-        blk = LowerBidiagonal([1.0, 1.0], [1.0], rows=2)
         with pytest.raises(ValueError):
-            reversed_cholesky_residual(blk, 1.0)
+            reversed_cholesky_residual([1.0, 1.0], [1.0], 1.0)
+
+
+class TestStackedForms:
+    """A stacked call equals its row-by-row calls bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_shuffle_conjugation_check(self, k):
+        gen = np.random.default_rng(k)
+        d, e = 0.25 + gen.random((3, 4, k)), 0.25 + gen.random((3, 4, k - 1))
+        got = shuffle_conjugation_check(d, e)
+        want = [[shuffle_conjugation_check(d[i, j], e[i, j]) for j in range(4)]
+                for i in range(3)]
+        assert got.shape == (3, 4) and got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_reversed_cholesky_residual(self, k):
+        for beta in (0.05, 0.5, 4.0):
+            d, e, top = _cholesky_draw(k, beta, [RandomStream(k).split(i) for i in range(40)])
+            got = reversed_cholesky_residual(d, e, top)
+            want = [reversed_cholesky_residual(d[i], e[i], top[i]) for i in range(40)]
+            assert got.shape == (40,) and got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_cholesky_reindex(self, k):
+        bsq = np.random.default_rng(k).gamma(0.3, size=(3, 4, 2 * k + 1)) + 1e-12
+        got = cholesky_reindex(bsq)
+        want = [[cholesky_reindex(bsq[i, j]) for j in range(4)] for i in range(3)]
+        assert got.shape == (3, 4, 2 * k) and got.tobytes() == np.array(want).tobytes()
 
 
 class TestVandermondeIdentity:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from skewbeta import sturm, transform, verify
-from skewbeta.ensembles import antisym_tridiagonal_batch, build_antisym_tridiagonal
+from skewbeta.ensembles import (_c_matrix_chis, antisym_tridiagonal_batch,
+                                build_antisym_tridiagonal)
 from skewbeta.spectral import SpectralData, positive_spectrum, positive_spectrum_batch
 from skewbeta.ensembles import AntisymTridiagonal
-from skewbeta.streams import RandomStream
+from skewbeta.streams import RandomStream, gamma_table
 
 SEED = 20260823
 
@@ -186,6 +187,45 @@ def _reference_vandermonde(seed: int, count: int = 200) -> float:
     return worst
 
 
+def _reference_shuffle_rows(seed: int, count: int = 50) -> list[bytes]:
+    """The ``(d, e)`` rows of the one-block loop the conjugation case
+    replaced: block ``i`` of order ``2 + i % 9`` on ``root.split(i)``."""
+    root = RandomStream(seed, (1,))
+    rows = []
+    for i in range(count):
+        k, gen = 2 + i % 9, root.split(i).generator
+        d = 0.25 + gen.random(k)
+        rows.append(np.concatenate([d, 0.25 + gen.random(k - 1)]).tobytes())
+    return rows
+
+
+def _reference_cholesky_rows(seed: int, count: int = 100) -> list[bytes]:
+    """The ``(d, e, top)`` rows of the one-block loop the cholesky suite
+    replaced: C-matrix ``i``, then its extra squared entry, on
+    ``root.split(i)``."""
+    root = RandomStream(seed, (2,))
+    rows = []
+    for i in range(count):
+        stream = root.split(i)
+        k, beta = 1 + i % 8, verify._BETAS[i % 4]
+        d, e = _c_matrix_chis(k, beta, [stream])
+        top = gamma_table([(2 * k + 1) * beta / 4.0], [stream])
+        rows.append(np.concatenate([d[0], e[0], top[0]]).tobytes())
+    return rows
+
+
+def _record_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` to record the row count of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def _record_rows(monkeypatch, module, name):
     """Replace ``module.name`` by a spy that records the rows of its
     arguments, each row as the bytes of its arguments' rows side by side."""
@@ -272,6 +312,22 @@ class TestDrawOrder:
         assert abs(case.statistic - _reference_vandermonde(seed)) <= 1e-13
         assert len(rows) == 200 and batched == sorted(rows)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffle_matches_one_block_loop(self, seed, monkeypatch):
+        rows = _record_rows(monkeypatch, transform, "shuffle_conjugation_check")
+        calls = _record_calls(monkeypatch, transform, "shuffle_conjugation_check")
+        assert verify.run_shuffle(seed).all_passed
+        assert sorted(calls) == [5] * 4 + [6] * 5  # one call per order 2..10
+        assert sorted(rows) == sorted(_reference_shuffle_rows(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cholesky_matches_one_block_loop(self, seed, monkeypatch):
+        rows = _record_rows(monkeypatch, transform, "reversed_cholesky_residual")
+        calls = _record_calls(monkeypatch, transform, "reversed_cholesky_residual")
+        assert verify.run_cholesky(seed).all_passed
+        assert sorted(calls) == [12] * 4 + [13] * 4  # one call per k = 1..8
+        assert sorted(rows) == sorted(_reference_cholesky_rows(seed))
+
     def test_mu_from_uniform_draw(self):
         # the eigenvalue-count case forms rng.uniform(0, 1.2 lam) from
         # rng.random() as 0 + 1.2 lam U, which is the same double
@@ -354,7 +410,7 @@ class TestFailureInjection:
     def test_impossible_tolerance_reports_failure(self, monkeypatch):
         # a residual far above the 1e-12 bound must fail the case
         monkeypatch.setattr(transform, "reversed_cholesky_residual",
-                            lambda c, top: 1.0)
+                            lambda d, e, top: 1.0)
         report = verify.run_cholesky(SEED, count=5)
         assert report.failures == 1 and not report.all_passed
 

@@ -1,5 +1,9 @@
 """Command-line interface: sampling, density evaluation, verification
-suites, Pruefer phase tables and a Householder reduction demonstration."""
+suites, Pruefer phase tables and a Householder reduction demonstration.
+
+Importing this module loads numpy and nothing from scipy.  Each subcommand
+imports, when it runs, the modules that only it needs, so ``sample``,
+``prufer`` and ``householder`` never load ``scipy.special``."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, chain, densities, sturm, verify
+from . import __version__
 from .ensembles import (EnsembleSpec, _c_matrix_chis, _laguerre_chis,
                         antisym_tridiagonal_rows, build_antisym_tridiagonal,
                         build_dense_antisym_gue, dense_antisym_gue_rows,
@@ -94,7 +98,8 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     elif spec.kind == "antisym-dense-gue":
         table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
     elif spec.kind == "chain":
-        table = chain.chain_sample_rows(n, spec.beta, streams)
+        from .chain import chain_sample_rows
+        table = chain_sample_rows(n, spec.beta, streams)
     else:  # a chi block's singular values are the spectrum of its read-off
         if spec.kind == "laguerre-bidiag":
             d, e = _laguerre_chis(n, spec.a, spec.beta, streams)
@@ -110,6 +115,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     try:
         reports = verify.run_suite(args.suite, args.seed)
     except KeyError:
@@ -124,7 +130,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     point = [float(v) for v in args.point.split(",") if v]
     if not all(map(math.isfinite, point)):
         raise ParameterError(f"--point takes finite eigenvalues, got {args.point!r}")
-    val = densities.logpdf_positive_spectrum(np.asarray(point), args.n, args.beta)
+    from .densities import logpdf_positive_spectrum
+    val = logpdf_positive_spectrum(np.asarray(point), args.n, args.beta)
     doc = json.dumps({"provenance": _provenance(args),
                       "point": point,
                       "log_density": val.log_value if val.in_support else "-inf",
@@ -151,7 +158,8 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_prufer(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     t = build_antisym_tridiagonal(args.n, args.beta, RandomStream(args.seed))
-    phases = sturm.prufer_phases(t, grid)
+    from .sturm import prufer_phases
+    phases = prufer_phases(t, grid)
     header = ["mu"] + [f"theta_{i}" for i in range(2, args.n + 1)]
     table = np.array([[p.mu, *p.theta] for p in phases]).reshape(-1, len(header))
     _emit_table(args, header, table)

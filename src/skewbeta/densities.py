@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .ensembles import _interleave
 from .stats import _tanh_sinh
 from .streams import ParameterError
 
@@ -133,16 +134,6 @@ def _logpdf_singular_values_rows(sigma: np.ndarray, n: int, a: float,
                + (2.0 * a - (n - 1) * beta - 1.0) * np.sum(np.log(sigma), axis=-1)
                - 0.5 * np.sum(sigma ** 2, axis=-1))
     return np.where(_strictly_descending_positive(sigma), val, -np.inf)
-
-
-def _interleave(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """``upper_1, lower_1, upper_2, ...`` along the last axis (leading axes
-    broadcast), strictly descending exactly when the two interlace."""
-    seq = np.empty(np.broadcast_shapes(upper.shape[:-1], lower.shape[:-1])
-                   + (upper.shape[-1] + lower.shape[-1],))
-    seq[..., 0::2] = upper
-    seq[..., 1::2] = lower
-    return seq
 
 
 def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,

@@ -120,6 +120,16 @@ def dense_tridiagonal(sup: np.ndarray, lower_sign: float) -> np.ndarray:
     return mats
 
 
+def _interleave(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """``upper_1, lower_1, upper_2, ...`` along the last axis (leading axes
+    broadcast), strictly descending exactly when the two interlace."""
+    seq = np.empty(np.broadcast_shapes(upper.shape[:-1], lower.shape[:-1])
+                   + (upper.shape[-1] + lower.shape[-1],))
+    seq[..., 0::2] = upper
+    seq[..., 1::2] = lower
+    return seq
+
+
 def build_antisym_tridiagonal(n: int, beta: float, stream: RandomStream) -> AntisymTridiagonal:
     """Sample the anti-symmetric tridiagonal beta-ensemble: ``b[k-1]`` is a
     chi-tilde variable with ``k * beta / 2`` degrees, i.e. ``b_k**2`` is

@@ -11,12 +11,15 @@ component of the null vector, normalized so that
 from __future__ import annotations
 
 import ctypes
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
 from .ensembles import AntisymTridiagonal
 
@@ -163,10 +166,46 @@ def _capsule_pointer(capsule) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-# LAPACK dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work,
-# info), every argument passed by address
-_dbdsqr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(
-    _capsule_pointer(cython_lapack.__pyx_capi__["dbdsqr"]))
+def _cython_lapack_file() -> str | None:
+    """Path of scipy's ``linalg/cython_lapack`` extension, found without
+    importing scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for base in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "cython_lapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _cython_lapack():
+    """scipy's ``cython_lapack`` module.  Loaded by file path it skips
+    ``scipy.linalg``'s package import and its array-API layer, about 0.3 s
+    of a CLI call; a later ``import scipy.linalg`` gets the same module.  If
+    no file is found or the load fails, it comes through the package."""
+    path = _cython_lapack_file()
+    if path is not None:
+        name = "scipy.linalg.cython_lapack"
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        try:
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+    from scipy.linalg import cython_lapack
+    return cython_lapack
+
+
+@functools.cache
+def _dbdsqr():
+    """LAPACK ``dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c,
+    ldc, work, info)``, every argument passed by address; loaded on the
+    first call, so orders that never reach LAPACK never load it."""
+    capsule = _cython_lapack().__pyx_capi__["dbdsqr"]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 15)(_capsule_pointer(capsule))
+
+
 _UPLO = ctypes.c_char(b"U")  # B is upper bidiagonal; read-only
 
 
@@ -192,7 +231,7 @@ def _dbdsqr_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stride, p_buf, p_int = 8 * order, buf.ctypes.data, ints.ctypes.data
     p_n, p_ncvt, p_nru, p_ncc, p_ldvt, p_one = range(p_int, p_int + 24, 4)
     p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * reps * stride
-    call = _dbdsqr
+    call = _dbdsqr()
     for d, info in zip(range(p_buf, p_buf + 3 * reps * stride, 3 * stride),
                        range(p_int + 24, p_int + 24 + 4 * reps, 4)):
         call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,

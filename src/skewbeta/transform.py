@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .ensembles import SizeError, _c_matrix_chis, _laguerre_chis, dense_tridiagonal
-from .densities import _interleave, _log_vandermonde_sq
+from .ensembles import (SizeError, _c_matrix_chis, _interleave, _laguerre_chis,
+                        dense_tridiagonal)
 from .spectral import _reconstruct_rows
 from .streams import ParameterError, RandomStream
 
@@ -179,6 +179,9 @@ def _vandermonde_residual_rows(b: np.ndarray, lam: np.ndarray, q: np.ndarray,
     relating off-diagonals, eigenvalues and first components, for every
     row: off-diagonals ``b`` (``(rows, n-1)``) against ``lam``, ``q`` and
     ``z`` in the layout of :func:`~skewbeta.spectral._bidiagonal_svd`."""
+    # densities (and with it scipy.special) loads here, not with the module:
+    # `skewbeta sample` needs this module but no density
+    from .densities import _log_vandermonde_sq
     n = b.shape[-1] + 1
     k = n // 2
     lhs = _log_vandermonde_sq(lam, 2.0)

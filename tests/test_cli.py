@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import skewbeta
-from skewbeta import transform
+from skewbeta import cli, transform
 from skewbeta.chain import chain_sample
 from skewbeta.cli import main
 from skewbeta.ensembles import (_c_matrix_chis, _laguerre_chis, build_antisym_tridiagonal,
@@ -48,6 +49,15 @@ class TestSample:
         assert provenance["seed"] == 1 and provenance["n"] == 5
         assert lines[1] == "lambda_1,lambda_2,q_1,q_2,z"
         assert len(lines) == 5
+
+    def test_csv_rows_are_float_reprs(self, tmp_path):
+        # each CSV cell is the float's repr, so it reads back bit for bit
+        table = np.array([[np.inf, -0.0, 1e16, 5e-324], [np.nan, 0.1, -2.5e-310, 1.0 / 3.0]])
+        out = tmp_path / "rows.csv"
+        cli._emit_table(argparse.Namespace(command="sample", fmt="csv", out=str(out)),
+                        ["a", "b", "c", "d"], table)
+        rows = out.read_text().splitlines()[2:]
+        assert rows == [",".join(map(repr, row)) for row in table.tolist()]
 
     def test_deterministic(self, capsys):
         a = run(capsys, "sample", "--n", "4", "--reps", "2", "--seed", "9")
@@ -353,6 +363,17 @@ class TestOptions:
         assert list(json.loads(out)["provenance"]) == keys
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter, with this
+    checkout's skewbeta on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewbeta.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestStartup:
     def test_cli_import_defers_scipy_interpolate(self):
         # every CLI call pays `import skewbeta.cli`; scipy.interpolate (and
@@ -368,12 +389,35 @@ class TestStartup:
             "print(repr(float(cdf(np.array([0.25]))[0])))\n"
             "print('scipy.interpolate' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(skewbeta.__file__)))
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=60, env=env)
-        assert proc.returncode == 0, proc.stderr
-        before, value, after = proc.stdout.split()
+        before, value, after = _fresh_python(code).split()
         assert before == "False"
         assert float(value) == pytest.approx(0.25, abs=1e-9)
         assert after == "True"
+
+    def test_sample_loads_no_scipy_subpackage(self):
+        # `sample` at n >= 6 needs numpy and LAPACK's dbdsqr alone; the
+        # extension that holds dbdsqr loads by file path, without the
+        # scipy.linalg package, and a later import of the package finds the
+        # same dbdsqr
+        code = (
+            "import contextlib, ctypes, io, json, sys\n"
+            "subs = ('scipy.special', 'scipy.linalg', 'scipy.interpolate')\n"
+            "loaded = lambda: [m for m in subs if m in sys.modules]\n"
+            "import skewbeta\n"
+            "out = [loaded()]\n"
+            "import skewbeta.cli\n"
+            "out.append(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            "    code = skewbeta.cli.main(['sample', '--n', '10', '--reps', '50', '--seed', '1'])\n"
+            "out += [code, len(text.getvalue().splitlines()), loaded()]\n"
+            "from skewbeta import spectral\n"
+            "pointer = ctypes.cast(spectral._dbdsqr(), ctypes.c_void_p).value\n"
+            "from scipy.linalg import cython_lapack\n"
+            "out.append(spectral._capsule_pointer(cython_lapack.__pyx_capi__['dbdsqr'])"
+            " == pointer)\n"
+            "print(json.dumps(out))\n"
+        )
+        after_package, after_cli, code, lines, after_sample, same = json.loads(_fresh_python(code))
+        assert after_package == after_cli == after_sample == []
+        assert code == 0 and lines == 52
+        assert same is True

@@ -1,5 +1,6 @@
 """Tests for the spectrum/first-component decomposition and its inverse."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import skewbeta
+from skewbeta import spectral
 from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import (CharPolySequence, ConditioningError, DegeneracyError,
@@ -413,6 +415,32 @@ class TestBidiagonalCore:
             (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
             assert np.all(np.abs(lam - ref_lam) <= 5e-16 * ref_lam)
             assert np.all(np.abs(np.abs(vt) - np.abs(ref_vt)) <= 5e-16)
+
+    @pytest.mark.parametrize("found", ["no-file", "not-an-extension"])
+    def test_dbdsqr_loads_alike_by_path_and_by_package(self, monkeypatch, tmp_path, found):
+        # cython_lapack loaded by file path and through scipy.linalg (the
+        # fallback when no file is found or it does not load) give the same
+        # dbdsqr, and so the same bits
+        def load():
+            pointer = spectral._capsule_pointer(spectral._cython_lapack().__pyx_capi__["dbdsqr"])
+            spectral._dbdsqr.cache_clear()
+            rows = _dbdsqr_rows(s)
+            return pointer, ctypes.cast(spectral._dbdsqr(), ctypes.c_void_p).value, rows
+
+        s = antisym_tridiagonal_batch(12, 0.5, RandomStream(12), 500)[:, ::-1]
+        assert spectral._cython_lapack_file() is not None
+        by_path = load()
+        bogus = tmp_path / "cython_lapack.so"
+        bogus.write_bytes(b"")
+        monkeypatch.setattr(spectral, "_cython_lapack_file",
+                            lambda: None if found == "no-file" else str(bogus))
+        try:
+            by_package = load()
+        finally:
+            spectral._dbdsqr.cache_clear()
+        assert by_path[0] == by_path[1] == by_package[0] == by_package[1]
+        for got, ref in zip(by_package[2], by_path[2]):
+            assert np.array_equal(got, ref)
 
     def test_wide_n5_rows_take_dbdsqr(self):
         # the n = 5 sweep's rotations are ratios of entries, so on rows whose

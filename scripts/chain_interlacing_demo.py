@@ -29,11 +29,10 @@ def main() -> None:
     stream = RandomStream(args.seed)
     states = chain_trajectory(args.n, args.beta, stream.split(0))
     print(f"upward chain, n=1..{args.n}, beta={args.beta:g}")
-    for state in states:
-        print(f"  order {state.m:2d}: {fmt(state.lam)}")
+    for m, lam in enumerate(states, start=1):
+        print(f"  order {m:2d}: {fmt(lam)}")
 
-    final = states[-1].lam
-    down = step_down(final, args.n - 1, args.beta, stream.split(1))
+    down = step_down(states[-1], args.n - 1, args.beta, stream.split(1))
     print(f"one projection step back to order {args.n - 1}:")
     print(f"  order {args.n - 1:2d}: {fmt(down)}")
 

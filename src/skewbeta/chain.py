@@ -12,23 +12,13 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .streams import ParameterError, RandomStream, gamma_table, sample_dirichlet
+from .streams import ParameterError, RandomStream, gamma_table
 
 
 class RootBracketError(RuntimeError):
     """A secular root did not converge or failed its residual check."""
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Positive spectrum (descending) of the chain after ``m`` border steps."""
-
-    m: int
-    lam: np.ndarray
 
 
 _EPS = np.finfo(float).eps
@@ -248,8 +238,9 @@ def _step_down_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream,
     (squared positive spectra of size-m matrices, broadcast to ``reps``
     rows); returns the squared spectra of size m-1.
 
-    The squared first components are Dirichlet, drawn in one call:
-    ``beta/2`` per pole pair plus ``beta/4`` on the zero pole for odd ``m``.
+    The squared first components are Dirichlet, rate-1 gammas drawn in one
+    call and normalized by their sum: ``beta/2`` per pole pair plus
+    ``beta/4`` on the zero pole for odd ``m``.
     """
     k = lam_sq.shape[-1]
     poles = np.broadcast_to(lam_sq, (reps, k))
@@ -257,7 +248,9 @@ def _step_down_sq(lam_sq: np.ndarray, m: int, beta: float, stream: RandomStream,
     if m % 2 == 1:
         poles = np.concatenate([poles, np.zeros((reps, 1))], axis=1)
         s = np.append(s, beta / 4.0)
-    return secular_roots(0, poles, sample_dirichlet(s, stream, size=reps))
+    # parameters last and contiguous, so the sum adds them in its usual order
+    g = np.ascontiguousarray(np.moveaxis(gamma_table(s, [stream], reps)[0], 0, -1))
+    return secular_roots(0, poles, g / np.sum(g, axis=-1, keepdims=True))
 
 
 def _weights(streams, per_stream: int):
@@ -300,11 +293,10 @@ def chain_sample(n: int, beta: float, stream: RandomStream) -> np.ndarray:
     return chain_sample_batch(n, beta, stream, 1)[0]
 
 
-def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[ChainState]:
-    """All intermediate positive spectra of the chain, sizes 1 through n."""
-    return [ChainState(m=m, lam=np.sqrt(lam_sq[0]))
-            for m, lam_sq in enumerate(_chain_sq(n, beta, _weights([stream], 1), 1),
-                                       start=1)]
+def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[np.ndarray]:
+    """All intermediate positive spectra of the chain, sizes 1 through n:
+    entry ``m - 1`` is the descending spectrum of order ``m``."""
+    return [np.sqrt(lam_sq[0]) for lam_sq in _chain_sq(n, beta, _weights([stream], 1), 1)]
 
 
 def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:

@@ -20,7 +20,7 @@ from .ensembles import (EnsembleSpec, _c_matrix_chis, _laguerre_chis,
                         antisym_tridiagonal_rows, build_antisym_tridiagonal,
                         build_dense_antisym_gue, dense_antisym_gue_rows,
                         householder_reduce, householder_reduce_batch)
-from .spectral import positive_spectrum_batch, spectral_rows
+from .spectral import _require_distinct, positive_spectrum_batch, spectral_rows
 from .streams import ParameterError, RandomStream, seed_streams
 from .transform import bidiagonal_read_off
 
@@ -78,7 +78,10 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
     draws on ``root.split(i)`` with the calls of the one-replicate builder,
     in one draw call for all, the streams seeded in one pass; the draws are
-    then solved in one batch."""
+    then solved in one batch.  The first row that fails a check raises: every
+    check of ``spectral_rows`` for the (lambda, q[, z]) tables, and for the
+    lambda and sigma tables its ``DegeneracyError`` on a row that is not
+    strictly descending and positive."""
     if args.reps < 0:
         raise ParameterError(f"reps must be nonnegative, got {args.reps}")
     spec = EnsembleSpec(kind=args.ensemble, n=args.n, beta=args.beta, a=args.a)
@@ -99,13 +102,13 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
         table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
     elif spec.kind == "chain":
         from .chain import chain_sample_rows
-        table = chain_sample_rows(n, spec.beta, streams)
+        table = _require_distinct(chain_sample_rows(n, spec.beta, streams))
     else:  # a chi block's singular values are the spectrum of its read-off
         if spec.kind == "laguerre-bidiag":
             d, e = _laguerre_chis(n, spec.a, spec.beta, streams)
         else:  # c-matrix
             d, e = _c_matrix_chis(n, spec.beta, streams)
-        table = positive_spectrum_batch(bidiagonal_read_off(d, e))
+        table = _require_distinct(positive_spectrum_batch(bidiagonal_read_off(d, e)))
     return header, table
 
 
@@ -159,10 +162,8 @@ def cmd_prufer(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     t = build_antisym_tridiagonal(args.n, args.beta, RandomStream(args.seed))
     from .sturm import prufer_phases
-    phases = prufer_phases(t, grid)
     header = ["mu"] + [f"theta_{i}" for i in range(2, args.n + 1)]
-    table = np.array([[p.mu, *p.theta] for p in phases]).reshape(-1, len(header))
-    _emit_table(args, header, table)
+    _emit_table(args, header, np.column_stack([grid, prufer_phases(t, grid)]))
     return 0
 
 

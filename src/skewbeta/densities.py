@@ -154,19 +154,6 @@ def _interlaced_log_terms(x: np.ndarray, lam: np.ndarray, beta: float,
     return val + np.sum(np.log(x), axis=-1)
 
 
-def conditional_logpdf_up(x, lam, n: int, beta: float) -> LogDensityValue:
-    """Log-density of the positive eigenvalues ``x`` of the bordered matrix of
-    order ``n+1`` given those (``lam``) of the order-``n`` matrix, which they
-    interlace from above (``x_1 > lam_1 > x_2 > ...``); the one-row case of
-    :func:`_conditional_logpdf_up_rows`."""
-    x, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, lam))
-    kx, kl = (n + 1) // 2, n // 2
-    if x.size != kx or lam.size != kl:
-        raise ParameterError(f"expected {kx} new and {kl} old eigenvalues for n={n}")
-    value = _conditional_logpdf_up_rows(x[None, :], lam[None, :], n, beta)[0]
-    return LogDensityValue(float(value), bool(_strictly_descending_positive(_interleave(x, lam))))
-
-
 def _conditional_logpdf_up_rows(x: np.ndarray, lam: np.ndarray, n: int,
                                 beta: float) -> np.ndarray:
     """Log-density of each row of ``x`` (shape ``(rows, (n+1)//2)``) given
@@ -176,19 +163,6 @@ def _conditional_logpdf_up_rows(x: np.ndarray, lam: np.ndarray, n: int,
         val = (_interlaced_log_terms(x, lam, beta, zero_pole=(n % 2 == 1))
                - (np.sum(x ** 2, axis=-1) - np.sum(lam ** 2, axis=-1)))
     return np.where(_strictly_descending_positive(_interleave(x, lam)), val, -np.inf)
-
-
-def conditional_logpdf_down(x, lam, n: int, beta: float) -> LogDensityValue:
-    """Log-density of the positive eigenvalues ``x`` of the corank-1 projected
-    matrix of order ``n`` given those (``lam``) of the order-``n+1`` matrix,
-    which they interlace from below (``lam_1 > x_1 > lam_2 > ...``); the
-    one-row case of :func:`_conditional_logpdf_down_rows`."""
-    x, lam = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, lam))
-    kx, kl = n // 2, (n + 1) // 2
-    if x.size != kx or lam.size != kl:
-        raise ParameterError(f"expected {kx} projected and {kl} original eigenvalues for n={n}")
-    value = _conditional_logpdf_down_rows(x[None, :], lam[None, :], n, beta)[0]
-    return LogDensityValue(float(value), bool(_strictly_descending_positive(_interleave(lam, x))))
 
 
 def _conditional_logpdf_down_rows(x: np.ndarray, lam: np.ndarray, n: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import ParameterError, RandomStream, gamma_table, sample_normal
+from .streams import ParameterError, RandomStream, gamma_table
 
 
 class SizeError(ValueError):
@@ -46,9 +46,6 @@ class AntisymTridiagonal:
     def superdiagonal_top_down(self) -> np.ndarray:
         """Superdiagonal entries in matrix order (row 1 to row n-1)."""
         return self.b[::-1]
-
-    def to_dense(self) -> np.ndarray:
-        return dense_tridiagonal(self.superdiagonal_top_down(), -1.0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,8 @@ def dense_antisym_gue_rows(n: int, streams) -> np.ndarray:
     if n < 2:
         raise SizeError(f"need n >= 2, got {n}")
     iu = np.triu_indices(n, k=1)
-    upper = np.array([sample_normal(0.0, 0.5, s, size=iu[0].size) for s in streams])
+    # N[0, 1/2]: the generator takes the standard deviation
+    upper = np.array([s.generator.normal(0.0, np.sqrt(0.5), size=iu[0].size) for s in streams])
     a = np.zeros((len(streams), n, n))
     a[:, iu[0], iu[1]] = upper
     a[:, iu[1], iu[0]] = -upper

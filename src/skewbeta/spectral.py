@@ -16,7 +16,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,61 +68,30 @@ class SpectralData:
         return abs(total - 1.0)
 
 
-@dataclass(frozen=True)
-class CharPolySequence:
-    """Values ``P_0(x), ..., P_n(x)`` of the characteristic polynomials of the
-    trailing principal submatrices of ``i*T``, in sign/log-magnitude form.
-
-    ``P_0 = 1``, ``P_1 = x`` and ``P_{m+1} = x*P_m - b_m**2 * P_{m-1}`` with
-    ``b`` indexed from the bottom corner.  For a scalar ``x`` the arrays have
-    shape ``(n+1,)``; for a 1-d array of points, ``(n+1, points)``.
-    """
-
-    x: float | np.ndarray
-    signs: np.ndarray
-    logmags: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.signs.shape[0] - 1
-
-    def value(self, m: int) -> float | np.ndarray:
-        """Plain value of ``P_m(x)`` (may overflow to +-inf)."""
-        v = _plain(self.signs[m], self.logmags[m])
-        return float(v) if v.ndim == 0 else v
-
-    def values(self) -> np.ndarray:
-        return _plain(self.signs, self.logmags)
-
-
-def _plain(signs: np.ndarray, logmags: np.ndarray) -> np.ndarray:
-    """``sign * exp(logmag)``, overflowing to +-inf, exactly 0 for a zero sign."""
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is masked
-        return np.where(signs == 0, 0.0, signs * np.exp(logmags))
-
-
-def _charpoly(b: np.ndarray, x: np.ndarray,
-              rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _charpoly(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled values ``vals`` and log shifts ``shifts`` with
-    ``P_m(x) = vals * exp(shifts)`` for each ``m`` in ``rows`` at every point
-    of the 1-d array ``x``, both of shape ``(len(rows), x.size)``.  ``b`` is
-    one off-diagonal sequence, shape ``(n-1,)``, or one per point,
+    ``P_m(x) = vals[m] * exp(shifts[m])``, m = 0..n, at every point of the
+    1-d array ``x``, both of shape ``(n+1, x.size)``.  ``b`` is one
+    off-diagonal sequence, shape ``(n-1,)``, or one per point,
     ``(x.size, n-1)``.
 
-    One pass of the recurrence over all points.  Each point carries its
-    scaled pair ``(P_{m-1}, P_m)`` and log-scale ``shift``; a pair whose
-    larger magnitude ``mag`` leaves [1e-150, 1e150] is divided by it, so a
-    point's shift grows by ``log(mag)`` in the step that rescales it.  Until a
-    point first rescales its shifts are 0 and its values are the plain
-    recurrence bit for bit.  Working memory is O(b.size + len(rows) * x.size).
+    ``P_0 = 1``, ``P_1 = x`` and ``P_{m+1} = x*P_m - b_m**2 * P_{m-1}`` with
+    ``b`` indexed from the bottom corner: the characteristic polynomials of
+    the trailing principal submatrices of ``i*T``.  One pass of the
+    recurrence over all points.  Each point carries its scaled pair
+    ``(P_{m-1}, P_m)`` and log-scale ``shift``; a pair whose larger
+    magnitude ``mag`` leaves [1e-150, 1e150] is divided by it, so a point's
+    shift grows by ``log(mag)`` in the step that rescales it.  Until a point
+    first rescales its shifts are 0 and its values are the plain recurrence
+    bit for bit.
     """
-    slot = {m: j for j, m in enumerate(rows)}
-    vals = np.empty((len(slot), x.size))
-    shifts = np.zeros((len(slot), x.size))
+    n = b.shape[-1] + 1
+    vals = np.empty((n + 1, x.size))
+    shifts = np.zeros((n + 1, x.size))
     b2 = b ** 2
     shift = np.zeros(x.size)
     prev, cur = shift + 1.0, x.copy()  # P_0, P_1
-    for m in range(max(slot) + 1):
+    for m in range(n + 1):
         if m > 1:
             prev, cur = cur, x * cur - b2[..., m - 2] * prev
             # |prev| <= 1e150 after the previous step (for m = 2, prev = x and
@@ -136,25 +104,26 @@ def _charpoly(b: np.ndarray, x: np.ndarray,
                 prev[big] /= mag[big]
                 cur[big] /= mag[big]
                 shift[big] += np.log(mag[big])
-        j = slot.get(m)
-        if j is not None:
-            vals[j] = prev if m == 0 else cur
-            shifts[j] = shift
+        vals[m] = prev if m == 0 else cur
+        shifts[m] = shift
     return vals, shifts
 
 
-def charpoly_sequence(t: AntisymTridiagonal, x: float | np.ndarray) -> CharPolySequence:
-    """Evaluate the three-term recurrence in overflow-safe scaled form at a
-    scalar ``x`` or at every point of a 1-d array ``x``."""
+def charpoly_sequence(t: AntisymTridiagonal,
+                      x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and log-magnitudes of ``P_0(x), ..., P_n(x)`` (see
+    :func:`_charpoly`), overflow-safe, at a scalar ``x`` (shape ``(n+1,)``
+    each) or at every point of a 1-d array ``x`` (``(n+1, x.size)``); a
+    zero ``P_m`` has sign 0 and log-magnitude -inf."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim > 1:
         raise ValueError("x must be a scalar or a 1-d array of points")
-    vals, shifts = _charpoly(t.b, pts.reshape(-1), range(t.n + 1))
+    vals, shifts = _charpoly(t.b, pts.reshape(-1))
     with np.errstate(divide="ignore"):  # log 0 = -inf where P_m vanishes
         signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
     if pts.ndim == 0:
-        signs, logmags = signs[:, 0], logmags[:, 0]
-    return CharPolySequence(x=x, signs=signs, logmags=logmags)
+        return signs[:, 0], logmags[:, 0]
+    return signs, logmags
 
 
 def _capsule_pointer(capsule) -> int:
@@ -433,6 +402,12 @@ _ROW_CHECKS = (
 _DEGENERATE = 2  # the index of the DegeneracyError check
 
 
+def _degenerate_rows(lam: np.ndarray) -> np.ndarray:
+    """Rows of ``lam`` that are not strictly descending and positive (a NaN
+    row is not flagged)."""
+    return (lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1)
+
+
 def _failed_checks(b_batch: np.ndarray, lam: np.ndarray, q: np.ndarray,
                    z: np.ndarray) -> np.ndarray:
     """Index into ``_ROW_CHECKS`` of the first check each row fails, -1 for a
@@ -440,7 +415,7 @@ def _failed_checks(b_batch: np.ndarray, lam: np.ndarray, q: np.ndarray,
     fails = np.array([
         ~(b_batch > 0).all(axis=1),
         ~np.isfinite(b_batch).all(axis=1),
-        (lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1),
+        _degenerate_rows(lam),
         (q <= 0).any(axis=1),
         z <= 0,  # z is NaN, so never <= 0, at even n
     ])
@@ -450,6 +425,15 @@ def _failed_checks(b_batch: np.ndarray, lam: np.ndarray, q: np.ndarray,
 def _check_error(index: int) -> Exception:
     cls, msg = _ROW_CHECKS[index]
     return cls(msg)
+
+
+def _require_distinct(lam: np.ndarray) -> np.ndarray:
+    """``lam``, after raising the :class:`DegeneracyError` of
+    :func:`spectral_rows` if any row is not strictly descending and
+    positive."""
+    if _degenerate_rows(lam).any():
+        raise _check_error(_DEGENERATE)
+    return lam
 
 
 def spectral_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

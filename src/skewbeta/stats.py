@@ -3,9 +3,8 @@ machine-readable verification report format."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -157,6 +156,3 @@ class VerificationReport:
     @property
     def all_passed(self) -> bool:
         return self.failures == 0 and len(self.cases) > 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)

@@ -249,23 +249,3 @@ def gamma_table(shapes, streams, size=None, scale=None):
         # a Python-float exponent, as one column's draw takes it
         boost[cells == shape] *= u[a == shape] ** (1.0 / shape)
     return boost
-
-
-def sample_dirichlet(s, stream: RandomStream, size=None):
-    """Dirichlet draw obtained by normalizing independent rate-1 gammas.
-
-    ``size`` (if given) is the number of independent draws; the result then
-    has shape ``(size, len(s))``.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ParameterError("dirichlet parameter must be a nonempty 1-d sequence")
-    # parameters last and contiguous, so the sum adds them in its usual order
-    g = np.ascontiguousarray(np.moveaxis(gamma_table(s, [stream], size)[0], 0, -1))
-    return g / np.sum(g, axis=-1, keepdims=True)
-
-
-def sample_normal(mean, variance, stream: RandomStream, size=None):
-    if not variance > 0:
-        raise ParameterError(f"variance must be positive, got {variance}")
-    return stream.generator.normal(mean, np.sqrt(variance), size=size)

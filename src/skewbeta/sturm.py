@@ -9,20 +9,11 @@ and every ``P_m`` comes from the one scaled recurrence of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import AntisymTridiagonal
 from .spectral import _charpoly
-
-
-@dataclass(frozen=True)
-class PruferPhases:
-    """Continuous-branch phases ``theta_i``, i = 2..n, at one evaluation point."""
-
-    mu: float
-    theta: np.ndarray
 
 
 # prufer_phases evaluates _WINDOW // n points at a time, which bounds the
@@ -59,8 +50,7 @@ def _count_positive_leq_rows(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Number of positive eigenvalues ``<= mu[j]`` of the matrix with
     off-diagonals ``b[j]``, for a stack ``b`` of shape ``(points, n-1)`` and
     one point per matrix; see :func:`_counts_leq`."""
-    vals, _ = _charpoly(b, mu, range(b.shape[-1] + 2))
-    return _counts_leq(vals)[-1]
+    return _counts_leq(_charpoly(b, mu)[0])[-1]
 
 
 def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.ndarray:
@@ -77,7 +67,7 @@ def shooting_vector(t: AntisymTridiagonal, mu: float, x1: float = 1.0) -> np.nda
     if x1 == 0.0:
         raise ValueError("x1 must be nonzero")
     b, n = t.b, t.n
-    vals, shifts = _charpoly(b, np.array([float(mu)]), range(n + 1))
+    vals, shifts = _charpoly(b, np.array([float(mu)]))
     num, shifts = x1 * vals[:, 0], shifts[:, 0]
     below = np.r_[0:n, n - 1]  # entry j divides by b[0] ... b[j-1]; x_{n+1} by all of b
     with np.errstate(all="ignore"):  # the branch np.where drops may overflow
@@ -102,7 +92,7 @@ def _phases(b: np.ndarray, mu: np.ndarray) -> np.ndarray:
     ``K_i = [i odd] + N_{i-2}(mu)``, ``N_m`` the positive eigenvalues
     ``<= mu`` of the order-m trailing matrix; branches start at mu = 0.
     """
-    vals, shifts = _charpoly(b, mu, range(b.shape[-1] + 1))
+    vals, shifts = (a[:-1] for a in _charpoly(b, mu))
     # P_{i-2} on the scale of P_{i-1}; their shifts differ only where step
     # i-1 rescaled, else the factor is exactly 1
     prev = vals[:-1] * np.exp(shifts[:-1] - shifts[1:])
@@ -120,8 +110,9 @@ def _anchor_phases(n: int) -> np.ndarray:
     return np.where(idx % 2 == 0, math.pi / 2.0, 0.0)
 
 
-def prufer_phases(t: AntisymTridiagonal, grid) -> list[PruferPhases]:
-    """Continuous Pruefer phases along an ascending nonnegative grid.
+def prufer_phases(t: AntisymTridiagonal, grid) -> np.ndarray:
+    """Continuous Pruefer phases ``theta_i``, i = 2..n, along an ascending
+    nonnegative grid, shape ``(grid.size, n-1)``.
 
     Branches are anchored at mu = 0 (exact values known) and counted in
     closed form at every other point (see :func:`_phases`), ``_WINDOW // n``
@@ -138,4 +129,4 @@ def prufer_phases(t: AntisymTridiagonal, grid) -> list[PruferPhases]:
     window = max(1, _WINDOW // t.n)
     for w in range(start, grid.size, window):
         theta[w:w + window] = _phases(t.b, grid[w:w + window])
-    return [PruferPhases(mu=m, theta=th) for m, th in zip(grid.tolist(), theta)]
+    return theta

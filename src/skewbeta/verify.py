@@ -162,7 +162,7 @@ def _secular_residual_rows(b, lam, q, z, x: np.ndarray) -> np.ndarray:
     ``_charpoly`` pass over every point, each with its row's ``b``."""
     n = b.shape[1] + 1
     d, c = _signed_spectrum(n, lam, q, z)
-    vals, shifts = _charpoly(np.repeat(b, x.shape[1], axis=0), x.ravel(), (n - 1, n))
+    vals, shifts = (a[n - 1:] for a in _charpoly(np.repeat(b, x.shape[1], axis=0), x.ravel()))
     signs, logmags = np.sign(vals), np.log(np.abs(vals)) + shifts
     lhs = (signs[0] * signs[1] * np.exp(logmags[0] - logmags[1])).reshape(x.shape)
     rhs = np.sum(c[:, None, :] / (x[:, :, None] - d[:, None, :]), axis=2)
@@ -309,7 +309,7 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
                           lambda x: betainc(1.0, 0.5, np.clip(x, 0.0, 1.0))))
 
     # the bordering law of the first proof: one chain step from a fixed
-    # order-2 spectrum against the quadrature CDF of conditional_logpdf_up.
+    # order-2 spectrum against the quadrature CDF of its row-form density.
     # Draws and CDF are both conditioned on x > c: at beta = 0.25 about 1.3%
     # of the law lies within one ulp of lam, where x = sqrt(lam^2 + g)
     # rounds to lam exactly, and those ties would pin D at F(lam) on every
@@ -334,7 +334,7 @@ def run_distributions(seed: int, reps: int = 20000) -> VerificationReport:
         _add_ks(report, f"n=3 marginal beta={beta:g}", ks_one_sample(lam3, cdf))
 
     # the projection law of the first proof: one corank-1 step from order 3
-    # against the quadrature CDF of conditional_logpdf_down, both cut at
+    # against the quadrature CDF of its row-form density, both cut at
     # x < lam (1 - 1e-12) as the border step is cut above lam; the four
     # betas' probability-integral transforms are pooled into one case
     c = lam * (1.0 - 1e-12)

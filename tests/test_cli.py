@@ -157,6 +157,19 @@ class TestSample:
         assert code == 2 and out == "" and "first components" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--ensemble", "c-matrix", "--n", "5"),  # 314 of 500 rows with sigma_min = 0
+        ("--ensemble", "chain", "--n", "13"),  # 374 of 500 rows with lambda_min = 0
+        ("--ensemble", "laguerre-bidiag", "--n", "10", "--a", "0.005"),  # 415 of 500
+    ])
+    def test_zero_spectrum_row_exits_two(self, capsys, argv):
+        # at beta = 0.001 these tables have rows whose smallest lambda or
+        # sigma is 0; like the antisym-trid table, they exit 2 and print no row
+        code, out, err = run(capsys, "sample", *argv, "--beta", "0.001", "--reps", "500",
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: computed positive eigenvalues are not distinct\n"
+
     @pytest.mark.parametrize("ensemble", ["antisym-trid", "chain", "c-matrix"])
     def test_zero_reps_writes_header_only(self, capsys, ensemble):
         code, out, _ = run(capsys, "sample", "--ensemble", ensemble, "--n", "4",

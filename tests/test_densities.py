@@ -10,12 +10,27 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from skewbeta import densities
-from skewbeta.densities import (LogDensityValue, conditional_logpdf_down,
-                                conditional_logpdf_up, dixon_anderson_check,
-                                log_normalization_C, log_selberg_W,
+from skewbeta.densities import (LogDensityValue, _strictly_descending_positive,
+                                dixon_anderson_check, log_normalization_C, log_selberg_W,
                                 logpdf_positive_spectrum, selberg_consistency_check,
                                 eigenvalue_density_total_mass)
+from skewbeta.ensembles import _interleave
 from skewbeta.streams import ParameterError
+
+_UP = densities._conditional_logpdf_up_rows
+_DOWN = densities._conditional_logpdf_down_rows
+
+
+def _one(law, x, lam, n, beta):
+    """The log-density of one row ``x`` given ``lam`` under a row-form law."""
+    return float(law(np.array([x], dtype=float), np.array([lam], dtype=float), n, beta)[0])
+
+
+def _interlaced(upper, lower):
+    """The support predicate of the conditional laws: ``upper_1 > lower_1 >
+    upper_2 > ... > 0``."""
+    return bool(_strictly_descending_positive(
+        _interleave(np.asarray(upper, dtype=float), np.asarray(lower, dtype=float))))
 
 
 class TestEigenvalueDensity:
@@ -119,9 +134,7 @@ class TestConditionalDensities:
         # bordering a size-2 matrix: one new eigenvalue above the old one
         lam = np.array([1.3])
         beta = 2.0
-        val, _ = quad(lambda x: math.exp(
-            conditional_logpdf_up([x], lam, 2, beta).log_value),
-            lam[0], np.inf)
+        val, _ = quad(lambda x: math.exp(_one(_UP, [x], lam, 2, beta)), lam[0], np.inf)
         assert val == pytest.approx(1.0, abs=1e-7)
 
     def test_up_n1_matches_gamma_law(self):
@@ -130,44 +143,58 @@ class TestConditionalDensities:
         beta, x = 2.0, 0.9
         expected = (math.log(2.0) - gammaln(beta / 4.0)
                     + (beta / 2.0 - 1.0) * math.log(x) - x ** 2)
-        got = conditional_logpdf_up([x], np.zeros(0), 1, beta).log_value
+        got = _one(_UP, [x], np.zeros(0), 1, beta)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_down_integrates_to_one(self):
         # projecting a size-3 matrix: one eigenvalue between 0 and lam
         lam = np.array([1.7])
         beta = 2.0
-        val, _ = quad(lambda x: math.exp(
-            conditional_logpdf_down([x], lam, 2, beta).log_value), 0.0, lam[0])
+        val, _ = quad(lambda x: math.exp(_one(_DOWN, [x], lam, 2, beta)), 0.0, lam[0])
         assert val == pytest.approx(1.0, abs=1e-7)
 
     def test_up_interlacing_enforced(self):
         lam = np.array([1.3])
-        assert not conditional_logpdf_up([1.0], lam, 2, 2.0).in_support
-        assert conditional_logpdf_up([2.0], lam, 2, 2.0).in_support
+        assert not _interlaced([1.0], lam)
+        assert _interlaced([2.0], lam)
 
     def test_up_infinite_root_out_of_support(self):
         # an infinite root gave a NaN log-density flagged in support
-        val = conditional_logpdf_up([math.inf, 0.5], [1.0], 3, 2.0)
-        assert not val.in_support and val.log_value == -math.inf
+        assert not _interlaced([math.inf, 0.5], [1.0])
+        assert _one(_UP, [math.inf, 0.5], [1.0], 3, 2.0) == -math.inf
 
     def test_down_interlacing_enforced(self):
         lam = np.array([2.1, 0.9])
-        assert not conditional_logpdf_down([2.5], lam, 3, 2.0).in_support
-        assert conditional_logpdf_down([1.5], lam, 3, 2.0).in_support
+        assert not _interlaced(lam, [2.5])
+        assert _interlaced(lam, [1.5])
 
     def test_down_trivial_case(self):
         # projecting a size-2 matrix leaves no positive eigenvalue
-        val = conditional_logpdf_down(np.zeros(0), [1.0], 1, 2.0)
-        assert val.in_support and val.log_value == 0.0
+        assert _interlaced([1.0], np.zeros(0))
+        assert _one(_DOWN, np.zeros(0), [1.0], 1, 2.0) == 0.0
 
 
-# (law's public function, its row function, fixed arguments, and per order
-# the points (arguments before the fixed ones) with their support flag):
-# in-support points, non-interlacing or unordered input, ties, zeros and
-# negatives, n=1 up and n=1 down with an empty x
+def _up_row(x, lam, n, beta):
+    """One row of the bordering law and its support flag."""
+    return _one(_UP, x, lam, n, beta), _interlaced(x, lam)
+
+
+def _down_row(x, lam, n, beta):
+    """One row of the projection law and its support flag."""
+    return _one(_DOWN, x, lam, n, beta), _interlaced(lam, x)
+
+
+def _spectrum_row(lam, n, beta):
+    val = logpdf_positive_spectrum(lam, n, beta)
+    return val.log_value, val.in_support
+
+
+# (law's one-row call, its row function, and per order the points
+# (arguments before the fixed ones) with their support flag): in-support
+# points, non-interlacing or unordered input, ties, zeros and negatives,
+# n=1 up and n=1 down with an empty x
 _ROW_CASES = {
-    "up": (conditional_logpdf_up, densities._conditional_logpdf_up_rows, {
+    "up": (_up_row, _UP, {
         1: [(([0.9], []), True), (([0.0], []), False), (([-1.0], []), False)],
         2: [(([2.0], [1.3]), True), (([1.0], [1.3]), False), (([1.3], [1.3]), False),
             (([2.0], [0.0]), False), (([2.0], [-1.0]), False), (([1e-170], [5e-171]), True)],
@@ -176,7 +203,7 @@ _ROW_CASES = {
         4: [(([3.0, 1.5], [2.0, 1.0]), True), (([3.0, 0.5], [2.0, 1.0]), False),
             (([3.0, 1.0], [2.0, 1.0]), False)],
     }),
-    "down": (conditional_logpdf_down, densities._conditional_logpdf_down_rows, {
+    "down": (_down_row, _DOWN, {
         1: [(([], [1.0]), True), (([], [0.0]), False), (([], [-1.0]), False)],
         2: [(([0.5], [1.7]), True), (([1.7], [1.7]), False), (([0.0], [1.7]), False),
             (([2.0], [1.7]), False)],
@@ -184,7 +211,7 @@ _ROW_CASES = {
             (([0.9], [2.1, 0.9]), False), (([1.5], [2.1, 0.0]), False)],
         4: [(([1.5, 0.5], [2.0, 1.0]), True), (([1.5, 1.0], [2.0, 1.0]), False)],
     }),
-    "spectrum": (logpdf_positive_spectrum, densities._logpdf_positive_spectrum_rows, {
+    "spectrum": (_spectrum_row, densities._logpdf_positive_spectrum_rows, {
         2: [(([1.2],), True), (([0.0],), False), (([-1.0],), False)],
         5: [(([2.0, 1.0],), True), (([1.0, 2.0],), False), (([1.0, 1.0],), False),
             (([1.0, 0.0],), False)],
@@ -196,46 +223,46 @@ class TestRowFunctions:
     @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("law", sorted(_ROW_CASES))
     def test_rows_equal_one_row_calls(self, law, beta):
-        # every row of the row function equals the public one-row call bit
-        # for bit (NaN included), and the public support flag is the
-        # support predicate, not a reading of the value
-        public, rows_fn, cases = _ROW_CASES[law]
+        # every row of the row function equals its one-row call bit for bit
+        # (NaN included), and the support flag is the support predicate,
+        # not a reading of the value
+        one_row, rows_fn, cases = _ROW_CASES[law]
         for n, points in cases.items():
             stacked = [np.array([p[i] for p, _ in points], dtype=float).reshape(len(points), -1)
                        for i in range(len(points[0][0]))]
             got = rows_fn(*stacked, n, beta)
             assert got.shape == (len(points),)
             for row, (point, in_support) in zip(got, points):
-                val = public(*point, n, beta)
-                assert np.array_equal(row, val.log_value, equal_nan=True), (n, point)
-                assert val.in_support is in_support, (n, point)
+                value, flag = one_row(*point, n, beta)
+                assert np.array_equal(row, value, equal_nan=True), (n, point)
+                assert flag is in_support, (n, point)
 
     def test_underflowed_squares_are_in_support(self):
         # a descending pair whose squares underflow to the same value lies
         # in the support, and x^2 - lam^2 > 0 there: its log-density is
         # log 2 + log(x^2 - lam^2) + log x, finite (50-digit mpmath value)
-        val = conditional_logpdf_up([1e-170], [5e-171], 2, 4.0)
-        assert val.in_support
-        assert val.log_value == pytest.approx(-1173.9129323188551345, rel=1e-15)
+        assert _interlaced([1e-170], [5e-171])
+        assert _one(_UP, [1e-170], [5e-171], 2, 4.0) == pytest.approx(-1173.9129323188551345,
+                                                                       rel=1e-15)
 
-    @pytest.mark.parametrize("law,x,lam,n", [
-        (conditional_logpdf_up, [1e-170], [5e-171], 2),
-        (conditional_logpdf_down, [5e-171], [1e-170], 2),
+    @pytest.mark.parametrize("one_row,x,lam,n", [
+        pytest.param(_up_row, [1e-170], [5e-171], 2, id="conditional_logpdf_up-x0-lam0-2"),
+        pytest.param(_down_row, [5e-171], [1e-170], 2, id="conditional_logpdf_down-x1-lam1-2"),
     ])
-    def test_underflowed_pair_at_beta_2_is_finite(self, law, x, lam, n):
+    def test_underflowed_pair_at_beta_2_is_finite(self, one_row, x, lam, n):
         # a pair whose squares underflow to the same value has a finite
         # density at beta = 2, where the root-pole cross term has weight 0
-        val = law(x, lam, n, 2.0)
-        assert val.in_support and math.isfinite(val.log_value)
-        if law is conditional_logpdf_up:
+        value, in_support = one_row(x, lam, n, 2.0)
+        assert in_support and math.isfinite(value)
+        if one_row is _up_row:
             # x^2 - lam^2 is Gamma(1): density 2 x exp(-(x^2 - lam^2))
-            assert val.log_value == pytest.approx(math.log(2e-170), rel=1e-15)
+            assert value == pytest.approx(math.log(2e-170), rel=1e-15)
 
     def test_rows_broadcast_fixed_conditioning_spectrum(self):
         # the quadrature CDFs pass one row of lam against a column of x
         x = np.array([[2.0], [1.5], [1.0]])
         got = densities._conditional_logpdf_up_rows(x, np.array([1.3]), 2, 1.0)
-        expected = [conditional_logpdf_up(v, [1.3], 2, 1.0).log_value for v in x]
+        expected = [_one(_UP, v, [1.3], 2, 1.0) for v in x]
         assert np.array_equal(got, expected)
 
 
@@ -342,9 +369,11 @@ class TestDixonAnderson:
 
 class TestLogDensityValue:
     def test_out_of_support_constructor(self):
-        # the one-row wrappers build the out-of-support value themselves
-        for v in (logpdf_positive_spectrum([0.0], 2, 2.0),
-                  conditional_logpdf_up([0.5, 2.0], [1.0], 3, 2.0),
-                  conditional_logpdf_down([2.0], [1.0, 0.5], 3, 2.0)):
-            assert v == LogDensityValue(-math.inf, False)
-            assert not v.in_support and v.log_value == -math.inf
+        # the one-row density builds the out-of-support value itself
+        v = logpdf_positive_spectrum([0.0], 2, 2.0)
+        assert v == LogDensityValue(-math.inf, False)
+        assert not v.in_support and v.log_value == -math.inf
+        # the conditional laws' row forms give -inf outside their support
+        assert not _interlaced([0.5, 2.0], [1.0]) and not _interlaced([1.0, 0.5], [2.0])
+        assert _one(_UP, [0.5, 2.0], [1.0], 3, 2.0) == -math.inf
+        assert _one(_DOWN, [2.0], [1.0, 0.5], 3, 2.0) == -math.inf

@@ -11,8 +11,14 @@ from skewbeta.ensembles import (AntisymTridiagonal, DegenerateInputError,
                                 _laguerre_chis, antisym_tridiagonal_batch,
                                 antisym_tridiagonal_rows, build_antisym_tridiagonal,
                                 build_dense_antisym_gue, dense_antisym_gue_rows,
-                                householder_reduce, householder_reduce_batch)
-from skewbeta.streams import ParameterError, RandomStream, sample_normal
+                                dense_tridiagonal, householder_reduce,
+                                householder_reduce_batch)
+from skewbeta.streams import ParameterError, RandomStream
+
+
+def _dense(t):
+    """The dense matrix ``T`` of a reduced form."""
+    return dense_tridiagonal(t.superdiagonal_top_down(), -1.0)
 
 
 class TestAntisymTridiagonal:
@@ -20,11 +26,11 @@ class TestAntisymTridiagonal:
         t = AntisymTridiagonal([1.0, 2.0, 3.0])
         # b[0] sits in the bottom-right 2x2 block
         assert np.array_equal(t.superdiagonal_top_down(), [3.0, 2.0, 1.0])
-        dense = t.to_dense()
+        dense = _dense(t)
         assert dense[2, 3] == 1.0 and dense[0, 1] == 3.0
 
     def test_dense_is_antisymmetric(self):
-        dense = AntisymTridiagonal([0.5, 1.5]).to_dense()
+        dense = _dense(AntisymTridiagonal([0.5, 1.5]))
         assert np.array_equal(dense, -dense.T)
 
     def test_rejects_nonpositive_entries(self):
@@ -39,7 +45,7 @@ class TestAntisymTridiagonal:
         t = AntisymTridiagonal([1.0, 2.0, 0.7])
         d, e = np.zeros(t.n), t.superdiagonal_top_down()
         sym_vals = np.sort(np.linalg.eigvalsh(np.diag(e, 1) + np.diag(e, -1)))
-        skew_vals = np.sort(np.linalg.eigvals(1j * t.to_dense()).real)
+        skew_vals = np.sort(np.linalg.eigvals(1j * _dense(t)).real)
         assert np.allclose(sym_vals, skew_vals, atol=1e-12)
         assert np.all(d == 0)
 
@@ -164,7 +170,7 @@ class TestHouseholderReduce:
         dense = build_dense_antisym_gue(n, RandomStream(n))
         reduced = householder_reduce(dense)
         before = np.sort(np.linalg.eigvals(1j * dense.a).real)
-        after = np.sort(np.linalg.eigvals(1j * reduced.to_dense()).real)
+        after = np.sort(np.linalg.eigvals(1j * _dense(reduced)).real)
         assert np.allclose(before, after, atol=1e-10 * max(1.0, np.max(np.abs(before))))
 
     def test_produces_reduced_form(self):
@@ -173,7 +179,7 @@ class TestHouseholderReduce:
 
     def test_tridiagonal_input_is_fixed_point(self):
         t = build_antisym_tridiagonal(5, 2.0, RandomStream(12))
-        again = householder_reduce(DenseAntisym(t.to_dense()))
+        again = householder_reduce(DenseAntisym(_dense(t)))
         assert np.allclose(again.b, t.b, atol=1e-12)
 
     def test_degenerate_input_raises(self):
@@ -229,5 +235,5 @@ class TestStreamRows:
         iu = np.triu_indices(n, k=1)
         for i, mat in enumerate(a):
             ref = np.zeros((n, n))
-            ref[iu] = sample_normal(0.0, 0.5, root.split(i), size=iu[0].size)
+            ref[iu] = root.split(i).generator.normal(0.0, np.sqrt(0.5), size=iu[0].size)
             assert np.array_equal(mat, ref - ref.T)

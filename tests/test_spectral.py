@@ -14,9 +14,10 @@ import skewbeta
 from skewbeta import spectral
 from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
-from skewbeta.spectral import (CharPolySequence, ConditioningError, DegeneracyError,
+from skewbeta.spectral import (ConditioningError, DegeneracyError,
                                SpectralData, _bidiagonal_svd, _charpoly, _dbdsqr_rows,
                                _first_component_sq_batch, _ported_rows, _reconstruct_rows,
+                               _require_distinct,
                                _signed_spectrum, charpoly_sequence, positive_spectrum,
                                positive_spectrum_batch, reconstruct_tridiagonal,
                                spectral_rows)
@@ -88,8 +89,8 @@ class TestCharpolySequence:
         p = [1.0, x]
         for m in range(1, 4):
             p.append(x * p[-1] - b[m - 1] ** 2 * p[-2])
-        cp = charpoly_sequence(t, x)
-        assert np.allclose(cp.values(), p, rtol=1e-13)
+        signs, logmags = charpoly_sequence(t, x)
+        assert np.allclose(signs * np.exp(logmags), p, rtol=1e-13)
 
     def test_top_value_is_char_poly(self):
         t = AntisymTridiagonal([1.0, 2.0, 0.5, 1.5])
@@ -97,12 +98,13 @@ class TestCharpolySequence:
         e = t.superdiagonal_top_down()
         sym = np.diag(e, 1) + np.diag(e, -1)
         expected = np.linalg.det(x * np.eye(t.n) - sym)
-        assert charpoly_sequence(t, x).value(t.n) == pytest.approx(expected, rel=1e-10)
+        signs, logmags = charpoly_sequence(t, x)
+        assert signs[t.n] * np.exp(logmags[t.n]) == pytest.approx(expected, rel=1e-10)
 
     def test_large_order_no_overflow(self):
         b = np.full(400, 3.0)
-        cp = charpoly_sequence(AntisymTridiagonal(b), 7.0)
-        assert np.isfinite(cp.logmags[-1])
+        _, logmags = charpoly_sequence(AntisymTridiagonal(b), 7.0)
+        assert np.isfinite(logmags[-1])
 
     @pytest.mark.parametrize("b,xs", [
         (np.array([1.3]), [0.0, 1.3, -0.4]),
@@ -114,10 +116,10 @@ class TestCharpolySequence:
     ])
     def test_scalar_matches_loop(self, b, xs):
         for x in xs:
-            cp = charpoly_sequence(AntisymTridiagonal(b), x)
-            signs, logmags = _loop_sequence(b, x)
-            assert np.array_equal(cp.signs, signs)
-            assert np.array_equal(cp.logmags, logmags)
+            signs, logmags = charpoly_sequence(AntisymTridiagonal(b), x)
+            ref_signs, ref_logmags = _loop_sequence(b, x)
+            assert np.array_equal(signs, ref_signs)
+            assert np.array_equal(logmags, ref_logmags)
 
     @pytest.mark.parametrize("b,xs", [
         (build_antisym_tridiagonal(12, 2.0, RandomStream(3)).b,
@@ -126,21 +128,22 @@ class TestCharpolySequence:
     ])
     def test_points_match_scalar(self, b, xs):
         t = AntisymTridiagonal(b)
-        many = charpoly_sequence(t, np.array(xs))
-        assert many.signs.shape == many.logmags.shape == (t.n + 1, len(xs))
+        signs, logmags = charpoly_sequence(t, np.array(xs))
+        assert signs.shape == logmags.shape == (t.n + 1, len(xs))
         for j, x in enumerate(xs):
-            one = charpoly_sequence(t, x)
-            assert np.array_equal(many.signs[:, j], one.signs)
-            assert np.array_equal(many.logmags[:, j], one.logmags)
+            one_signs, one_logmags = charpoly_sequence(t, x)
+            assert np.array_equal(signs[:, j], one_signs)
+            assert np.array_equal(logmags[:, j], one_logmags)
 
     def test_mixed_rescaling(self):
         # the n = 400 case really has points that rescale and points that do not
-        cp = charpoly_sequence(AntisymTridiagonal(MIXED_B), np.array(MIXED_QUIET + MIXED_LOUD))
-        top = np.max(np.abs(np.where(np.isfinite(cp.logmags), cp.logmags, 0.0)), axis=0)
+        _, logmags = charpoly_sequence(AntisymTridiagonal(MIXED_B),
+                                       np.array(MIXED_QUIET + MIXED_LOUD))
+        top = np.max(np.abs(np.where(np.isfinite(logmags), logmags, 0.0)), axis=0)
         quiet = len(MIXED_QUIET)
         assert np.all(top[:quiet] < np.log(1e150))
         assert np.all(top[quiet:] > np.log(1e150))
-        assert np.all(np.isfinite(cp.logmags[-1]))
+        assert np.all(np.isfinite(logmags[-1]))
 
     @pytest.mark.parametrize("b,xs", [
         # n = 400: points that rescale and points that do not, on matrices
@@ -152,10 +155,10 @@ class TestCharpolySequence:
     ])
     def test_stacked_matrices_match_one_matrix_calls(self, b, xs):
         # one matrix per point: column j is matrix j's own call at its point
-        rows = range(b.shape[1] + 1)
-        vals, shifts = _charpoly(b, np.array(xs), rows)
+        vals, shifts = _charpoly(b, np.array(xs))
+        assert vals.shape == shifts.shape == (b.shape[1] + 2, len(xs))
         for j, x in enumerate(xs):
-            one_vals, one_shifts = _charpoly(b[j], np.array([x]), rows)
+            one_vals, one_shifts = _charpoly(b[j], np.array([x]))
             assert np.array_equal(vals[:, j], one_vals[:, 0])
             assert np.array_equal(shifts[:, j], one_shifts[:, 0])
         if b.shape[1] == 399:
@@ -163,35 +166,22 @@ class TestCharpolySequence:
 
     def test_scalar_shapes(self):
         t = AntisymTridiagonal([1.0, 2.0, 0.5, 1.5])
-        cp = charpoly_sequence(t, 0.9)
-        assert cp.x == 0.9 and cp.n == t.n
-        assert cp.signs.shape == cp.logmags.shape == cp.values().shape == (t.n + 1,)
-        assert all(type(cp.value(m)) is float for m in range(t.n + 1))
-        many = charpoly_sequence(t, np.array([0.9, -0.2]))
-        assert many.n == t.n and many.values().shape == (t.n + 1, 2)
-        assert many.value(t.n).shape == (2,)
+        signs, logmags = charpoly_sequence(t, 0.9)
+        assert signs.shape == logmags.shape == (t.n + 1,)
+        signs, logmags = charpoly_sequence(t, np.array([0.9, -0.2]))
+        assert signs.shape == logmags.shape == (t.n + 1, 2)
         with pytest.raises(ValueError):
             charpoly_sequence(t, np.ones((2, 2)))
 
     def test_values_overflow_and_zero(self):
-        # P_m is odd in x for odd m, so P_m(0) = 0 exactly; at x = +-20 the
-        # top values (about 19.5**401) overflow a double with the sign of x**m
+        # P_m is odd in x for odd m, so P_m(0) = 0 exactly: sign 0 and
+        # log-magnitude -inf; at x = +-20 the top values (about 19.5**401)
+        # lie past the double range with the sign of x**m
         t = AntisymTridiagonal(np.full(400, 3.0))
-        cp = charpoly_sequence(t, np.array([20.0, -20.0, 0.0]))
-        vals = cp.values()
-        assert vals[-1, 0] == np.inf and vals[-1, 1] == -np.inf
-        assert np.all(vals[1::2, 2] == 0.0) and not np.any(np.signbit(vals[1::2, 2]))
-        with np.errstate(over="ignore"):
-            loop = np.array([[0.0 if s == 0 else s * np.exp(lm)
-                              for s, lm in zip(srow, lrow)]
-                             for srow, lrow in zip(cp.signs, cp.logmags)])
-        assert np.array_equal(vals, loop)
-        assert np.array_equal(cp.value(t.n), vals[-1])
-        # a zero sign means 0 whatever the log-magnitude holds
-        odd = CharPolySequence(x=0.0, signs=np.array([1.0, -0.0]),
-                               logmags=np.array([0.0, np.inf]))
-        assert np.array_equal(odd.values(), [1.0, 0.0]) and odd.value(1) == 0.0
-        assert not np.signbit(odd.value(1))
+        signs, logmags = charpoly_sequence(t, np.array([20.0, -20.0, 0.0]))
+        assert signs[-1, 0] == 1.0 and signs[-1, 1] == -1.0
+        assert logmags[-1, 0] > np.log(np.finfo(float).max)
+        assert np.all(signs[1::2, 2] == 0.0) and np.all(logmags[1::2, 2] == -np.inf)
 
 
 class TestPositiveSpectrum:
@@ -532,6 +522,16 @@ class TestBidiagonalCore:
         with pytest.raises(ValueError, match="strictly positive"):
             spectral_rows(b)
 
+    @pytest.mark.parametrize("bad", [[2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [2.0, -1.0]])
+    def test_require_distinct_raises_the_degeneracy_error(self, bad):
+        # the lambda and sigma tables of `sample` take the spectral map's
+        # tie check and message alone: a zero, tied or unordered row raises
+        good = np.array([[3.0, 1.0], [2.0, 1e-300]])
+        assert _require_distinct(good) is good
+        msg = "^computed positive eigenvalues are not distinct$"
+        with pytest.raises(DegeneracyError, match=msg):
+            _require_distinct(np.vstack([good, bad]))
+
     @pytest.mark.parametrize("n", [12, 40, 200])
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])
     def test_no_degeneracy_error(self, n, beta):
@@ -615,8 +615,8 @@ class TestResidualChecks:
         c = np.r_[sd.q, sd.q, [sd.z] * (n % 2)] ** 2
         worst = 0.0
         for v in x.tolist():
-            seq = charpoly_sequence(t, v)
-            lhs = seq.signs[n - 1] * seq.signs[n] * np.exp(seq.logmags[n - 1] - seq.logmags[n])
+            signs, logmags = charpoly_sequence(t, v)
+            lhs = signs[n - 1] * signs[n] * np.exp(logmags[n - 1] - logmags[n])
             rhs = float(np.sum(c / (v - mu)))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         assert got == worst

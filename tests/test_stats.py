@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ class TestReportFormat:
         report.add("a", True, statistic=0.0, tolerance=1e-9)
         report.add("b", False, statistic=1.0, tolerance=1e-9)
         assert report.failures == 1 and not report.all_passed
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(asdict(report)))
         assert doc["suite"] == "demo" and doc["seed"] == 7
         assert [c["status"] for c in doc["cases"]] == ["pass", "fail"]
 

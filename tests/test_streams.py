@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewbeta import verify
+from skewbeta import chain, verify
+from skewbeta.ensembles import dense_antisym_gue_rows
 from skewbeta.streams import (_PASS_MIN_STREAMS, ParameterError, RandomStream, gamma_table,
-                              sample_dirichlet, sample_normal, seed_state, seed_streams)
+                              seed_state, seed_streams)
 
 
 def _gamma(shape, stream, size=None):
@@ -299,36 +300,45 @@ class TestGammaTable:
         assert gamma_table([0.5, 2.0], [], 4).shape == (0, 2, 4)
 
 
+def _dirichlet_weights(m, beta, stream, reps):
+    """The Dirichlet weights ``chain._step_down_sq`` draws for ``reps`` rows
+    of an order-``m`` spectrum, as it hands them to its root solve."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain, "secular_roots", lambda constant, poles, weights: seen.append(weights))
+        chain._step_down_sq(np.arange(m // 2, 0, -1.0)[None, :], m, beta, stream, reps)
+    return seen[0]
+
+
 class TestDirichlet:
-    @given(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=6))
+    """The projection step's Dirichlet draw: rate-1 gammas of shape
+    ``beta/2`` per pole pair (and ``beta/4`` on the zero pole at odd
+    order), normalized by their sum."""
+
+    @given(st.floats(0.4, 10.0), st.integers(2, 12))  # shapes in [0.1, 5]
     @settings(max_examples=30, deadline=None)
-    def test_sums_to_one(self, s):
-        x = sample_dirichlet(np.asarray(s), RandomStream(6))
+    def test_sums_to_one(self, beta, m):
+        x = _dirichlet_weights(m, beta, RandomStream(6), 1)[0]
+        assert x.size == m // 2 + m % 2
         assert np.sum(x) == pytest.approx(1.0, abs=1e-12)
         assert np.all(x > 0)
 
     def test_batch_shape(self):
-        x = sample_dirichlet([1.0, 2.0, 0.5], RandomStream(7), size=40)
+        x = _dirichlet_weights(5, 2.0, RandomStream(7), 40)
         assert x.shape == (40, 3)
         assert np.allclose(np.sum(x, axis=1), 1.0)
 
     def test_mean_matches_parameters(self):
-        s = np.array([2.0, 1.0, 1.0])
-        x = sample_dirichlet(s, RandomStream(8), size=100000)
+        # order 5 at beta = 4: parameters (2, 2, 1)
+        s = np.array([2.0, 2.0, 1.0])
+        x = _dirichlet_weights(5, 4.0, RandomStream(8), 100000)
         assert np.allclose(np.mean(x, axis=0), s / s.sum(), atol=0.01)
-
-    @pytest.mark.parametrize("bad", [[], [1.0, -1.0], [0.0, 1.0]])
-    def test_invalid_parameters(self, bad):
-        with pytest.raises(ParameterError):
-            sample_dirichlet(bad, RandomStream(0))
 
 
 class TestNormalAndBeta:
     def test_normal_moments(self):
-        x = sample_normal(1.0, 0.25, RandomStream(9), size=200000)
-        assert np.mean(x) == pytest.approx(1.0, abs=0.01)
-        assert np.var(x) == pytest.approx(0.25, rel=0.03)
-
-    def test_normal_invalid_variance(self):
-        with pytest.raises(ParameterError):
-            sample_normal(0.0, 0.0, RandomStream(0))
+        # the dense draw's strict-upper entries are N[0, 1/2]; 200,028 of them
+        a = dense_antisym_gue_rows(633, [RandomStream(9)])[0]
+        x = a[np.triu_indices(633, k=1)]
+        assert np.mean(x) == pytest.approx(0.0, abs=0.01)
+        assert np.var(x) == pytest.approx(0.5, rel=0.03)

@@ -9,18 +9,16 @@ from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import positive_spectrum, positive_spectrum_batch
 from skewbeta.streams import RandomStream
-from skewbeta.sturm import (PruferPhases, _count_positive_leq_rows, _phases, prufer_phases,
-                           shooting_vector)
+from skewbeta.sturm import _count_positive_leq_rows, _phases, prufer_phases, shooting_vector
 from skewbeta.verify import _wrap_violations
 
 # an overflow or invalid operation in any Sturm, shooting or Pruefer path fails
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def _violations(t, phases):
-    """``_wrap_violations`` of one matrix and its list of phases."""
-    return _wrap_violations(t.b[None, :], np.array([[p.mu for p in phases]]),
-                            np.stack([p.theta for p in phases])[None])
+def _violations(t, grid, theta):
+    """``_wrap_violations`` of one matrix and its phases on ``grid``."""
+    return _wrap_violations(t.b[None, :], grid[None, :], theta[None])
 
 
 def _count_one(t, mu):
@@ -266,7 +264,7 @@ class TestShootingVector:
 class TestPruferPhases:
     def test_anchor_values(self):
         t = build_antisym_tridiagonal(6, 2.0, RandomStream(10))
-        start = prufer_phases(t, np.array([1e-300]))[0].theta
+        start = prufer_phases(t, np.array([1e-300]))[0]
         expect = np.where(np.arange(2, 7) % 2 == 0, math.pi / 2.0, 0.0)
         assert np.allclose(start, expect, atol=1e-9)
 
@@ -275,8 +273,7 @@ class TestPruferPhases:
         t = build_antisym_tridiagonal(n, 2.0, RandomStream(11 + n))
         lam_max = positive_spectrum(t).lam[0]
         grid = np.linspace(0.0, 1.4 * lam_max, 150)[1:]
-        stacked = np.stack([p.theta for p in prufer_phases(t, grid)])
-        assert np.all(np.diff(stacked, axis=0) < 0)
+        assert np.all(np.diff(prufer_phases(t, grid), axis=0) < 0)
 
     def test_last_phase_counts_submatrix_eigenvalues(self):
         # theta_n crosses pi/2 (mod pi) exactly at the positive zeros of the
@@ -285,8 +282,8 @@ class TestPruferPhases:
         sub = AntisymTridiagonal(t.b[:-1])
         sub_lam = positive_spectrum(sub).lam
         mu_hi = 1.5 * positive_spectrum(t).lam[0]
-        start = prufer_phases(t, np.array([1e-300]))[0].theta[-1]
-        end = prufer_phases(t, np.linspace(1e-3, mu_hi, 400))[-1].theta[-1]
+        start = prufer_phases(t, np.array([1e-300]))[0, -1]
+        end = prufer_phases(t, np.linspace(1e-3, mu_hi, 400))[-1, -1]
         levels = math.pi / 2.0 - math.pi * np.arange(50)
         crossings = int(np.sum((levels <= start) & (levels > end)))
         assert crossings == sub_lam.size
@@ -296,9 +293,9 @@ class TestPruferPhases:
         # P_5 > 0: atan2 gives a principal phase of +0 there, and theta_6
         # must sit on the branch it reaches from the left
         t = AntisymTridiagonal([2.0, 3.0, 2.0, 1.0, 1.0])
-        phases = prufer_phases(t, np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
-        assert phases[1].theta[4] == 0.0
-        assert np.all(np.abs(np.diff([p.theta for p in phases], axis=0)) < 1e-6)
+        theta = prufer_phases(t, np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
+        assert theta[1, 4] == 0.0
+        assert np.all(np.abs(np.diff(theta, axis=0)) < 1e-6)
 
     @pytest.mark.parametrize("grid", [
         np.zeros(0), np.array([1.0, 0.5]), np.array([-1.0, 1.0]),
@@ -322,16 +319,16 @@ class TestPruferPhases:
         lam_max = positive_spectrum(t).lam[0]
         for grid in (np.linspace(0.0, 1.5 * lam_max, 40),
                      np.linspace(0.01 * lam_max, 1.5 * lam_max, 199)):
-            phases = prufer_phases(t, grid)
-            assert [p.mu for p in phases] == grid.tolist()
+            theta = prufer_phases(t, grid)
+            assert theta.shape == (grid.size, n - 1)
             try:
                 expect = _loop_prufer(t.b, grid)
             except _Unresolved:
                 # where the bisection gives up, the branches still follow
                 # the Sturm counts
-                assert _violations(t, phases)[0] == 0
+                assert _violations(t, grid, theta)[0] == 0
                 continue
-            assert np.array_equal(np.stack([p.theta for p in phases]), expect)
+            assert np.array_equal(theta, expect)
 
     @pytest.mark.parametrize("n", [3, 4, 12, 13, 40, 200])
     @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
@@ -342,23 +339,23 @@ class TestPruferPhases:
         for seed in range(3):
             t = build_antisym_tridiagonal(n, beta, RandomStream(seed))
             grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
-            assert _violations(t, prufer_phases(t, grid)) == (0, 0)
+            assert _violations(t, grid, prufer_phases(t, grid)) == (0, 0)
 
     def test_branches_follow_eigenvalue_counts_order_1000(self):
         t = build_antisym_tridiagonal(1000, 2.0, RandomStream(3))
         grid = np.linspace(0.0, 1.5 * positive_spectrum(t).lam[0], 200)[1:]
-        assert _violations(t, prufer_phases(t, grid)) == (0, 0)
+        assert _violations(t, grid, prufer_phases(t, grid)) == (0, 0)
 
     def test_underflowed_off_diagonal(self):
         # b_1**2 = 1e-400 rounds to 0, so b_1**2 P_0 is +0 and atan2 gives a
         # principal phase of +0: theta_2 = arccot(mu / b_1**2) is 0 to double
         # precision at every mu > 0, not pi
         t = AntisymTridiagonal([1e-200, 1.0, 1.0])
-        phases = prufer_phases(t, np.linspace(0.0, 3.0, 31))
-        theta = np.stack([p.theta for p in phases])
+        grid = np.linspace(0.0, 3.0, 31)
+        theta = prufer_phases(t, grid)
         assert np.all(theta[1:, 0] == 0.0)
         assert np.all(np.diff(theta, axis=0) <= 0)
-        assert _violations(t, phases) == (0, 0)
+        assert _violations(t, grid, theta) == (0, 0)
 
     def test_branches_follow_eigenvalue_counts_beta_001(self):
         # 3 of these 20 draws have an off-diagonal whose square underflows
@@ -368,26 +365,24 @@ class TestPruferPhases:
             t = build_antisym_tridiagonal(8, 0.01, RandomStream(seed))
             underflowed += bool(np.any(t.b ** 2 == 0.0))
             grid = np.linspace(0.0, 1.5 * positive_spectrum_batch(t.b[None, :])[0, 0], 200)[1:]
-            assert _violations(t, prufer_phases(t, grid)) == (0, 0)
+            assert _violations(t, grid, prufer_phases(t, grid)) == (0, 0)
         assert underflowed > 0
 
     def test_wrap_check_flags_a_branch_off_by_pi(self):
         t = build_antisym_tridiagonal(12, 2.0, RandomStream(0))
-        phases = prufer_phases(t, np.linspace(0.1, 3.0, 30))
-        theta = np.stack([p.theta for p in phases])
+        grid = np.linspace(0.1, 3.0, 30)
+        theta = prufer_phases(t, grid)
         theta[7, 4] += math.pi
-        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
-        assert _violations(t, moved)[0] == 1
+        assert _violations(t, grid, theta)[0] == 1
 
     def test_wrap_check_flags_a_rise_by_pi(self):
         # -K pi and -(K-1) pi both pass the branch test; a phase that rises
         # between grid points does not
         t = AntisymTridiagonal([1e-200, 1.0, 1.0])
-        phases = prufer_phases(t, np.linspace(0.0, 3.0, 31))
-        theta = np.stack([p.theta for p in phases])
+        grid = np.linspace(0.0, 3.0, 31)
+        theta = prufer_phases(t, grid)
         theta[1:, 0] = math.pi
-        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
-        assert _violations(t, moved)[0] == 1
+        assert _violations(t, grid, theta)[0] == 1
 
     def test_wrap_check_lets_the_phase_after_a_skipped_point_rise(self):
         # P_4 vanishes exactly at mu = 1, an eigenvalue of the order-4
@@ -395,10 +390,9 @@ class TestPruferPhases:
         # is skipped, and the next phase then rises from it without being
         # off its own branch
         t = AntisymTridiagonal([2.0, 3.0, 2.0, 1.0, 1.0])
-        phases = prufer_phases(t, np.array([0.5, 1.0, 1.5]))
-        assert _violations(t, phases) == (0, 1)
-        theta = np.stack([p.theta for p in phases])
+        grid = np.array([0.5, 1.0, 1.5])
+        theta = prufer_phases(t, grid)
+        assert _violations(t, grid, theta) == (0, 1)
         theta[1, 4] -= math.pi
         assert theta[2, 4] > theta[1, 4]
-        moved = [PruferPhases(p.mu, th) for p, th in zip(phases, theta)]
-        assert _violations(t, moved) == (0, 1)
+        assert _violations(t, grid, theta) == (0, 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ensembles import _strictly_descending_positive
 from .streams import ParameterError, RandomStream, gamma_table
 
 
@@ -277,13 +278,14 @@ def _chain_sq(n: int, beta: float, draw, reps: int):
 
 def chain_step_up(lam_prev, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     """Positive eigenvalues of the bordered size-(n+1) matrix given those of
-    the size-n matrix (strictly descending); one row of the batch step."""
+    the size-n matrix (finite, positive and strictly descending); one row of
+    the batch step."""
     lam_prev = np.atleast_1d(np.asarray(lam_prev, dtype=float))
     k = n // 2
     if lam_prev.size != k:
         raise ParameterError(f"expected {k} eigenvalues for step n={n}")
-    if np.any(np.diff(lam_prev) >= 0):
-        raise ParameterError("eigenvalues must be strictly descending")
+    if not _strictly_descending_positive(lam_prev):
+        raise ParameterError("eigenvalues must be finite, positive and strictly descending")
     return np.sqrt(_step_up_sq(lam_prev[None, :] ** 2, n, beta, _weights([stream], 1))[0])
 
 
@@ -301,14 +303,14 @@ def chain_trajectory(n: int, beta: float, stream: RandomStream) -> list[np.ndarr
 
 def step_down(lam, n: int, beta: float, stream: RandomStream) -> np.ndarray:
     """Positive eigenvalues of a random corank-1 projection of size n, given
-    the positive spectrum ``lam`` (strictly descending) of the size-(n+1)
-    matrix; one row of :func:`_step_down_sq`."""
+    the positive spectrum ``lam`` (finite, positive and strictly descending)
+    of the size-(n+1) matrix; one row of :func:`_step_down_sq`."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     kl = (n + 1) // 2
     if lam.size != kl:
         raise ParameterError(f"expected {kl} eigenvalues of the size-{n + 1} matrix")
-    if np.any(np.diff(lam) >= 0):
-        raise ParameterError("eigenvalues must be strictly descending")
+    if not _strictly_descending_positive(lam):
+        raise ParameterError("eigenvalues must be finite, positive and strictly descending")
     return np.sqrt(_step_down_sq(lam[None, :] ** 2, n + 1, beta, stream, 1)[0])
 
 

@@ -20,7 +20,7 @@ from .ensembles import (EnsembleSpec, _c_matrix_chis, _laguerre_chis,
                         antisym_tridiagonal_rows, build_antisym_tridiagonal,
                         build_dense_antisym_gue, dense_antisym_gue_rows,
                         householder_reduce, householder_reduce_batch)
-from .spectral import _require_distinct, positive_spectrum_batch, spectral_rows
+from .spectral import _check_rows, positive_spectrum_batch, spectral_rows
 from .streams import ParameterError, RandomStream, seed_streams
 from .transform import bidiagonal_read_off
 
@@ -81,7 +81,7 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     then solved in one batch.  The first row that fails a check raises: every
     check of ``spectral_rows`` for the (lambda, q[, z]) tables, and for the
     lambda and sigma tables its ``DegeneracyError`` on a row that is not
-    strictly descending and positive."""
+    finite, positive and strictly descending."""
     if args.reps < 0:
         raise ParameterError(f"reps must be nonnegative, got {args.reps}")
     spec = EnsembleSpec(kind=args.ensemble, n=args.n, beta=args.beta, a=args.a)
@@ -97,18 +97,20 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     if not streams:
         return header, np.empty((0, len(header)))
     if spec.kind == "antisym-trid":
-        table = _spectral_table(antisym_tridiagonal_rows(n, spec.beta, streams))
-    elif spec.kind == "antisym-dense-gue":
-        table = _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
-    elif spec.kind == "chain":
+        return header, _spectral_table(antisym_tridiagonal_rows(n, spec.beta, streams))
+    if spec.kind == "antisym-dense-gue":
+        dense = dense_antisym_gue_rows(n, streams)
+        return header, _spectral_table(householder_reduce_batch(dense))
+    if spec.kind == "chain":
         from .chain import chain_sample_rows
-        table = _require_distinct(chain_sample_rows(n, spec.beta, streams))
+        table = chain_sample_rows(n, spec.beta, streams)
     else:  # a chi block's singular values are the spectrum of its read-off
         if spec.kind == "laguerre-bidiag":
             d, e = _laguerre_chis(n, spec.a, spec.beta, streams)
         else:  # c-matrix
             d, e = _c_matrix_chis(n, spec.beta, streams)
-        table = _require_distinct(positive_spectrum_batch(bidiagonal_read_off(d, e)))
+        table = positive_spectrum_batch(bidiagonal_read_off(d, e))
+    _check_rows(table)
     return header, table
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ensembles import _interleave
+from .ensembles import _interleave, _strictly_descending_positive
 from .stats import _tanh_sinh
 from .streams import ParameterError
 
@@ -24,11 +24,6 @@ from .streams import ParameterError
 class LogDensityValue:
     log_value: float
     in_support: bool
-
-
-def _strictly_descending_positive(x: np.ndarray):
-    return (np.all((x > 0) & (x < np.inf), axis=-1)
-            & np.all(np.diff(x, axis=-1) < 0, axis=-1))
 
 
 def _log_gap_sq(a, b):

@@ -35,8 +35,9 @@ class AntisymTridiagonal:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if b.ndim != 1:
             raise ValueError("off-diagonal sequence must be 1-d")
-        if not np.all(b > 0):
-            raise ValueError("reduced form requires strictly positive off-diagonals")
+        error = _off_diagonal_error(b)
+        if error is not None:
+            raise error
         object.__setattr__(self, "b", b)
 
     @property
@@ -102,6 +103,26 @@ class EnsembleSpec:
                 raise SizeError("c-matrix requires k >= 1")
         elif self.n < 2:
             raise SizeError("matrix order must be at least 2")
+
+
+def _off_diagonal_error(b: np.ndarray) -> ValueError | None:
+    """The error of the first row of ``b`` (one off-diagonal sequence, or one
+    per row) with an entry that is not strictly positive (NaN included) or,
+    failing that, not finite; None if every row passes."""
+    ok = (b > 0) & (b < np.inf)
+    if ok.all():
+        return None
+    first = np.atleast_2d(b)[np.argmin(np.atleast_2d(ok).all(axis=1))]
+    if (first > 0).all():
+        return ValueError("off-diagonal sequence must be finite")
+    return ValueError("reduced form requires strictly positive off-diagonals")
+
+
+def _strictly_descending_positive(x: np.ndarray) -> np.ndarray:
+    """Which rows (the last axis) of ``x`` are finite, positive and strictly
+    descending: the support of the positive spectra of this package."""
+    return (((x > 0) & (x < np.inf)).all(axis=-1)
+            & (x[..., 1:] < x[..., :-1]).all(axis=-1))
 
 
 def dense_tridiagonal(sup: np.ndarray, lower_sign: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import AntisymTridiagonal
+from .ensembles import AntisymTridiagonal, _off_diagonal_error, _strictly_descending_positive
 
 
 class DegeneracyError(ValueError):
@@ -50,12 +50,8 @@ class SpectralData:
         k = self.n // 2
         if lam.size != k or q.size != k:
             raise ValueError(f"expected {k} positive eigenvalues/components for n={self.n}")
-        if (np.diff(lam) >= 0).any() or (lam <= 0).any():
-            raise ValueError("eigenvalues must be strictly decreasing and positive")
-        if (q <= 0).any():
-            raise ValueError("first components must be positive")
-        if self.n % 2 == 1 and (self.z is None or self.z <= 0):
-            raise ValueError("odd order requires a positive null-vector component z")
+        z = None if self.n % 2 == 0 else np.array([np.nan if self.z is None else self.z])
+        _check_rows(lam[None, :], q[None, :], z)
         if self.n % 2 == 0 and self.z is not None:
             raise ValueError("even order carries no z component")
         object.__setattr__(self, "lam", lam)
@@ -391,75 +387,59 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return lam, q, z
 
 
-# the checks of spectral_rows, in the order the one-row path makes them
-_ROW_CHECKS = (
-    (ValueError, "reduced form requires strictly positive off-diagonals"),
-    (ValueError, "off-diagonal sequence must be finite"),
-    (DegeneracyError, "computed positive eigenvalues are not distinct"),
-    (ValueError, "first components must be positive"),
-    (ValueError, "odd order requires a positive null-vector component z"),
-)
-_DEGENERATE = 2  # the index of the DegeneracyError check
-
-
-def _degenerate_rows(lam: np.ndarray) -> np.ndarray:
-    """Rows of ``lam`` that are not strictly descending and positive (a NaN
-    row is not flagged)."""
-    return (lam[:, -1:] <= 0).any(axis=1) | (lam[:, 1:] >= lam[:, :-1]).any(axis=1)
-
-
-def _failed_checks(b_batch: np.ndarray, lam: np.ndarray, q: np.ndarray,
-                   z: np.ndarray) -> np.ndarray:
-    """Index into ``_ROW_CHECKS`` of the first check each row fails, -1 for a
-    row that passes them all (a non-finite row has NaN ``lam``)."""
-    fails = np.array([
-        ~(b_batch > 0).all(axis=1),
-        ~np.isfinite(b_batch).all(axis=1),
-        _degenerate_rows(lam),
-        (q <= 0).any(axis=1),
-        z <= 0,  # z is NaN, so never <= 0, at even n
-    ])
-    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
-
-
-def _check_error(index: int) -> Exception:
-    cls, msg = _ROW_CHECKS[index]
-    return cls(msg)
-
-
-def _require_distinct(lam: np.ndarray) -> np.ndarray:
-    """``lam``, after raising the :class:`DegeneracyError` of
-    :func:`spectral_rows` if any row is not strictly descending and
-    positive."""
-    if _degenerate_rows(lam).any():
-        raise _check_error(_DEGENERATE)
-    return lam
+def _check_rows(lam: np.ndarray, q: np.ndarray | None = None, z: np.ndarray | None = None,
+                b: np.ndarray | None = None, redraw_ties: bool = False) -> np.ndarray:
+    """Which rows of spectral data pass the spectral map's checks, in order:
+    ``lam`` finite, positive and strictly descending (else
+    :class:`DegeneracyError`), then ``q > 0`` and ``z > 0`` (else
+    ``ValueError``; None skips ``q`` or ``z``, as at even n).  The first
+    failing row raises its first failing check's error, after the checks of
+    the off-diagonals ``b``, where given, on it and the rows before it: the
+    one-row path's order.  With ``redraw_ties`` a row whose first failure is
+    a tie comes back False instead, to be redrawn."""
+    distinct = _strictly_descending_positive(lam)
+    ok = distinct
+    if q is not None:
+        ok = ok & (q > 0).all(axis=-1)
+    if z is not None:
+        ok = ok & (z > 0)
+    fatal = ~ok & distinct if redraw_ties else ~ok
+    row = int(np.argmax(fatal)) if fatal.any() else lam.shape[0]
+    error = None if b is None else _off_diagonal_error(b[:row + 1])
+    if error is None and row < lam.shape[0]:
+        if not distinct[row]:
+            error = DegeneracyError("computed positive eigenvalues are not distinct")
+        elif not (q[row] > 0).all():
+            error = ValueError("first components must be positive")
+        else:
+            error = ValueError("odd order requires a positive null-vector component z")
+    if error is not None:
+        raise error
+    return ok
 
 
 def spectral_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``lam``, ``q`` and ``z`` of every row of ``b_batch`` as
-    :func:`_bidiagonal_svd` returns them, with the checks of
-    :class:`~skewbeta.ensembles.AntisymTridiagonal`, :func:`positive_spectrum`
-    and :class:`SpectralData` applied to each row.  The first failing row
-    raises what the one-row path raises for it: ``ValueError`` for an
-    off-diagonal that is not positive or not finite, :class:`DegeneracyError`
-    for tied (or zero) eigenvalues, ``ValueError`` for a first component
-    ``q <= 0`` or, at odd n, a null-vector component ``z <= 0``."""
+    :func:`_bidiagonal_svd` returns them, each row checked as
+    :class:`~skewbeta.ensembles.AntisymTridiagonal` and :class:`SpectralData`
+    check it (:func:`_check_rows`).  The first failing row raises what the
+    one-row path raises for it: ``ValueError`` for an off-diagonal that is
+    not positive or not finite, :class:`DegeneracyError` for tied (or zero)
+    eigenvalues, ``ValueError`` for a first component ``q <= 0`` or, at odd
+    n, a null-vector component ``z <= 0``."""
     b_batch = np.asarray(b_batch, dtype=float)
     lam, q, z = _bidiagonal_svd(b_batch)
-    failed = _failed_checks(b_batch, lam, q, z)
-    bad = np.flatnonzero(failed >= 0)
-    if bad.size:
-        raise _check_error(failed[bad[0]])
+    _check_rows(lam, q, z if b_batch.shape[1] % 2 == 0 else None, b=b_batch)
     return lam, q, z
 
 
 def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
     """Decompose ``T`` into ``(lambda, q[, z])``: the one-row case of
-    :func:`spectral_rows`.  Raises :class:`DegeneracyError` only when two
-    computed eigenvalues tie in floating point (or one is 0)."""
-    lam, q, z = (a[0] for a in spectral_rows(t.b[None, :]))
-    return SpectralData(n=t.n, lam=lam, q=q, z=float(z) if t.n % 2 else None)
+    :func:`spectral_rows`, with ``t`` checked when it was built and the
+    output in :class:`SpectralData`.  Raises :class:`DegeneracyError` only
+    when two computed eigenvalues tie in floating point (or one is 0)."""
+    lam, q, z = _bidiagonal_svd(t.b[None, :])
+    return SpectralData(n=t.n, lam=lam[0], q=q[0], z=float(z[0]) if t.n % 2 else None)
 
 
 def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:

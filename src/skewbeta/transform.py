@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .ensembles import (SizeError, _c_matrix_chis, _interleave, _laguerre_chis,
-                        dense_tridiagonal)
+                        _strictly_descending_positive, dense_tridiagonal)
 from .spectral import _reconstruct_rows
 from .streams import ParameterError, RandomStream
 
@@ -227,8 +227,7 @@ def _from_free_coordinates(points: np.ndarray, n: int):
         q, z = np.concatenate([free, root[..., None]], axis=-1), np.full(root.shape, np.nan)
     else:
         q, z = free, root
-    inside = ((resid > 0) & (np.diff(lam, axis=-1) < 0).all(axis=-1)
-              & (lam > 0).all(axis=-1) & (q > 0).all(axis=-1))
+    inside = (resid > 0) & _strictly_descending_positive(lam) & (q > 0).all(axis=-1)
     return lam, q, z, inside
 
 

@@ -12,9 +12,8 @@ from . import chain, densities, sturm, transform
 from .ensembles import (AntisymTridiagonal, _c_matrix_chis, antisym_tridiagonal_batch,
                         antisym_tridiagonal_rows, dense_antisym_gue_rows, dense_tridiagonal,
                         householder_reduce_batch)
-from .spectral import (_DEGENERATE, DegeneracyError, SpectralData, _bidiagonal_svd,
-                       _charpoly, _check_error, _failed_checks, _first_component_sq_batch,
-                       _signed_spectrum, positive_spectrum_batch)
+from .spectral import (DegeneracyError, SpectralData, _bidiagonal_svd, _charpoly, _check_rows,
+                       _first_component_sq_batch, _signed_spectrum, positive_spectrum_batch)
 from .stats import (VerificationReport, ks_one_sample, ks_two_sample,
                     quadrature_cdf)
 from .streams import RandomStream, gamma_table, seed_streams
@@ -72,11 +71,7 @@ def _spectrum_draws(n: int, betas, streams, min_relgap: float = 0.0):
         b = antisym_tridiagonal_rows(n, np.asarray(betas, dtype=float)[rows, None],
                                      attempt_streams)
         lam, q, z = _bidiagonal_svd(b)
-        failed = _failed_checks(b, lam, q, z)
-        fatal = np.flatnonzero((failed >= 0) & (failed != _DEGENERATE))
-        if fatal.size:
-            raise _check_error(failed[fatal[0]])
-        accepted = failed < 0
+        accepted = _check_rows(lam, q, z if n % 2 else None, b=b, redraw_ties=True)
         if min_relgap > 0.0:
             # every squared gap, the last one to zero, relative to lam_max^2
             lam_sq = lam ** 2

@@ -114,6 +114,15 @@ class TestChainSteps:
         with pytest.raises(ParameterError):
             step_down([1.0, 2.0], 3, 2.0, RandomStream(3))
 
+    @pytest.mark.parametrize("lam", [[2.0, -1.0], [2.0, 0.0], [np.inf, 1.0], [2.0, np.nan]])
+    def test_steps_reject_a_spectrum_outside_the_support(self, lam):
+        # -1 would be squared into the pole 1 and give an answer
+        msg = "finite, positive and strictly descending"
+        with pytest.raises(ParameterError, match=msg):
+            chain_step_up(lam, 4, 2.0, RandomStream(1))
+        with pytest.raises(ParameterError, match=msg):
+            step_down(lam, 3, 2.0, RandomStream(1))
+
     @pytest.mark.parametrize("beta", [0.25, 2.0])
     def test_batched_step_down_law(self, beta):
         # order 3 to 2: poles lam^2 and 0 with Dirichlet(beta/2, beta/4)

@@ -10,11 +10,10 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from skewbeta import densities
-from skewbeta.densities import (LogDensityValue, _strictly_descending_positive,
-                                dixon_anderson_check, log_normalization_C, log_selberg_W,
-                                logpdf_positive_spectrum, selberg_consistency_check,
-                                eigenvalue_density_total_mass)
-from skewbeta.ensembles import _interleave
+from skewbeta.densities import (LogDensityValue, dixon_anderson_check, log_normalization_C,
+                                log_selberg_W, logpdf_positive_spectrum,
+                                selberg_consistency_check, eigenvalue_density_total_mass)
+from skewbeta.ensembles import _interleave, _strictly_descending_positive
 from skewbeta.streams import ParameterError
 
 _UP = densities._conditional_logpdf_up_rows

@@ -39,6 +39,16 @@ class TestAntisymTridiagonal:
         with pytest.raises(ValueError):
             AntisymTridiagonal([-1.0])
 
+    @pytest.mark.parametrize("bad,msg", [
+        (np.inf, "off-diagonal sequence must be finite"),
+        (np.nan, "reduced form requires strictly positive off-diagonals"),
+        (-np.inf, "reduced form requires strictly positive off-diagonals"),
+    ])
+    def test_rejects_nonfinite_entries(self, bad, msg):
+        # positive first, then finite: the order of spectral_rows
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            AntisymTridiagonal([1.0, bad, 2.0])
+
     def test_symmetric_counterpart_spectrum(self):
         # the symmetric tridiagonal of zero diagonal and off-diagonal b has
         # the characteristic polynomial of i * T

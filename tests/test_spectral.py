@@ -15,12 +15,11 @@ from skewbeta import spectral
 from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import (ConditioningError, DegeneracyError,
-                               SpectralData, _bidiagonal_svd, _charpoly, _dbdsqr_rows,
-                               _first_component_sq_batch, _ported_rows, _reconstruct_rows,
-                               _require_distinct,
-                               _signed_spectrum, charpoly_sequence, positive_spectrum,
-                               positive_spectrum_batch, reconstruct_tridiagonal,
-                               spectral_rows)
+                               SpectralData, _bidiagonal_svd, _charpoly, _check_rows,
+                               _dbdsqr_rows, _first_component_sq_batch, _ported_rows,
+                               _reconstruct_rows, _signed_spectrum, charpoly_sequence,
+                               positive_spectrum, positive_spectrum_batch,
+                               reconstruct_tridiagonal, spectral_rows)
 from skewbeta.streams import RandomStream
 from skewbeta.verify import (_draw_with_spectrum, _moment_residual_rows, _secular_points,
                              _secular_residual_rows)
@@ -72,6 +71,22 @@ class TestSpectralData:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             SpectralData(4, [1.0, 2.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("n,lam,q,z,cls,msg", [
+        (4, [1.0, np.nan], [0.5, 0.5], None, DegeneracyError,
+         "computed positive eigenvalues are not distinct"),
+        (4, [np.inf, 1.0], [0.5, 0.5], None, DegeneracyError,
+         "computed positive eigenvalues are not distinct"),
+        (2, [1.0], [np.nan], None, ValueError, "first components must be positive"),
+        (3, [1.0], [0.5], np.nan, ValueError,
+         "odd order requires a positive null-vector component z"),
+    ])
+    def test_rejects_nonfinite_data(self, n, lam, q, z, cls, msg):
+        # such data was accepted: reconstruct_tridiagonal then reported a
+        # Lanczos breakdown, and normalization_defect() was NaN
+        with pytest.raises(ValueError) as exc:
+            SpectralData(n, lam, q, z)
+        assert type(exc.value) is cls and str(exc.value) == msg
 
     def test_full_spectrum_odd(self):
         z = np.sqrt(1.0 - 2 * 0.16)
@@ -522,15 +537,68 @@ class TestBidiagonalCore:
         with pytest.raises(ValueError, match="strictly positive"):
             spectral_rows(b)
 
-    @pytest.mark.parametrize("bad", [[2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [2.0, -1.0]])
+    @pytest.mark.parametrize("row,cls,msg", [
+        ([1.0, 0.0, 2.0], ValueError, "reduced form requires strictly positive off-diagonals"),
+        ([1.0, np.inf, 2.0], ValueError, "off-diagonal sequence must be finite"),
+        # two lambda round to a tie
+        ([1.0, 1e-170, 1.0], DegeneracyError, "computed positive eigenvalues are not distinct"),
+        # z underflows to 0
+        ([1e-200, 1e200], ValueError, "odd order requires a positive null-vector component z"),
+        # a draw of test_no_degeneracy_error whose q dbdsqr deflates to 0
+        (None, ValueError, "first components must be positive"),
+    ])
+    def test_one_check_order(self, row, cls, msg):
+        # the batch check, the scalar path and, for the output checks,
+        # SpectralData raise the same class and message
+        b = np.array(row) if row is not None else \
+            antisym_tridiagonal_batch(12, 0.05, RandomStream(12).split(1), 200)[0]
+        calls = [lambda: spectral_rows(b[None, :]),
+                 lambda: positive_spectrum(AntisymTridiagonal(b))]
+        if np.all((b > 0) & np.isfinite(b)):
+            lam, q, z = _bidiagonal_svd(b[None, :])
+            calls.append(lambda: SpectralData(b.size + 1, lam[0], q[0],
+                                              float(z[0]) if b.size % 2 == 0 else None))
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert type(exc.value) is cls and str(exc.value) == msg
+
+    def test_spectral_rows_raise_for_the_first_failing_row(self):
+        # a tie and a zero off-diagonal in one batch: whichever row comes
+        # first raises, and a row's own off-diagonal check precedes its tie
+        tie, zero = [1.0, 1e-170, 1.0], [1.0, 0.0, 2.0]
+        with pytest.raises(DegeneracyError):
+            spectral_rows(np.array([tie, zero]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            spectral_rows(np.array([zero, tie]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            spectral_rows(np.array([[1.0, 0.0, 1.0]]))  # tied and a zero b
+
+    def test_redraw_ties_returns_the_tied_rows(self):
+        # the rows verify redraws: a tie alone comes back False; a tie whose
+        # off-diagonals fail, and any other failure, still raise
+        b = np.array([[1.0, 1e-170, 1.0], [1.0, 2.0, 3.0]])
+        lam, q, _ = _bidiagonal_svd(b)
+        assert list(_check_rows(lam, q, b=b, redraw_ties=True)) == [False, True]
+        b = np.array([[1.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
+        lam, q, _ = _bidiagonal_svd(b)
+        with pytest.raises(ValueError, match="strictly positive"):
+            _check_rows(lam, q, b=b, redraw_ties=True)
+        q[1, 0] = 0.0
+        with pytest.raises(ValueError, match="first components"):
+            _check_rows(lam, q, redraw_ties=True)
+
+    @pytest.mark.parametrize("bad", [[2.0, 0.0], [1.0, 1.0], [1.0, 2.0], [2.0, -1.0],
+                                     [np.nan, 1.0], [2.0, np.nan], [np.inf, 1.0]])
     def test_require_distinct_raises_the_degeneracy_error(self, bad):
         # the lambda and sigma tables of `sample` take the spectral map's
-        # tie check and message alone: a zero, tied or unordered row raises
+        # tie check and message alone: a zero, tied, unordered or non-finite
+        # row raises
         good = np.array([[3.0, 1.0], [2.0, 1e-300]])
-        assert _require_distinct(good) is good
+        assert _check_rows(good).all()
         msg = "^computed positive eigenvalues are not distinct$"
         with pytest.raises(DegeneracyError, match=msg):
-            _require_distinct(np.vstack([good, bad]))
+            _check_rows(np.vstack([good, bad]))
 
     @pytest.mark.parametrize("n", [12, 40, 200])
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])

@@ -207,32 +207,9 @@ def _dbdsqr_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, 0, :k].copy(), rows[:, 2, :k].copy()
 
 
-# LAPACK's safe minimum and maximum (la_constants), DLAMCH('EPS'), and the
-# range in which dlartg squares its arguments unscaled
+# LAPACK's safe minimum (la_constants) and DLAMCH('EPS')
 _SAFMIN = 2.0 ** -1022
-_SAFMAX = 2.0 ** 1022
 _EPS = 2.0 ** -53
-_RTMIN, _RTMAX = math.sqrt(_SAFMIN), math.sqrt(_SAFMAX / 2.0)
-
-
-def _dlartg(f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LAPACK's ``dlartg`` on arrays: ``c, s, r`` with
-    ``[[c, s], [-s, c]] @ [f, g] = [r, 0]``.  Outside [RTMIN, RTMAX] it
-    divides both by the larger magnitude first; inside, that scale is 1,
-    which leaves every operation of the unscaled branch exact."""
-    f1, g1 = np.abs(f), np.abs(g)
-    big = np.maximum(f1, g1)
-    u = np.where((np.minimum(f1, g1) > _RTMIN) & (big < _RTMAX), 1.0,
-                 np.minimum(_SAFMAX, np.maximum(_SAFMIN, big)))
-    fs, gs = f / u, g / u
-    d = np.sqrt(fs * fs + gs * gs)
-    r = np.copysign(d, f)
-    c, s, r = np.abs(fs) / d, gs / r, r * u
-    if ((f == 0.0) | (g == 0.0)).any():  # LAPACK's exact cases
-        c = np.where(g == 0.0, 1.0, np.where(f == 0.0, 0.0, c))
-        s = np.where(g == 0.0, 0.0, np.where(f == 0.0, np.copysign(1.0, g), s))
-        r = np.where(g == 0.0, f, np.where(f == 0.0, g1, r))
-    return c, s, r
 
 
 def _dlasv2(f: np.ndarray, g: np.ndarray,
@@ -279,64 +256,58 @@ def _dlasv2(f: np.ndarray, g: np.ndarray,
 
 
 # up to n = 5 (B of order <= 3, b of length <= 4) the per-row call's fixed
-# cost of 1.5-3 us is nearly all of dbdsqr's time, so a numpy port of its
-# steps runs all rows at once instead, in blocks that bound its temporaries
-_PORT_MAX_M = 4
-_PORT_BLOCK = 4096
+# cost of 1.5-3 us is nearly all of dbdsqr's time, so one dlasv2 step runs
+# all rows at once instead, in blocks that bound its temporaries
+_SMALL_MAX_M = 4
+_SMALL_BLOCK = 4096
 
 
-def _ported_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _small_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What :func:`_dbdsqr_rows` returns for ``m = s.shape[1]`` in 1..4, from
-    a numpy port of the steps ``dbdsqr`` takes on such rows.  Order 1: the
-    singular value is ``|d_1|``.  Order 2: one ``dlasv2`` step.  Order 3
-    (``d_3 = 0``): one zero-shift QR sweep (two ``dlartg`` pairs), which sets
-    ``e_2`` to exactly 0, then ``dlasv2`` on the leading 2x2 block.  The
-    right rotations are applied to ``VT^T e_1``.  ``dlasv2`` orders its
-    singular values, and the split-off 0 is the smallest, so dbdsqr's sort
-    moves nothing.
-
-    dbdsqr's deflation tests (a superdiagonal below its tolerance is set to
-    0 and the matrix split there) are not ported.  Where dbdsqr deflates,
-    this returns dlasv2's small positive first component in place of an
-    exact 0, and at order 3 a lam within a few ulps of its.  Elsewhere
-    it is dbdsqr's output bit for bit at orders 1 and 2; at order 3 ``drot``
-    may fuse the multiply-adds of the last rotation, which moves the vector
-    entries by an ulp or so.  The sweep's rotations are ratios of entries,
-    so a row with a nonzero entry below SAFMIN times its largest would
-    underflow one of them; such rows take dbdsqr, whose tolerance tests
-    split them first (draws of the ensemble come nowhere near)."""
+    one ``dlasv2`` step on all rows at once.  Order 1: the singular value is
+    ``|d_1|``.  Order 2: ``dlasv2`` on ``B``.  Order 3 (``d_3 = 0``):
+    ``dlasv2`` on ``R = [[hypot(d_1, e_1 e_2/w), e_1 d_2/w], [0, w]]``,
+    ``w = hypot(d_2, e_2)``, which has ``R R^T = B B^T`` and so B's nonzero
+    singular values; B's first right-vector entries are R's times
+    ``d_1/R_11``.  R's entries are relatively accurate, so both outputs are
+    (Demmel & Kahan 1990), where dbdsqr can deflate a small first entry to
+    exactly 0.  At orders 1 and 2 this is dbdsqr's output bit for bit
+    wherever dbdsqr does not deflate.  At order 3 a row with a nonzero entry
+    below SAFMIN times its largest, whose ratios could underflow, or with
+    ``w = 0`` or ``R_11 = 0`` (zero entries) takes dbdsqr; of draws, only
+    rows with subnormal b do (3 of 20,000 at n = 5, beta = 0.02)."""
     reps, m = s.shape
     k = (m + 1) // 2
     lam, vt = np.empty((reps, k)), np.ones((reps, k))
     if m == 1:
         lam[:, 0] = np.abs(s[:, 0])
         return lam, vt
+    wide = np.zeros(reps, dtype=bool)
     # np.where evaluates every branch on every row
     with np.errstate(all="ignore"):
-        for lo in range(0, reps, _PORT_BLOCK):
-            rows = slice(lo, lo + _PORT_BLOCK)
+        for lo in range(0, reps, _SMALL_BLOCK):
+            rows = slice(lo, lo + _SMALL_BLOCK)
             blk = s[rows]
-            d1, e1 = blk[:, 0], blk[:, 1]
-            d2 = blk[:, 2] if m > 2 else np.zeros(blk.shape[0])
+            f, g = blk[:, 0], blk[:, 1]
+            h = blk[:, 2] if m > 2 else np.zeros(blk.shape[0])
             if m == 4:
-                c1, s1, r = _dlartg(d1, e1)
-                oldcs, oldsn, d1 = _dlartg(r, d2 * s1)
-                c2, _, r = _dlartg(d2 * c1, blk[:, 3])
-                # dlartg(oldcs * r, d_3 * s_2 = 0) returns its f unrotated
-                e1, d2 = oldsn * r, oldcs * r
-            smax, smin, csr, snr = _dlasv2(d1, e1, d2)
-            if m == 4:  # rotate VT^T e_1 as the sweep left it
-                v1, v2 = c1, -(c2 * s1)
-                csr, snr = csr * v1 + snr * v2, csr * v2 - snr * v1
-            # else VT^T e_1 = e_1 rotates to (csr, -snr)
+                e2 = blk[:, 3]
+                a = [np.abs(x) for x in (f, g, h, e2)]
+                floor = _SAFMIN * np.maximum(np.maximum(a[0], a[1]), np.maximum(a[2], a[3]))
+                w = np.hypot(h, e2)
+                f, g, h = np.hypot(f, g * (e2 / w)), g * (h / w), w
+                wide[rows] = (w == 0.0) | (f == 0.0)
+                for x in a:
+                    wide[rows] |= (0.0 < x) & (x < floor)
+            smax, smin, csr, snr = _dlasv2(f, g, h)
+            if m == 4:
+                scale = blk[:, 0] / f
+                csr, snr = csr * scale, snr * scale
             lam[rows, 0], vt[rows, 0] = smax, csr
             if k > 1:
                 lam[rows, 1], vt[rows, 1] = smin, snr
-    if m == 4:
-        a = np.abs(s)
-        wide = ((0.0 < a) & (a < _SAFMIN * a.max(axis=1, keepdims=True))).any(axis=1)
-        if wide.any():
-            lam[wide], vt[wide] = _dbdsqr_rows(s[wide])
+    if wide.any():
+        lam[wide], vt[wide] = _dbdsqr_rows(s[wide])
     return lam, vt
 
 
@@ -354,10 +325,10 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     the first entries of its right singular vectors over sqrt(2).  LAPACK's
     ``dbdsqr`` computes the singular values to high relative accuracy
     (implicit zero-shift QR) and the singular vectors to absolute accuracy.
-    Orders n <= 5 take :func:`_ported_rows`, a numpy port of dbdsqr's own
-    steps on all rows at once; at n <= 4 its one ``dlasv2`` step makes q
-    relatively accurate too, where dbdsqr can deflate a small q to exactly
-    0.  Larger orders call dbdsqr once per row (:func:`_dbdsqr_rows`).
+    Orders n <= 5 take :func:`_small_rows`, one ``dlasv2`` step on all rows
+    at once, which makes q relatively accurate too, where dbdsqr can deflate
+    a small q to exactly 0.  Larger orders call dbdsqr once per row
+    (:func:`_dbdsqr_rows`).
     ``z`` is ``1/|x|`` for the closed-form null vector ``x`` (``x_0 = 1``,
     zero at odd positions, ``x_{2j+2} = -x_{2j} s_{2j} / s_{2j+1}``), summed
     in log space, so it is relatively accurate.
@@ -370,7 +341,7 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     k = (m + 1) // 2
     finite = np.isfinite(b_batch).all(axis=1)
     s = b_batch[:, ::-1] if finite.all() else np.where(finite[:, None], b_batch[:, ::-1], 1.0)
-    lam, vt = (_ported_rows if 1 <= m <= _PORT_MAX_M else _dbdsqr_rows)(s)
+    lam, vt = (_small_rows if 1 <= m <= _SMALL_MAX_M else _dbdsqr_rows)(s)
     q = np.abs(vt) / math.sqrt(2.0)
     z = np.full(reps, np.nan)
     if m % 2 == 0:

@@ -16,7 +16,7 @@ from skewbeta.ensembles import (AntisymTridiagonal, antisym_tridiagonal_batch,
                                 build_antisym_tridiagonal)
 from skewbeta.spectral import (ConditioningError, DegeneracyError,
                                SpectralData, _bidiagonal_svd, _charpoly, _check_rows,
-                               _dbdsqr_rows, _first_component_sq_batch, _ported_rows,
+                               _dbdsqr_rows, _first_component_sq_batch, _small_rows,
                                _reconstruct_rows, _signed_spectrum, charpoly_sequence,
                                positive_spectrum, positive_spectrum_batch,
                                reconstruct_tridiagonal, spectral_rows)
@@ -364,20 +364,21 @@ class TestBidiagonalCore:
     def test_mpmath_oracle_unfiltered(self, n, beta):
         # every draw, none filtered.  lam is relatively accurate (worst
         # 9.8e-15 on 800 draws scanned over n 12-41 and beta 0.05-2).  At
-        # n >= 5 q is only absolutely accurate, through the rotations of VT
+        # n >= 6 q is only absolutely accurate, through the rotations of VT
         # (worst 1.7e-13; dbdsqr returns a deflated component as exactly 0,
         # true values below 2.3e-17), so q's bound is 1e-10 relative plus
-        # 1e-12 absolute.  At n <= 4 q comes from one dlasv2 step and is
-        # relatively accurate (worst 6.5e-16 on 4,800 draws scanned, down
-        # to q = 7e-57 at beta 0.05).  z is the closed-form null vector,
-        # relatively accurate (worst 1.9e-14).
+        # 1e-12 absolute.  At n <= 5 q comes from one dlasv2 step and is
+        # relatively accurate (worst 6.5e-16 on 4,800 draws scanned at
+        # n <= 4, down to q = 7e-57 at beta 0.05, and 1.6e-15 at n = 5).
+        # z is the closed-form null vector, relatively accurate (worst
+        # 1.9e-14).
         stream = RandomStream(n).split(int(100 * beta))
         for i in range(4):
             b = build_antisym_tridiagonal(n, beta, stream.split(i)).b
             lam, q, z = (a[0] for a in _bidiagonal_svd(b[None, :]))
             ref_lam, ref_q, ref_z = _oracle_spectrum(b, lam)
             assert np.all(np.abs(lam - ref_lam) <= 1e-14 * ref_lam)
-            if n <= 4:
+            if n <= 5:
                 assert np.all(np.abs(q - ref_q) <= 1e-14 * ref_q)
             else:
                 assert np.all(np.abs(q - ref_q) <= 1e-10 * ref_q + 1e-12)
@@ -388,38 +389,52 @@ class TestBidiagonalCore:
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0, 4.0])
     def test_port_equals_dbdsqr_loop(self, n, beta):
         # at n <= 4 bit for bit wherever dbdsqr did not deflate (where it
-        # did, its q is exactly 0 and the port's positive).  At n = 5 drot
-        # may fuse the multiply-adds of the last rotation, and below beta = 1
-        # dbdsqr's tolerance branches move lam by an ulp or so
+        # did, its q is exactly 0 and dlasv2's positive).  At n = 5 dlasv2
+        # runs on the reduced R, not on dbdsqr's swept B, so lam agrees to a
+        # few ulps and q, which dbdsqr resolves to absolute accuracy only,
+        # to 2e-15 absolute where dbdsqr does not deflate (beta >= 1)
         b = antisym_tridiagonal_batch(n, beta, RandomStream(n).split(int(100 * beta)), 5000)
         s = b[:, ::-1]
-        (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+        (lam, vt), (ref_lam, ref_vt) = _small_rows(s), _dbdsqr_rows(s)
         q, ref_q = np.abs(vt), np.abs(ref_vt)
+        assert np.all(q > 0)
         if n <= 4:
             kept = (ref_q > 0).all(axis=1)
-            assert np.all(q > 0) and kept.mean() > 0.9
+            assert kept.mean() > 0.9
             assert np.array_equal(lam[kept], ref_lam[kept])
             assert np.array_equal(q[kept], ref_q[kept])
             assert np.array_equal(lam[~kept], ref_lam[~kept])
-        elif beta >= 1.0:
-            assert np.array_equal(lam, ref_lam)
-            assert np.all(np.abs(q - ref_q) <= 2e-15)
         else:
             assert np.all(np.abs(lam - ref_lam) <= 2e-15 * ref_lam)
+            if beta >= 1.0:
+                assert np.all(np.abs(q - ref_q) <= 2e-15)
 
     def test_port_branches_equal_dbdsqr(self):
         # rows that take dlasv2's rare branches (m = g/f tiny, g huge, g = 0,
-        # |h| > |f|) and, at n = 5, dlartg's scaled one (entries beyond 2^510)
+        # |h| > |f|) and, at n = 5, entries beyond 2^510 and below 2^-510,
+        # whose squares leave the double range
         s = np.array([[1.0, 1e-170, 1e-160], [1e-160, 1e-170, 1.0], [1e-20, 1.0, 1e-25],
                       [1.0, 0.0, 2.0], [2.0, 0.0, 1.0], [0.5, 1.0, 2.0], [3.0, 1e300, 1e-300]])
-        (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+        (lam, vt), (ref_lam, ref_vt) = _small_rows(s), _dbdsqr_rows(s)
         assert np.array_equal(lam, ref_lam) and np.array_equal(np.abs(vt), np.abs(ref_vt))
-        # dlartg's scaled branch was rewritten in LAPACK 3.10, so no bits here
         for scale in (2.0 ** 600, 2.0 ** -600):
             s = np.array([[1.3, 0.7, 0.4, 0.2], [0.9, 1.7, 0.3, 2.5]]) * scale
-            (lam, vt), (ref_lam, ref_vt) = _ported_rows(s), _dbdsqr_rows(s)
+            (lam, vt), (ref_lam, ref_vt) = _small_rows(s), _dbdsqr_rows(s)
             assert np.all(np.abs(lam - ref_lam) <= 5e-16 * ref_lam)
             assert np.all(np.abs(np.abs(vt) - np.abs(ref_vt)) <= 5e-16)
+        # n = 5 rows whose reduced R = [[f, g], [0, h]] takes each of those
+        # branches: |h| > |f|, g huge, g = 0 (e_1 = 0), and m = g/f tiny
+        # with and without the swap
+        s = np.array([[1.0, 1.0, 3.0, 2.0], [1.0, 1e20, 1.0, 1e-30], [1.0, 0.0, 2.0, 3.0],
+                      [1.0, 1e-170, 1.0, 1.0], [2.0, 1e-170, 1.0, 1.0]])
+        (lam, vt), (_, ref_vt) = _small_rows(s), _dbdsqr_rows(s)
+        ref = np.array([_order3_oracle(row) for row in s])
+        assert np.all(np.abs(lam - ref) <= 1e-15 * ref)
+        assert np.all(np.abs(np.abs(vt) - np.abs(ref_vt)) <= 5e-16)
+        # rows that leave R without a pivot (R_11 = 0, w = 0) take dbdsqr
+        s = np.array([[0.0, 0.0, 2.0, 3.0], [1.0, 2.0, 0.0, 0.0]])
+        for got, ref in zip(_small_rows(s), _dbdsqr_rows(s)):
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("found", ["no-file", "not-an-extension"])
     def test_dbdsqr_loads_alike_by_path_and_by_package(self, monkeypatch, tmp_path, found):
@@ -448,10 +463,9 @@ class TestBidiagonalCore:
             assert np.array_equal(got, ref)
 
     def test_wide_n5_rows_take_dbdsqr(self):
-        # the n = 5 sweep's rotations are ratios of entries, so on rows whose
-        # nonzero entries span more than 1/SAFMIN one of them underflows
-        # (here the second dlartg cosine, 1e-325, gave lam_2 = 0); those
-        # rows take dbdsqr
+        # the n = 5 reduction's entries are ratios of entries, so on rows
+        # whose nonzero entries span more than 1/SAFMIN one of them can
+        # underflow; those rows take dbdsqr
         s = np.array([[7.2e-208, 1.1e-154, 1.06e171, 8.5e-148]])
         lam = positive_spectrum_batch(s[:, ::-1])
         assert np.array_equal(lam, _dbdsqr_rows(s)[0])
@@ -464,7 +478,7 @@ class TestBidiagonalCore:
 
     def test_tiny_n5_rows_stay_on_port(self):
         # dbdsqr's absolute threshold (about 6 N^2 SAFMIN) deflates entries
-        # near 1e-307 wrongly; the port resolves them to a few ulps
+        # near 1e-307 wrongly; the dlasv2 step resolves them to a few ulps
         s = 1e-307 * np.random.default_rng(3).uniform(0.5, 2.0, (5, 4))
         lam = positive_spectrum_batch(s[:, ::-1])
         ref = np.array([_order3_oracle(row) for row in s])
@@ -473,11 +487,16 @@ class TestBidiagonalCore:
 
     def test_port_keeps_small_q_positive(self):
         # dbdsqr deflates a negligible superdiagonal and leaves its q at
-        # exactly 0 on about 5% of these rows; dlasv2 resolves every one
-        b = antisym_tridiagonal_batch(4, 0.05, RandomStream(4).split(5), 20000)
-        assert np.any(_dbdsqr_rows(b[:, ::-1])[1] == 0)
-        assert np.all(_bidiagonal_svd(b)[1] > 0)
-        spectral_rows(b)
+        # exactly 0 on about 5% of the n = 4 rows and 5-22% of the n = 5
+        # rows; dlasv2 resolves every one.  At beta = 0.02 a few b underflow
+        # to 0 (13 of these rows), which the check of b rejects
+        for n, beta, stream in [(4, 0.05, RandomStream(4).split(5)),
+                                (5, 0.02, RandomStream(5).split(7)),
+                                (5, 0.05, RandomStream(5).split(7))]:
+            b = antisym_tridiagonal_batch(n, beta, stream, 20000)
+            assert np.any(_dbdsqr_rows(b[:, ::-1])[1] == 0)
+            assert np.all(_bidiagonal_svd(b)[1] > 0)
+            spectral_rows(b[(b > 0).all(axis=1)])
 
     @pytest.mark.parametrize("m", range(7))
     def test_no_rows(self, m):
@@ -604,9 +623,9 @@ class TestBidiagonalCore:
     @pytest.mark.parametrize("beta", [0.05, 0.25, 1.0])
     def test_no_degeneracy_error(self, n, beta):
         # SpectralData still rejects a q that dbdsqr deflated to exactly 0
-        # (about 12-16% of draws at beta = 0.05, 0-0.2% at 0.25; the port
-        # that solves n <= 5 instead deflates nothing at n <= 4); that must
-        # be the only failure
+        # (about 12-16% of draws at beta = 0.05, 0-0.2% at 0.25; the dlasv2
+        # step that solves n <= 5 instead deflates nothing); that must be
+        # the only failure
         for row in antisym_tridiagonal_batch(n, beta, RandomStream(n).split(1), 200):
             try:
                 positive_spectrum(AntisymTridiagonal(row))

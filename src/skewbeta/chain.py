@@ -41,12 +41,20 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
 
     Returns ``(rows, p)`` roots for ``constant = 1`` (one above the top
     pole, one per pole gap) and ``(rows, p - 1)`` for ``constant = 0``,
-    descending per row.  A gap of zero width (a repeated pole), or one
-    narrower than the smallest normal double, returns its lower pole.
-    Each root is solved on its offset from the nearer pole of its gap (the
-    top pole for the root above it) by a safeguarded rational iteration;
-    see :func:`_iterate`.  Raises :class:`RootBracketError` if a root does
-    not converge or fails the final residual check.
+    descending per row.  Rows with one or two poles are solved in closed
+    form (:func:`_few_poles`), as LAPACK's ``dlaed4`` hands N = 1 and 2 to
+    ``dlaed5``.  Every other root is solved on its offset from the nearer
+    pole of its gap (the top pole for the root above it) by a safeguarded
+    rational iteration; see :func:`_iterate`.  A gap of zero width (a
+    repeated pole), or one narrower than the smallest normal double,
+    returns its lower pole, and the top root returns the top pole when the
+    weights sum below the normal range.  An offset from the lower pole
+    below the normal range is resolved on the subnormal grid only, and its
+    bisection stops at one ``_TINY`` above the pole: a zero weight's root
+    lands there, not on the pole, which is why no nonzero chain λ falls
+    below ``sqrt(_TINY)``, about 2.2e-162.  Raises
+    :class:`RootBracketError` if an iterated root does not converge or
+    fails the final residual check.
     """
     a = np.asarray(poles, dtype=float)
     c = np.asarray(weights, dtype=float)
@@ -54,6 +62,16 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
         raise ParameterError("poles and weights must be (rows, p) arrays with p >= 1")
     if not (np.all(np.diff(a, axis=1) <= 0) and np.all(c >= 0)):
         raise ParameterError("poles must descend and weights be nonnegative")
+    if a.shape[1] > 2:
+        return _iterated(constant, a, c)
+    roots, left = _few_poles(constant, a, c)
+    if left.size:
+        roots[left] = _iterated(constant, a[left], c[left])
+    return roots
+
+
+def _iterated(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`secular_roots` by the iterative solver, in blocks of rows."""
     rows, p = a.shape
     roots = np.empty((rows, p - 1 + constant))
     # each root also carries a few dozen per-root temporaries, so a row
@@ -62,6 +80,67 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
     for s in range(0, rows, step):
         roots[s:s + step] = _solve_block(constant, a[s:s + step], c[s:s + step])
     return roots
+
+
+def _few_poles(constant: int, a: np.ndarray, c: np.ndarray):
+    """Roots of rows with p <= 2 poles in closed form, and the indices of
+    the rows left to the iterative solver.
+
+    One pole (``C = 1``): ``y = a_0 + c_0``.  Two poles ``a_0 > a_1`` with
+    gap ``g = a_0 - a_1``: for ``C = 0`` the root is
+    ``a_1 + g c_1 / (c_0 + c_1)``.  For ``C = 1`` the offsets ``s = y - a_1``
+    solve ``s^2 - (g + c_0 + c_1) s + c_1 g = 0``: with
+    ``R = hypot(g + c_0 - c_1, 2 sqrt(c_0) sqrt(c_1))``, the discriminant's
+    root without cancellation, the larger is
+    ``T = (g + c_0 + c_1 + R) / 2`` and the lower root's offset is
+    ``c_1 g / T``.  The top root's offset from ``a_0`` is
+    ``(h + R) / 2`` for ``h = c_0 + c_1 - g >= 0``, else
+    ``c_0 g / ((R - h) / 2)``.  Sums are taken on values scaled by a power
+    of two near their largest, so none overflows, and each product over a
+    quotient by :func:`_product_over`, so no factor far below the largest
+    loses digits to the subnormal range.
+
+    A row whose gap, or whose lower root's offset from ``a_1``, is below
+    the normal range (a zero or subnormal ``c_1``; with one pole, ``c_0``)
+    is left to the iterative solver, so those rows keep its floor.
+    """
+    rows, p = a.shape
+    if p == 1:
+        if not constant:
+            return np.empty((rows, 0)), np.empty(0, dtype=int)
+        return a + c, np.flatnonzero(c[:, 0] < _NORMAL)
+    (a0, a1), (c0, c1) = a.T, c.T
+    g = a0 - a1
+    big = np.maximum(c0, c1)
+    # for C = 0 the weights are scaled apart from g: scaled with a far
+    # larger g, a weight would leave the normal range in the sum c_0 + c_1
+    e = np.frexp(np.maximum(big, g) if constant else big)[1]
+    c0s, c1s = np.ldexp(c0, -e), np.ldexp(c1, -e)
+    # 0 / 0 only on rows left to the iterative solver and in the branch of
+    # w that np.where drops
+    with np.errstate(invalid="ignore"):
+        if not constant:
+            z = _product_over(g, c1, c0s + c1s, e)
+        else:
+            gs = np.ldexp(g, -e)
+            R = np.hypot(gs + c0s - c1s, 2.0 * np.sqrt(c0s) * np.sqrt(c1s))
+            z = _product_over(g, c1, 0.5 * (gs + c0s + c1s + R), e)
+            h = c0s + c1s - gs
+            P = 0.5 * (R + np.abs(h))
+            w = np.where(h >= 0, np.ldexp(P, e), _product_over(c0, g, P, e))
+    left = np.flatnonzero((0.5 * g < _NORMAL) | ~(z >= _NORMAL))
+    lower = a1 + z
+    if not constant:
+        return lower[:, None], left
+    return np.column_stack([a0 + w, lower]), left
+
+
+def _product_over(x, y, d, e):
+    """``x y / (d 2^e)`` for a normal ``d``, rounded only at the end: the
+    exponents of ``x`` and ``y`` are split off, so no intermediate leaves
+    the normal range."""
+    (mx, ex), (my, ey) = np.frexp(x), np.frexp(y)
+    return np.ldexp(mx * my / d, ex + ey - e)
 
 
 def _terms(constant, tau, D, c, E):
@@ -110,11 +189,11 @@ def _solve_block(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     row, low, up, top, half = row[live], low[live], up[live], top[live], half[live]
     ar, cw = a[row], c[row]
     n = np.arange(live.size)
-    side = np.where(np.arange(p) >= low[:, None], low[:, None], up[:, None])
-    E = np.take_along_axis(ar, side, axis=1) - ar
+    a_low = ar[n, low][:, None]
+    E = np.where(np.arange(p) >= low[:, None], a_low, ar[n, up][:, None]) - ar
     # start at the gap midpoint (the top root at sum(c)), offsets from the
     # lower pole; the top root 1 - c_0/tau - (terms < 0) = 0 has c_0 <= tau
-    D = ar - ar[n, low][:, None]
+    D = ar - a_low
     at_low = np.ones(live.size, dtype=bool)  # anchored at the pole below the gap
     d = D[n, up]  # offset of the gap's other pole from the anchor (0: top root)
     tau = half.copy()

@@ -29,8 +29,9 @@ _TINY = np.nextafter(0.0, 1.0)
 # holds no resolvable root and a residual test says nothing
 _NORMAL = np.finfo(float).tiny
 _MAX_ITER = 100
-# rows * p * max(p, 8) elements per block of rows; bounds the solver's
-# temporaries and so its peak memory
+# rows * p * max(p, 8) elements per block of rows, and as many in the pool
+# of the blocks' stragglers (_BLOCK // max(p, 8) roots of p poles); bounds
+# the solver's temporaries and so its peak memory
 _BLOCK = 1 << 15
 
 
@@ -45,7 +46,12 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
     form (:func:`_few_poles`), as LAPACK's ``dlaed4`` hands N = 1 and 2 to
     ``dlaed5``.  Every other root is solved on its offset from the nearer
     pole of its gap (the top pole for the root above it) by a safeguarded
-    rational iteration; see :func:`_iterate`.  A gap of zero width (a
+    rational iteration; see :func:`_iterate`.  The iteration runs on
+    blocks of rows (``_BLOCK``); each block hands its last few unconverged
+    roots, with their state, to a pool of at most a block's worth of roots,
+    solved when full and after the last block.  A root's rounds in
+    its block and in the pool count together against ``_MAX_ITER``, and
+    every root equals its one-row solve bit for bit.  A gap of zero width (a
     repeated pole), or one narrower than the smallest normal double,
     returns its lower pole, and the top root returns the top pole when the
     weights sum below the normal range.  An offset from the lower pole
@@ -71,14 +77,34 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
 
 
 def _iterated(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """:func:`secular_roots` by the iterative solver, in blocks of rows."""
+    """:func:`secular_roots` by the iterative solver, in blocks of rows.
+
+    Each block hands its stragglers to a pool (see :func:`_iterate`),
+    except a last block with no pool to join.  The pool is solved before
+    it would exceed ``_BLOCK // max(p, 8)`` roots, and after the last
+    block."""
     rows, p = a.shape
-    roots = np.empty((rows, p - 1 + constant))
+    width = p - 1 + constant
+    roots = np.empty((rows, width))
+    flat = roots.reshape(-1)
     # each root also carries a few dozen per-root temporaries, so a row
     # counts as at least 8 poles wide
     step = max(1, _BLOCK // (p * max(p, 8)))
+    cap, pool, pooled = _BLOCK // max(p, 8), [], 0
+    # a block holds at most cap roots or one row's, and so does the pool
+    work = np.empty((3, min(max(cap, step * width), rows * width), p))
     for s in range(0, rows, step):
-        roots[s:s + step] = _solve_block(constant, a[s:s + step], c[s:s + step])
+        state, terms = _start_block(constant, a[s:s + step], c[s:s + step], flat, s * width, work)
+        left = _iterate(constant, flat, work, state, terms, handoff=bool(pool) or s + step < rows)
+        if left is None:
+            continue
+        if pool and pooled + left[0].size > cap:
+            _iterate(constant, flat, work, [np.concatenate(x) for x in zip(*pool)])
+            pool, pooled = [], 0
+        pool.append(left)
+        pooled += left[0].size
+    if pool:
+        _iterate(constant, flat, work, [np.concatenate(x) for x in zip(*pool)])
     return roots
 
 
@@ -143,8 +169,9 @@ def _product_over(x, y, d, e):
     return np.ldexp(mx * my / d, ex + ey - e)
 
 
-def _terms(constant, tau, D, c, E):
-    """The secular function at the anchor offsets ``tau``.
+def _terms(constant, tau, D, c, E, work):
+    """The secular function at the anchor offsets ``tau``; ``work`` is a
+    ``(3, >= roots, p)`` scratch array.
 
     Returns ``f``, ``psi`` (the terms of the poles at or below the root's
     gap), ``phi`` (those above it) and the products
@@ -155,11 +182,12 @@ def _terms(constant, tau, D, c, E):
     ``(a_L - y) / (y - a_j) = -1 + (a_L - a_j) / (y - a_j)`` with the last
     ratio in [0, 1), so nothing overflows when the root hugs its anchor.
     """
-    t = tau[:, None] - D  # y - a_j, exactly tau at the anchor pole
-    r = c / t
+    t, r, part = work[:, :tau.size]
+    np.subtract(tau[:, None], D, out=t)  # y - a_j, exactly tau at the anchor pole
+    np.divide(c, t, out=r)
     np.divide(E, t, out=t)
     t *= r  # r (a_side - a_j) / (y - a_j), of the sign of r
-    part = np.maximum(r, 0.0)
+    np.maximum(r, 0.0, out=part)
     psi = -np.einsum("ij->i", part)
     phi = -np.einsum("ij->i", np.minimum(r, 0.0, out=part))
     gL = psi + np.einsum("ij->i", np.maximum(t, 0.0, out=part))
@@ -172,9 +200,14 @@ def _positive_or_inf(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.inf)
 
 
-def _solve_block(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Roots of one block of rows, flattened to (row, root) pairs; see
-    :func:`secular_roots`."""
+def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, base: int,
+                 work: np.ndarray):
+    """Set up the iteration of one block of rows (see :func:`secular_roots`).
+
+    Writes each root's anchor pole to ``out[base:]``, flattened to
+    (row, root) pairs; a root in a gap too narrow to solve keeps its lower
+    pole there.  Returns the state of the roots left to :func:`_iterate`
+    and the secular terms at their starting offsets."""
     rows, p = a.shape
     lowest = 1 - constant
     row = np.repeat(np.arange(rows), p - lowest)
@@ -184,78 +217,121 @@ def _solve_block(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     top = low == 0
     # half the gap; for the top root its whole bracket width sum(c)
     half = np.where(top, c.sum(axis=1)[row], 0.5 * (a[row, up] - roots))
+    out[base:base + roots.size] = roots
     # a gap of zero (or subnormal) width keeps its lower pole as its root
     live = np.flatnonzero(half >= _NORMAL)
     row, low, up, top, half = row[live], low[live], up[live], top[live], half[live]
     ar, cw = a[row], c[row]
     n = np.arange(live.size)
-    a_low = ar[n, low][:, None]
-    E = np.where(np.arange(p) >= low[:, None], a_low, ar[n, up][:, None]) - ar
+    a_low, a_up = ar[n, low][:, None], ar[n, up][:, None]
+    E = np.where(np.arange(p) >= low[:, None], a_low, a_up)
+    E -= ar
     # start at the gap midpoint (the top root at sum(c)), offsets from the
     # lower pole; the top root 1 - c_0/tau - (terms < 0) = 0 has c_0 <= tau
     D = ar - a_low
-    at_low = np.ones(live.size, dtype=bool)  # anchored at the pole below the gap
     d = D[n, up]  # offset of the gap's other pole from the anchor (0: top root)
     tau = half.copy()
-    f, psi, phi, gL, gU = _terms(constant, tau, D, cw, E)
-    lo, hi = cw[n, low] / _positive_or_inf(constant + phi), half.copy()
+    f, psi, phi, gL, gU = _terms(constant, tau, D, cw, E, work)
+    hi = half.copy()
     # a gap root above the midpoint is anchored at the upper pole; as psi
     # grows with y, c_U / (-C - psi(mid)) bounds its offset from below,
-    # as c_L / (C + phi(mid)) does below the midpoint
-    sw = np.flatnonzero(~top & ~(f > 0))
+    # as c_L / (C + phi(mid)) does below the midpoint.  Each bound is
+    # formed on its own side only, where it is below half the gap: on the
+    # other side a subnormal weight beside a normal one would overflow it
+    at_low = top | (f > 0)  # anchored at the pole below the gap
+    sw, bl = np.flatnonzero(~at_low), np.flatnonzero(at_low)
+    lo = np.empty_like(tau)
+    lo[bl] = cw[bl, low[bl]] / _positive_or_inf(constant + phi[bl])
     if sw.size:
-        D[sw] = ar[sw] - ar[sw, up[sw]][:, None]  # exact pole differences
-        at_low[sw], d[sw] = False, D[sw, low[sw]]
+        np.subtract(ar, a_up, out=D, where=~at_low[:, None])  # exact pole differences
+        d[sw] = D[sw, low[sw]]
         tau[sw] = lo[sw] = -half[sw]
         hi[sw] = -cw[sw, up[sw]] / _positive_or_inf(phi - f)[sw]
-    tau = _iterate(constant, D, cw, E, d, at_low, top, tau, lo, hi, (f, psi, phi, gL, gU))
-    roots[live] = ar[n, np.where(at_low, low, up)] + tau
-    return roots.reshape(rows, p - lowest)
+        out[base + live[sw]] = a_up[sw, 0]
+    state = (base + live, np.zeros(live.size, dtype=int), D, cw, E, d, at_low, top, tau, lo, hi)
+    return state, (f, psi, phi, gL, gU)
 
 
-def _iterate(constant, D, c, E, d, at_low, top, tau, lo, hi, terms) -> np.ndarray:
-    """Safeguarded rational iteration on the offsets ``tau`` of each root
-    from its anchor pole, starting from the evaluated ``terms`` at ``tau``.
+def _iterate(constant, out, work, state, terms=None, handoff=False):
+    """Safeguarded rational iteration on the offsets ``tau`` of roots from
+    their anchor poles; adds each final offset to its anchor in ``out``
+    (``work`` as in :func:`_terms`).
 
-    ``D`` holds every pole's offset from the anchor, ``d`` that of the
-    gap's other pole, and ``at_low`` marks roots anchored at the pole below
-    their gap.  Each step takes the new offset from :func:`_model_step`; a
-    step that leaves the sign bracket ``[lo, hi]`` is replaced by
-    geometric bisection.  A root stops on its residual, on a step of a few
-    ulps or when its bracket collapses, and leaves the active set.
+    ``state`` is ``(idx, rounds, D, c, E, d, at_low, top, tau, lo, hi)``:
+    each root's place in ``out`` and the rounds it has taken before this
+    call, every pole's offset from its anchor ``D``, the weights ``c``, the
+    pole gaps ``E`` of :func:`_terms`, the offset ``d`` of the gap's other
+    pole, whether the anchor is the pole below the gap, whether the root is
+    the top one, and its offset and sign bracket ``[lo, hi]``.  ``terms``
+    are the secular terms at ``tau``; without them ``tau`` is evaluated
+    first and the bracket updated.
+
+    Each round takes the new offset from :func:`_model_step`; only a step
+    that leaves the bracket is replaced by geometric bisection.  A root
+    stops on its residual, on a step of a few ulps or when its bracket
+    collapses.  One stopped by a step or its bracket is written and
+    residual-checked in that round.  A converged one stays in the set at
+    its offset, where it converges again, until an eighth of the set has
+    converged: only then are the converged written and the set compacted,
+    so a round does not gather the ``(roots, p)`` arrays for a few roots.
+    With ``handoff``, once at most a sixteenth of the starting set is left
+    unconverged, that state is returned for the caller to pool with the
+    stragglers of other blocks; otherwise None is returned.  Raises
+    :class:`RootBracketError` when a root is unconverged after
+    ``_MAX_ITER`` rounds in all, its rounds before this call included.
     """
-    p = D.shape[1]
-    res_tol = 4.0 * p * _EPS
-    out = np.empty_like(tau)
-    idx = np.arange(tau.size)
-    f, psi, phi, gL, gU = terms
-    for _ in range(_MAX_ITER):
+    idx, rounds, D, c, E, d, at_low, top, tau, lo, hi = state
+    if not idx.size:
+        return None
+    res_tol = 4.0 * D.shape[1] * _EPS
+    pass_on = idx.size // 16 if handoff else -1
+    late = _MAX_ITER - rounds.max()  # the round from which a root may run out
+    k = 0
+    while True:
+        k += 1
+        if terms is None:
+            f, psi, phi, gL, gU = _terms(constant, tau, D, c, E, work)
+            lo = np.where(f < 0, tau, lo)
+            hi = np.where(f > 0, tau, hi)
+        else:
+            (f, psi, phi, gL, gU), terms = terms, None
         converged = np.abs(f) <= res_tol * (constant + phi - psi)
         step, ok = _model_step(f, gL, gU, tau, d, at_low, top)
         inside = ok & (step > lo) & (step < hi)
-        small = inside & (np.abs(step - tau) <= 4.0 * _EPS * np.abs(tau))
-        mid = np.copysign(np.sqrt(np.maximum(np.abs(lo), _TINY))
-                          * np.sqrt(np.maximum(np.abs(hi), _TINY)), lo + hi)
-        step = np.where(inside, step, mid)
-        collapsed = ~inside & ((mid <= lo) | (mid >= hi))
-        done = converged | small | collapsed
-        if done.any():
-            out[idx[done]] = np.where(converged, tau, step)[done]
-            check = np.flatnonzero(done & ~converged)
-            if check.size:
-                _check_residual(constant, step[check], D[check], c[check], E[check], res_tol)
+        stop = inside & (np.abs(step - tau) <= 4.0 * _EPS * np.abs(tau))
+        outside = np.flatnonzero(~inside)
+        if outside.size:
+            l, h = lo[outside], hi[outside]
+            mid = np.copysign(np.sqrt(np.maximum(np.abs(l), _TINY))
+                              * np.sqrt(np.maximum(np.abs(h), _TINY)), l + h)
+            step[outside] = mid
+            stop[outside] = (mid <= l) | (mid >= h)  # the bracket collapsed
+        stop &= ~converged
+        done = converged | stop
+        if k >= late:
+            over = np.count_nonzero(~done & (rounds + k >= _MAX_ITER))
+            if over:
+                raise RootBracketError(
+                    f"secular solver: {over} roots unconverged after {_MAX_ITER} iterations")
+        n_conv, stopped = np.count_nonzero(converged), stop.any()
+        left = idx.size - np.count_nonzero(done)
+        if stopped or 8 * n_conv >= idx.size or left <= pass_on:
+            out[idx[done]] += np.where(converged, tau, step)[done]
+            if stopped:
+                check = np.flatnonzero(stop)
+                _check_residual(constant, step[check], D[check], c[check], E[check], res_tol,
+                                work)
+            if not left:
+                return None
             keep = np.flatnonzero(~done)
-            idx, step, lo, hi, d, at_low, top = (
-                x[keep] for x in (idx, step, lo, hi, d, at_low, top))
+            idx, rounds, step, lo, hi, d, at_low, top = (
+                x[keep] for x in (idx, rounds, step, lo, hi, d, at_low, top))
             D, c, E = D[keep], c[keep], E[keep]
-        if not idx.size:
-            return out
+            if left <= pass_on:
+                return idx, rounds + k, D, c, E, d, at_low, top, step, lo, hi
+        elif n_conv:
+            step[converged] = tau[converged]
         tau = step
-        f, psi, phi, gL, gU = _terms(constant, tau, D, c, E)
-        lo = np.where(f < 0, tau, lo)
-        hi = np.where(f > 0, tau, hi)
-    raise RootBracketError(
-        f"secular solver: {idx.size} roots unconverged after {_MAX_ITER} iterations")
 
 
 def _model_step(f, gL, gU, tau, d, at_low, top):
@@ -277,18 +353,20 @@ def _model_step(f, gL, gU, tau, d, at_low, top):
     B = A * d + w0 + w1
     ok = B != 0
     Bs = np.where(ok, B, 1.0)
-    e = 1.0 + np.sqrt(np.abs(1.0 - (4.0 * A * d / Bs) * (w0 / Bs)))
-    num = np.where(top, w0, np.where(B > 0, 2.0 * (w0 / Bs) * d, B * e))
-    den = np.where(top, A, np.where(B > 0, e, 2.0 * A))
+    q = w0 / Bs
+    e = 1.0 + np.sqrt(np.abs(1.0 - (4.0 * A * d / Bs) * q))
+    pos = B > 0
+    num = np.where(top, w0, np.where(pos, 2.0 * q * d, B * e))
+    den = np.where(top, A, np.where(pos, e, 2.0 * A))
     ok &= den != 0
     return num / np.where(ok, den, 1.0), ok
 
 
-def _check_residual(constant, tau, D, c, E, res_tol) -> None:
+def _check_residual(constant, tau, D, c, E, res_tol, work) -> None:
     """Raise unless every root stopped by a small step or a collapsed
     bracket has a residual within 16 times the stopping tolerance (offsets
     below the normal range are exempt: there the float grid is absolute)."""
-    f, psi, phi, _, _ = _terms(constant, tau, D, c, E)
+    f, psi, phi, _, _ = _terms(constant, tau, D, c, E, work)
     bad = ~(np.abs(f) <= 16.0 * res_tol * (constant + phi - psi)) & (np.abs(tau) >= _NORMAL)
     if bad.any():
         raise RootBracketError(

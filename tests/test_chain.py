@@ -285,10 +285,16 @@ class TestSharedSolver:
         (1, [3.0, 1.0, 0.0], [0.5, 1e-15, 0.7]),    # hugs an interior pole
         (0, [4.41, 0.81, 0.0], [1e-15, 1.0, 0.3]),  # hugs the upper pole
         (0, [2.0, 1e-20, 0.0], [1.0, 1e-30, 1.0]),  # inside a gap of 1e-20
+        # a subnormal weight on the upper pole beside normal ones: the
+        # bound c_L / (C + phi) at the midpoint would overflow there
+        (0, [1.0, 0.5, 0.0], [5e-324, 0.5, 0.3]),
+        (0, [2.0, 1.0, 0.0], [5e-324, 0.5, 0.5]),
     ])
     def test_roots_near_poles_match_oracle(self, constant, a, c):
         poles, weights = np.array([a]), np.array([c])
-        roots = _assert_matches_oracle(constant, poles, weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = _assert_matches_oracle(constant, poles, weights)
         assert np.min(np.abs(roots[0][:, None] - poles[0][None, :])) < 1e-13
 
     @pytest.mark.parametrize("p,constant", [(1, 1), (2, 0), (2, 1)])
@@ -329,11 +335,66 @@ class TestSharedSolver:
         c = np.array([[0.7, c1] for _ in a2 for c1 in (0.0, sub, 2.9e-320, 1e-310)])
         for constant in (0, 1):
             assert np.array_equal(secular_roots(constant, a, c),
-                                  chain._solve_block(constant, a, c))
+                                  chain._iterated(constant, a, c))
         assert secular_roots(1, a[:1], c[:1])[0, 1] == sub
         a1 = np.array([[0.0], [0.0], [0.0], [1.0]])
         c1 = np.array([[0.0], [sub], [1e-310], [1e-310]])
-        assert np.array_equal(secular_roots(1, a1, c1), chain._solve_block(1, a1, c1))
+        assert np.array_equal(secular_roots(1, a1, c1), chain._iterated(1, a1, c1))
+
+    @staticmethod
+    def _chain_rows(rows, p, seed):
+        """Chain-like rows at beta = 0.5: squared spectra over a zero pole,
+        Gamma(beta/2) weights and Gamma(beta/4) on the zero pole."""
+        rng = np.random.default_rng(seed)
+        poles = np.zeros((rows, p))
+        poles[:, :-1] = -np.sort(-rng.gamma(1.0, size=(rows, p - 1)), axis=1)
+        weights = rng.gamma(0.25, size=(rows, p))
+        weights[:, -1] = rng.gamma(0.125, size=rows)
+        return poles, weights
+
+    @pytest.mark.parametrize("p", [3, 12, 200, 1000])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_rows_across_blocks_and_the_pool_equal_one_row_calls(self, monkeypatch, p,
+                                                                 constant):
+        # three blocks of rows; the stragglers of the first two are pooled
+        # with their state and solved with those of the last.  At p = 200
+        # and 1000 a block is one row, of more roots than the pool's cap of
+        # _BLOCK // p; at 1000 one row's stragglers can exceed it too
+        rows = 2 * (chain._BLOCK // (p * max(p, 8))) + 3
+        poles, weights = self._chain_rows(rows, p, 100 * p + constant)
+        handed_on = []
+        iterate = chain._iterate
+
+        def spy(*args, **kwargs):
+            left = iterate(*args, **kwargs)
+            handed_on.append(left is not None)
+            return left
+
+        monkeypatch.setattr(chain, "_iterate", spy)
+        roots = secular_roots(constant, poles, weights)
+        assert sum(handed_on) >= 2
+        monkeypatch.undo()
+        for a, c, row in zip(poles, weights, roots):
+            assert np.array_equal(secular_roots(constant, a[None], c[None])[0], row)
+
+    def test_pooled_roots_count_their_block_rounds(self, monkeypatch):
+        # a root takes the same rounds pooled or not, so the batch and the
+        # one-row calls (one block each, nothing pooled) run out at the same
+        # _MAX_ITER
+        poles, weights = self._chain_rows(2 * (chain._BLOCK // 144) + 3, 12, 7)
+
+        def solves(max_iter, a, c):
+            monkeypatch.setattr(chain, "_MAX_ITER", max_iter)
+            try:
+                secular_roots(1, a, c)
+            except RootBracketError:
+                return False
+            return True
+
+        least = next(m for m in range(1, 101) if solves(m, poles, weights))
+        assert least > 2
+        assert all(solves(least, a[None], c[None]) for a, c in zip(poles, weights))
+        assert not all(solves(least - 1, a[None], c[None]) for a, c in zip(poles, weights))
 
     def test_zero_width_gap_returns_the_pole(self):
         roots = secular_roots(1, np.array([[2.0, 1.0, 1.0, 0.0]]),

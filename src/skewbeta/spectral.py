@@ -311,6 +311,20 @@ def _small_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vt
 
 
+def _lam_q_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lam`` and ``q`` of :func:`_bidiagonal_svd`, and which rows are
+    finite: ``(reps, n-1)`` -> ``(reps, n//2)`` twice and ``(reps,)``."""
+    b_batch = np.asarray(b_batch, dtype=float)
+    m = b_batch.shape[1]
+    finite = np.isfinite(b_batch).all(axis=1)
+    s = b_batch[:, ::-1] if finite.all() else np.where(finite[:, None], b_batch[:, ::-1], 1.0)
+    lam, vt = (_small_rows if 1 <= m <= _SMALL_MAX_M else _dbdsqr_rows)(s)
+    q = np.abs(vt) / math.sqrt(2.0)
+    if not finite.all():
+        lam[~finite] = q[~finite] = np.nan
+    return lam, q, finite
+
+
 def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive eigenvalues ``lam`` (descending), first components ``q`` and
     null-vector components ``z`` for a batch of off-diagonal sequences:
@@ -339,10 +353,7 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     b_batch = np.asarray(b_batch, dtype=float)
     reps, m = b_batch.shape
     k = (m + 1) // 2
-    finite = np.isfinite(b_batch).all(axis=1)
-    s = b_batch[:, ::-1] if finite.all() else np.where(finite[:, None], b_batch[:, ::-1], 1.0)
-    lam, vt = (_small_rows if 1 <= m <= _SMALL_MAX_M else _dbdsqr_rows)(s)
-    q = np.abs(vt) / math.sqrt(2.0)
+    lam, q, finite = _lam_q_rows(b_batch)
     z = np.full(reps, np.nan)
     if m % 2 == 0:
         with np.errstate(divide="ignore", invalid="ignore"):  # non-finite rows
@@ -353,8 +364,7 @@ def _bidiagonal_svd(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             log_x = np.zeros((reps, k + 1))  # log |x_{2j}|
             np.cumsum(log_s[:, 0::2] - log_s[:, 1::2], axis=1, out=log_x[:, 1:])
             z = np.exp(-0.5 * np.logaddexp.reduce(2.0 * log_x, axis=1))
-    if not finite.all():
-        lam[~finite] = q[~finite] = z[~finite] = np.nan
+    z[~finite] = np.nan
     return lam, q, z
 
 
@@ -416,13 +426,13 @@ def positive_spectrum(t: AntisymTridiagonal) -> SpectralData:
 def positive_spectrum_batch(b_batch: np.ndarray) -> np.ndarray:
     """Positive eigenvalues (descending) for a batch of off-diagonal
     sequences, shape ``(reps, n-1)`` -> ``(reps, n//2)``."""
-    return _bidiagonal_svd(b_batch)[0]
+    return _lam_q_rows(b_batch)[0]
 
 
 def _first_component_sq_batch(b_batch: np.ndarray) -> np.ndarray:
     """``2 q_1^2`` (squared top first-eigenvector component, doubled) for a
     batch of off-diagonal sequences."""
-    return 2.0 * _bidiagonal_svd(b_batch)[1][:, 0] ** 2
+    return 2.0 * _lam_q_rows(b_batch)[1][:, 0] ** 2
 
 
 def _signed_spectrum(n: int, lam: np.ndarray, q: np.ndarray,

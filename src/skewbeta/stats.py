@@ -33,15 +33,25 @@ def _ks_pvalue(d: float, en: float) -> float:
 
 
 def ks_two_sample(x, y) -> KSResult:
-    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
+    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value.
+
+    One stable merge of the two sorted samples gives the counts of x and of
+    y up to each pooled value; each run of ties is read at its last entry.
+    NaNs sort last and form one run, as they do for ``np.searchsorted``.
+    """
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     if x.size == 0 or y.size == 0:
         raise ParameterError("samples must be nonempty")
     pooled = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
-    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
-    d = float(np.max(np.abs(cdf_x - cdf_y)))
+    order = np.argsort(pooled, kind="stable")
+    merged = pooled[order]
+    count_x = np.cumsum(order < x.size)
+    last = np.ones(merged.size, dtype=bool)
+    last[:-1] = (merged[1:] != merged[:-1]) & ~np.isnan(merged[:-1])
+    count_x = count_x[last]
+    count_y = np.flatnonzero(last) + 1 - count_x
+    d = float(np.max(np.abs(count_x / x.size - count_y / y.size)))
     en = x.size * y.size / (x.size + y.size)
     return KSResult(statistic=d, n_x=x.size, n_y=y.size, p_value=_ks_pvalue(d, en))
 
@@ -89,26 +99,37 @@ def quadrature_cdf(log_pdf, lo: float, hi: float):
     """CDF on (lo, hi) of a 1-d log-density, renormalized to end at 1.
 
     ``log_pdf`` is called once, on the 1-d array of nodes of the tanh-sinh
-    rule with step 1/128, which resolves integrable endpoint singularities,
-    and returns one log-density per node.  The CDF is the antiderivative of
-    a cubic spline of the integrand in the rule's variable t, read at t(x);
-    t(x) comes from the distance to the nearer endpoint, which is exact
-    there.
+    rule with step h = 1/128, which resolves integrable endpoint
+    singularities, and returns one log-density per node.  The CDF is the
+    antiderivative of a piecewise cubic Hermite interpolant of the integrand
+    g in the rule's variable t, read at t(x); t(x) comes from the distance
+    to the nearer endpoint, which is exact there.  The interpolant lives on
+    the rule's grid t_k = k h, with slopes g'_k from fourth-order central
+    differences (g is 0 past the kept nodes, where the rule's weight
+    underflows), and is integrated in closed form: at the nodes the
+    antiderivative sums the cell integrals
+    ``h (g_k + g_{k+1}) / 2 + h^2 (g'_k - g'_{k+1}) / 12``.
     """
-    # every CLI call pays the package import; only the quadrature CDFs need
-    # the spline, so scipy.interpolate loads here
-    from scipy.interpolate import CubicSpline
-
     if not hi > lo:
         raise ParameterError("need hi > lo")
     step = 1.0 / 128.0
     nodes, d_lo, d_hi, w = _tanh_sinh(lo, hi, step)
-    t = _tanh_sinh_t(d_lo, d_hi)
+    # t recomputed from the distances drifts by up to 3e-5 at the ends, where
+    # the distances are subnormal; the grid index it rounds to is exact.  The
+    # rule drops nodes at its two ends only, so the kept ones are consecutive
+    k = np.rint(_tanh_sinh_t(d_lo, d_hi) / step)
+    assert (np.diff(k) == 1).all()
     log_f = np.asarray(log_pdf(nodes), dtype=float)
     if log_f.shape != nodes.shape:
         raise ParameterError("log_pdf must return one value per node")
-    mass = CubicSpline(t, np.exp(log_f + np.log(w / step))).antiderivative()
-    total = float(mass(t[-1]))
+    g = np.exp(log_f + np.log(w / step))
+    if not np.isfinite(g).all():
+        raise ParameterError("log_pdf must be finite or -inf at every node")
+    padded = np.concatenate([np.zeros(2), g, np.zeros(2)])
+    slope = (padded[:-4] - 8.0 * padded[1:-3] + 8.0 * padded[3:-1] - padded[4:]) / 12.0  # h g'
+    mass = np.zeros(g.size)  # the antiderivative at the nodes, over h
+    np.cumsum((g[:-1] + g[1:]) / 2.0 + (slope[:-1] - slope[1:]) / 12.0, out=mass[1:])
+    total = float(mass[-1])
     if not total > 0:
         raise ParameterError("density mass vanishes on the given interval")
 
@@ -118,7 +139,19 @@ def quadrature_cdf(log_pdf, lo: float, hi: float):
         inside = (x > lo) & (x < hi)
         near = np.minimum(x[inside] - lo, hi - x[inside])
         t_x = np.copysign(_tanh_sinh_t((hi - lo) - near, near), x[inside] - (lo + hi) / 2.0)
-        out[inside] = np.clip(mass(np.clip(t_x, t[0], t[-1])) / total, 0.0, 1.0)
+        s = np.clip(t_x / step - k[0], 0.0, k.size - 1)  # grid units from the first node
+        j = np.minimum(s.astype(np.intp), k.size - 2)  # the cell [t_j, t_{j+1}]
+        th = s - j
+        th2 = th * th
+        th3 = th2 * th
+        # the cubic's antiderivative from t_j over h at th = (t - t_j) / h:
+        # the Hermite basis integrates to th - th^3 + th^4/2, th^3 - th^4/2
+        # (values) and th^2/2 - 2 th^3/3 + th^4/4, th^4/4 - th^3/3 (slopes)
+        mid = th3 * (1.0 - th / 2.0)
+        a = (g[j] * (th - mid) + g[j + 1] * mid
+             + slope[j] * th2 * (0.5 - th * (2.0 / 3.0 - th / 4.0))
+             + slope[j + 1] * th3 * (th / 4.0 - 1.0 / 3.0))
+        out[inside] = np.clip((mass[j] + a) / total, 0.0, 1.0)
         return out
 
     return cdf

@@ -389,23 +389,29 @@ def _fresh_python(code: str) -> str:
 
 class TestStartup:
     def test_cli_import_defers_scipy_interpolate(self):
-        # every CLI call pays `import skewbeta.cli`; scipy.interpolate (and
-        # the scipy subpackages it pulls in) loads at the first quadrature
-        # CDF instead.  A fresh interpreter, since this one has loaded it
+        # every CLI call pays `import skewbeta.cli`; the quadrature CDFs and
+        # `verify` need neither scipy.interpolate nor the scipy.linalg
+        # package (and the scipy subpackages they pull in).  A fresh
+        # interpreter, since this one has loaded them
         code = (
-            "import sys\n"
+            "import contextlib, io, sys\n"
             "import numpy as np\n"
+            "subs = ('scipy.interpolate', 'scipy.linalg')\n"
+            "loaded = lambda: [m for m in subs if m in sys.modules]\n"
             "import skewbeta.cli\n"
-            "print('scipy.interpolate' in sys.modules)\n"
+            "print(loaded())\n"
             "from skewbeta.stats import quadrature_cdf\n"
             "cdf = quadrature_cdf(lambda x: np.zeros_like(x), 0.0, 1.0)\n"
             "print(repr(float(cdf(np.array([0.25]))[0])))\n"
-            "print('scipy.interpolate' in sys.modules)\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = skewbeta.cli.main(['verify', '--suite', 'distributions', '--seed', '1'])\n"
+            "print(code, loaded())\n"
         )
-        before, value, after = _fresh_python(code).split()
-        assert before == "False"
+        before, value, after_cdf, after_verify = _fresh_python(code).splitlines()
+        assert before == after_cdf == "[]"
         assert float(value) == pytest.approx(0.25, abs=1e-9)
-        assert after == "True"
+        assert after_verify == "0 []"
 
     def test_sample_loads_no_scipy_subpackage(self):
         # `sample` at n >= 6 needs numpy and LAPACK's dbdsqr alone; the

@@ -516,6 +516,16 @@ class TestBidiagonalCore:
             assert np.array_equal(lam[i], sd.lam)
             assert top[i] == 2.0 * sd.q[0] ** 2
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 13])
+    def test_batch_entry_points_equal_full_svd(self, n):
+        # the entry points skip z; what they return is _bidiagonal_svd's
+        b = antisym_tridiagonal_batch(n, 0.5, RandomStream(4), 200)
+        b[7, -1] = np.nan
+        lam, q, _ = _bidiagonal_svd(b)
+        np.testing.assert_array_equal(positive_spectrum_batch(b), lam)
+        np.testing.assert_array_equal(_first_component_sq_batch(b), 2.0 * q[:, 0] ** 2)
+        assert np.isnan(lam[7]).all() and np.isfinite(np.delete(lam, 7, axis=0)).all()
+
     @pytest.mark.parametrize("n", [11, 13, 41])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_one_row_z_equals_batch_row_z(self, n, beta):

@@ -52,13 +52,14 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
     solved when full and after the last block.  A root's rounds in
     its block and in the pool count together against ``_MAX_ITER``, and
     every root equals its one-row solve bit for bit.  A gap of zero width (a
-    repeated pole), or one narrower than the smallest normal double,
-    returns its lower pole, and the top root returns the top pole when the
-    weights sum below the normal range.  An offset from the lower pole
-    below the normal range is resolved on the subnormal grid only, and its
-    bisection stops at one ``_TINY`` above the pole: a zero weight's root
-    lands there, not on the pole, which is why no nonzero chain λ falls
-    below ``sqrt(_TINY)``, about 2.2e-162.  Raises
+    repeated pole) returns its lower pole, and one narrower than the
+    smallest normal double the floor one ``_TINY`` above that pole where
+    it lies inside the gap.  An offset from the lower pole below the normal
+    range is resolved on the subnormal grid only, and its bisection stops
+    at one ``_TINY`` above the pole: a zero weight's root lands there, not
+    on the pole.  The top root keeps that floor too, one pole giving
+    ``a_0 + max(c_0, _TINY)``, which is why no chain λ is 0 or falls below
+    ``sqrt(_TINY)``, about 2.2e-162.  Raises
     :class:`RootBracketError` if an iterated root does not converge or
     fails the final residual check.
     """
@@ -91,20 +92,21 @@ def _iterated(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     # counts as at least 8 poles wide
     step = max(1, _BLOCK // (p * max(p, 8)))
     cap, pool, pooled = _BLOCK // max(p, 8), [], 0
-    # a block holds at most cap roots or one row's, and so does the pool
-    work = np.empty((3, min(max(cap, step * width), rows * width), p))
+    # a block holds at most cap roots or one row's, and so does the pool;
+    # (p, roots) scratch arrays, for at least two roots (see _terms)
+    work = np.empty((3, p * max(2, min(max(cap, step * width), rows * width))))
     for s in range(0, rows, step):
-        state, terms = _start_block(constant, a[s:s + step], c[s:s + step], flat, s * width, work)
-        left = _iterate(constant, flat, work, state, terms, handoff=bool(pool) or s + step < rows)
+        state, sums = _start_block(constant, a[s:s + step], c[s:s + step], flat, s * width, work)
+        left = _iterate(constant, flat, work, state, sums, handoff=bool(pool) or s + step < rows)
         if left is None:
             continue
         if pool and pooled + left[0].size > cap:
-            _iterate(constant, flat, work, [np.concatenate(x) for x in zip(*pool)])
+            _iterate(constant, flat, work, [np.concatenate(x, axis=-1) for x in zip(*pool)])
             pool, pooled = [], 0
         pool.append(left)
         pooled += left[0].size
     if pool:
-        _iterate(constant, flat, work, [np.concatenate(x) for x in zip(*pool)])
+        _iterate(constant, flat, work, [np.concatenate(x, axis=-1) for x in zip(*pool)])
     return roots
 
 
@@ -169,30 +171,36 @@ def _product_over(x, y, d, e):
     return np.ldexp(mx * my / d, ex + ey - e)
 
 
-def _terms(constant, tau, D, c, E, work):
-    """The secular function at the anchor offsets ``tau``; ``work`` is a
-    ``(3, >= roots, p)`` scratch array.
+def _terms(tau, D, cw, E, work):
+    """The side sums of the secular function at the anchor offsets ``tau``;
+    ``work`` is a ``(3, >= 2 p)`` scratch array with room for ``(p, roots)``.
 
-    Returns ``f``, ``psi`` (the terms of the poles at or below the root's
-    gap), ``phi`` (those above it) and the products
-    ``gL = (a_L - y) psi'`` and ``gU = (a_U - y) phi'`` with the poles
-    ``a_L`` and ``a_U`` that bound the gap.  A pole lies below the root
-    exactly when its term ``r = c / (y - a)`` is positive.  ``E`` holds
-    ``a_L - a_j`` for the poles below and ``a_U - a_j`` for those above;
-    ``(a_L - y) / (y - a_j) = -1 + (a_L - a_j) / (y - a_j)`` with the last
-    ratio in [0, 1), so nothing overflows when the root hugs its anchor.
+    One column per root: ``D`` holds each pole's offset ``a_j`` minus the
+    anchor, ``cw`` the weights of the poles at or below the root's gap (zero
+    above it) and of those above it, and ``E`` each pole's offset from the
+    pole on its side that bounds the gap, ``a_j - a_L`` below the root and
+    ``a_j - a_U`` above it.  Returns the ``(2, 2, roots)`` sums
+    ``[[psi, phi], [V_L, V_U]]``, each in pole order: ``psi`` and ``phi``
+    add the terms ``r = c / (a_j - y)`` of the poles below and above the
+    root, and ``V`` adds ``r E / (a_j - y)`` on each side.  The ratio is in
+    [0, 1), so nothing overflows when the root hugs its anchor, and
+    ``gL = (a_L - y) psi' = psi - V_L`` and ``gU = (a_U - y) phi' = phi - V_U``.
     """
-    t, r, part = work[:, :tau.size]
-    np.subtract(tau[:, None], D, out=t)  # y - a_j, exactly tau at the anchor pole
-    np.divide(c, t, out=r)
+    if tau.size == 1:
+        # np.add.reduce sums a lone column pairwise, not in pole order; two
+        # equal columns keep every root's bits independent of its company
+        return _terms(*(np.repeat(x, 2, axis=-1) for x in (tau, D, cw, E)), work)[..., :1]
+    p, n = D.shape
+    t = work[0, :p * n].reshape(p, n)
+    r = work[1:, :p * n].reshape(2, p, n)
+    sums = np.empty((2, 2, n))
+    np.subtract(D, tau, out=t)  # a_j - y, exactly -tau at the anchor pole
+    np.divide(cw, t, out=r)
+    np.add.reduce(r, axis=1, out=sums[0])
     np.divide(E, t, out=t)
-    t *= r  # r (a_side - a_j) / (y - a_j), of the sign of r
-    np.maximum(r, 0.0, out=part)
-    psi = -np.einsum("ij->i", part)
-    phi = -np.einsum("ij->i", np.minimum(r, 0.0, out=part))
-    gL = psi + np.einsum("ij->i", np.maximum(t, 0.0, out=part))
-    gU = phi + np.einsum("ij->i", np.minimum(t, 0.0, out=part))
-    return constant + psi + phi, psi, phi, gL, gU
+    r *= t
+    np.add.reduce(r, axis=1, out=sums[1])
+    return sums
 
 
 def _positive_or_inf(x: np.ndarray) -> np.ndarray:
@@ -206,65 +214,101 @@ def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, b
 
     Writes each root's anchor pole to ``out[base:]``, flattened to
     (row, root) pairs; a root in a gap too narrow to solve keeps its lower
-    pole there.  Returns the state of the roots left to :func:`_iterate`
-    and the secular terms at their starting offsets."""
+    pole there, or the floor one ``_TINY`` above it.  Returns the state of
+    the roots left to :func:`_iterate` and the secular sums at their
+    starting offsets.  The block's columns are built from the rows by
+    broadcasting along the longer of its rows and a row's roots, so the
+    roots are taken root-major (the same root of every row side by side)
+    when there are more rows than roots in a row."""
     rows, p = a.shape
-    lowest = 1 - constant
-    row = np.repeat(np.arange(rows), p - lowest)
-    low = np.tile(np.arange(lowest, p), rows)  # pole just below each root
-    up = np.maximum(low - 1, 0)                # pole just above (none for the top)
-    roots = a[row, low]
-    top = low == 0
-    # half the gap; for the top root its whole bracket width sum(c)
-    half = np.where(top, c.sum(axis=1)[row], 0.5 * (a[row, up] - roots))
-    out[base:base + roots.size] = roots
-    # a gap of zero (or subnormal) width keeps its lower pole as its root
-    live = np.flatnonzero(half >= _NORMAL)
-    row, low, up, top, half = row[live], low[live], up[live], top[live], half[live]
-    ar, cw = a[row], c[row]
-    n = np.arange(live.size)
-    a_low, a_up = ar[n, low][:, None], ar[n, up][:, None]
-    E = np.where(np.arange(p) >= low[:, None], a_low, a_up)
-    E -= ar
+    low = np.arange(1 - constant, p)  # pole just below each root of a row
+    up = np.maximum(low - 1, 0)       # pole just above (none for the top)
+    aT, cT = np.ascontiguousarray(a.T), np.ascontiguousarray(c.T)
+    a_low, a_up = aT[low], aT[up]  # (root, row)
+    anchor = out[base:base + a.size - rows * (1 - constant)].reshape(rows, -1).T
+    anchor[...] = a_low
+    gap = a_up - a_low
+    half = 0.5 * gap
+    solved = half >= _NORMAL
+    if constant:
+        # the top root's bracket is its whole width sum(c), at least one
+        # _TINY: weights that sum below the normal range keep the floor
+        half[0] = np.maximum(c.sum(axis=1), _TINY)
+        solved[0] = True
+    # a gap of zero (or subnormal) width keeps its lower pole as its root,
+    # or the floor one _TINY above it where that lies inside the gap
+    anchor[~solved & (a_low + _TINY < a_up)] += _TINY
+    # one column per root: each pole's offsets from the poles that bound
+    # the gap, and the weights of the poles at or below the gap apart from
+    # those above it
+    by_root = rows >= low.size
+    order = (lambda x: x) if by_root else (lambda x: x.T)  # (root, row) to block order
+    a_col, c_col = (x[:, None] if by_root else x[..., None] for x in (aT, cT))
+    below = np.arange(p)[:, None] >= low
+    below = below[:, :, None] if by_root else below[:, None, :]
+    a_low, a_up = (np.ascontiguousarray(order(x)) for x in (a_low, a_up))
+    n = gap.size
+    # (p, roots) arrays filled through (p, *block) views: so a lone row's
+    # poles do not set the memory order
+    D, E, cw = np.empty((p, n)), np.empty((p, n)), np.empty((2, p, n))
+    D3, E3 = (x.reshape((p,) + a_low.shape) for x in (D, E))
+    np.subtract(a_col, a_low, out=D3)
+    np.subtract(a_col, a_up, out=E3)
+    np.copyto(E3, D3, where=below)  # a_j minus the gap's pole on a_j's side
+    np.multiply(c_col, np.stack([below, ~below]).astype(float),
+                out=cw.reshape((2, p) + a_low.shape))
+    idx = base + np.arange(rows) * low.size + np.arange(low.size)[:, None]
+    inner = np.broadcast_to(low[:, None] > 0, idx.shape)  # not the top root
+    c_low, c_up, gap, half, solved, idx, inner = (
+        order(x).ravel() for x in (cT[low], cT[up], gap, half, solved, idx, inner))
     # start at the gap midpoint (the top root at sum(c)), offsets from the
-    # lower pole; the top root 1 - c_0/tau - (terms < 0) = 0 has c_0 <= tau
-    D = ar - a_low
-    d = D[n, up]  # offset of the gap's other pole from the anchor (0: top root)
-    tau = half.copy()
-    f, psi, phi, gL, gU = _terms(constant, tau, D, cw, E, work)
-    hi = half.copy()
+    # lower pole; the top root 1 - c_0/tau - (terms < 0) = 0 has c_0 <= tau.
+    # A root not solved is evaluated at NaN, which warns of nothing and
+    # reaches no other root's sums; it is dropped below
+    tau = np.where(solved, half, np.nan)
+    sums = _terms(tau, D, cw, E, work)
+    f = constant + sums[0, 0] + sums[0, 1]
+    phi = sums[0, 1]
     # a gap root above the midpoint is anchored at the upper pole; as psi
     # grows with y, c_U / (-C - psi(mid)) bounds its offset from below,
     # as c_L / (C + phi(mid)) does below the midpoint.  Each bound is
     # formed on its own side only, where it is below half the gap: on the
     # other side a subnormal weight beside a normal one would overflow it
-    at_low = top | (f > 0)  # anchored at the pole below the gap
-    sw, bl = np.flatnonzero(~at_low), np.flatnonzero(at_low)
-    lo = np.empty_like(tau)
-    lo[bl] = cw[bl, low[bl]] / _positive_or_inf(constant + phi[bl])
+    at_low = ~inner | (f > 0)  # anchored at the pole below the gap
+    sw, bl = np.flatnonzero(~at_low & solved), np.flatnonzero(at_low)
+    bracket = np.empty((2, n))
+    bracket[0, bl] = c_low[bl] / _positive_or_inf(constant + phi[bl])
+    bracket[1] = half
+    dz = np.zeros((2, n))
+    dz[1] = gap  # [0, d]: the offset of the gap's other pole
     if sw.size:
-        np.subtract(ar, a_up, out=D, where=~at_low[:, None])  # exact pole differences
-        d[sw] = D[sw, low[sw]]
-        tau[sw] = lo[sw] = -half[sw]
-        hi[sw] = -cw[sw, up[sw]] / _positive_or_inf(phi - f)[sw]
-        out[base + live[sw]] = a_up[sw, 0]
-    state = (base + live, np.zeros(live.size, dtype=int), D, cw, E, d, at_low, top, tau, lo, hi)
-    return state, (f, psi, phi, gL, gU)
+        # exact pole differences from the upper pole
+        np.subtract(a_col, np.where(at_low.reshape(a_up.shape), a_low, a_up), out=D3)
+        dz[1, sw] = -gap[sw]
+        tau[sw] = bracket[0, sw] = -half[sw]
+        bracket[1, sw] = -c_up[sw] / _positive_or_inf(phi - f)[sw]
+        out[idx[sw]] = a_up.ravel()[sw]
+    state = [idx, np.zeros(n, dtype=int), D, cw, E, dz, at_low, inner, tau, bracket]
+    if not solved.all():
+        live = np.flatnonzero(solved)
+        state, sums = [x.take(live, axis=-1) for x in state], sums.take(live, axis=-1)
+    return state, sums
 
 
-def _iterate(constant, out, work, state, terms=None, handoff=False):
+def _iterate(constant, out, work, state, sums=None, handoff=False):
     """Safeguarded rational iteration on the offsets ``tau`` of roots from
     their anchor poles; adds each final offset to its anchor in ``out``
     (``work`` as in :func:`_terms`).
 
-    ``state`` is ``(idx, rounds, D, c, E, d, at_low, top, tau, lo, hi)``:
-    each root's place in ``out`` and the rounds it has taken before this
-    call, every pole's offset from its anchor ``D``, the weights ``c``, the
-    pole gaps ``E`` of :func:`_terms`, the offset ``d`` of the gap's other
-    pole, whether the anchor is the pole below the gap, whether the root is
-    the top one, and its offset and sign bracket ``[lo, hi]``.  ``terms``
-    are the secular terms at ``tau``; without them ``tau`` is evaluated
-    first and the bracket updated.
+    ``state`` is ``(idx, rounds, D, cw, E, dz, at_low, gap, tau, bracket)``,
+    one column (the last axis) per root: its place in ``out`` and the
+    rounds it has taken before this call, every pole's offset from its
+    anchor ``D``, the split weights ``cw`` and pole gaps ``E`` of
+    :func:`_terms`, ``dz = [0, d]`` with the offset ``d`` of the gap's other
+    pole, whether the anchor is the pole below the gap, whether the root
+    lies in a gap (not above the top pole), and its offset and sign bracket
+    ``[lo, hi]``.  ``sums`` are the secular sums at ``tau``; without them
+    ``tau`` is evaluated first and the bracket updated.
 
     Each round takes the new offset from :func:`_model_step`; only a step
     that leaves the bracket is replaced by geometric bisection.  A root
@@ -273,37 +317,42 @@ def _iterate(constant, out, work, state, terms=None, handoff=False):
     residual-checked in that round.  A converged one stays in the set at
     its offset, where it converges again, until an eighth of the set has
     converged: only then are the converged written and the set compacted,
-    so a round does not gather the ``(roots, p)`` arrays for a few roots.
+    so a round does not gather the ``(p, roots)`` arrays for a few roots.
     With ``handoff``, once at most a sixteenth of the starting set is left
     unconverged, that state is returned for the caller to pool with the
     stragglers of other blocks; otherwise None is returned.  Raises
     :class:`RootBracketError` when a root is unconverged after
     ``_MAX_ITER`` rounds in all, its rounds before this call included.
     """
-    idx, rounds, D, c, E, d, at_low, top, tau, lo, hi = state
+    idx, rounds, D, cw, E, dz, at_low, gap, tau, bracket = state
     if not idx.size:
         return None
-    res_tol = 4.0 * D.shape[1] * _EPS
+    res_tol = 4.0 * D.shape[0] * _EPS
     pass_on = idx.size // 16 if handoff else -1
     late = _MAX_ITER - rounds.max()  # the round from which a root may run out
     k = 0
     while True:
         k += 1
-        if terms is None:
-            f, psi, phi, gL, gU = _terms(constant, tau, D, c, E, work)
-            lo = np.where(f < 0, tau, lo)
-            hi = np.where(f > 0, tau, hi)
-        else:
-            (f, psi, phi, gL, gU), terms = terms, None
-        converged = np.abs(f) <= res_tol * (constant + phi - psi)
-        step, ok = _model_step(f, gL, gU, tau, d, at_low, top)
-        inside = ok & (step > lo) & (step < hi)
+        lo, hi = bracket
+        fresh = sums is None
+        if fresh:
+            sums = _terms(tau, D, cw, E, work)
+        f, A = constant + sums[:, 0] + sums[:, 1]
+        if fresh:
+            np.putmask(lo, f < 0, tau)
+            np.putmask(hi, f > 0, tau)
+        scale = sums[0, 1] - sums[0, 0]  # phi - psi
+        if constant:
+            scale += constant
+        converged = np.abs(f) <= res_tol * scale
+        step = _model_step(A, sums, tau, dz, at_low, gap)
+        inside = (step > lo) & (step < hi)
         stop = inside & (np.abs(step - tau) <= 4.0 * _EPS * np.abs(tau))
         outside = np.flatnonzero(~inside)
         if outside.size:
-            l, h = lo[outside], hi[outside]
-            mid = np.copysign(np.sqrt(np.maximum(np.abs(l), _TINY))
-                              * np.sqrt(np.maximum(np.abs(h), _TINY)), l + h)
+            l, h = ends = bracket.take(outside, axis=1)
+            mid = np.sqrt(np.maximum(np.abs(ends), _TINY))
+            mid = np.copysign(mid[0] * mid[1], l + h)
             step[outside] = mid
             stop[outside] = (mid <= l) | (mid >= h)  # the bracket collapsed
         stop &= ~converged
@@ -319,55 +368,69 @@ def _iterate(constant, out, work, state, terms=None, handoff=False):
             out[idx[done]] += np.where(converged, tau, step)[done]
             if stopped:
                 check = np.flatnonzero(stop)
-                _check_residual(constant, step[check], D[check], c[check], E[check], res_tol,
-                                work)
+                _check_residual(constant, *(x.take(check, axis=-1) for x in (step, D, cw, E)),
+                                res_tol, work)
             if not left:
                 return None
             keep = np.flatnonzero(~done)
-            idx, rounds, step, lo, hi, d, at_low, top = (
-                x[keep] for x in (idx, rounds, step, lo, hi, d, at_low, top))
-            D, c, E = D[keep], c[keep], E[keep]
+            idx, rounds, D, cw, E, dz, at_low, gap, step, bracket = (
+                x.take(keep, axis=-1) for x in (idx, rounds, D, cw, E, dz, at_low, gap, step, bracket))
             if left <= pass_on:
-                return idx, rounds + k, D, c, E, d, at_low, top, step, lo, hi
+                return idx, rounds + k, D, cw, E, dz, at_low, gap, step, bracket
         elif n_conv:
-            step[converged] = tau[converged]
-        tau = step
+            np.putmask(step, converged, tau)
+        tau, sums = step, None
 
 
-def _model_step(f, gL, gU, tau, d, at_low, top):
+def _model_step(A, sums, tau, dz, at_low, gap):
     """New anchor offsets from the model ``A + s/(a_L - y) + S/(a_U - y)``
     that matches ``psi``, ``psi'`` on the pole below the gap and ``phi``,
     ``phi'`` on the pole above (Bunch, Nielsen and Sorensen 1978; R.-C. Li,
-    LAWN 89), and the mask of roots where it has a solution.
+    LAWN 89), with ``A = f - gL - gU = C + V_L + V_U`` (see :func:`_terms`).
 
     The model is solved for the new offset z itself, so a root far closer
     to its anchor than the current iterate loses nothing to cancellation.
     With ``w0`` the model weight on the anchor and ``w1`` that on the other
     pole at offset ``d``, z solves ``A z^2 - B z + w0 d = 0`` with
     ``B = A d + w0 + w1``; the top root has no pole above and z = w0 / A.
-    Products are ordered so that none leaves the normal range.
+    Products are ordered so that none leaves the normal range.  Where the
+    model has no solution (``B = 0``, or a zero denominator) z is not a
+    number or infinite, so it leaves every bracket.
     """
-    A = f - gL - gU
-    w0 = -np.where(at_low, gL, gU) * tau
-    w1 = np.where(at_low, gU, gL) * (d - tau)
-    B = A * d + w0 + w1
-    ok = B != 0
-    Bs = np.where(ok, B, 1.0)
-    q = w0 / Bs
-    e = 1.0 + np.sqrt(np.abs(1.0 - (4.0 * A * d / Bs) * q))
-    pos = B > 0
-    num = np.where(top, w0, np.where(pos, 2.0 * q * d, B * e))
-    den = np.where(top, A, np.where(pos, e, 2.0 * A))
-    ok &= den != 0
-    return num / np.where(ok, den, 1.0), ok
+    g = sums[0] - sums[1]  # [gL, gU]
+    g = np.where(at_low, g, g[::-1])  # the anchor's, then the other pole's
+    w = np.subtract(dz, tau)
+    w *= g  # [w0, w1]: -g_anchor tau and g_other (d - tau)
+    d = dz[1]
+    B = w[0] + w[1]
+    Ad = np.multiply(A, d, out=w[1])
+    B += Ad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qm = w / B  # [w0 / B, A d / B]
+        e = qm[0] * qm[1]
+        e *= -4.0
+        e += 1.0
+        e = np.sqrt(np.abs(e, out=e), out=e)
+        e += 1.0
+        # the smaller root 2 w0 d / (B e) for B > 0, else B e / (2 A); the
+        # top root (d = 0, so B = w0 and e = 2) takes the second: w0 / A
+        pos = (B > 0) & gap
+        num, den = qm[0], A + A
+        num *= d
+        num += num
+        np.putmask(num, ~pos, B * e)
+        np.putmask(den, pos, e)
+        return np.divide(num, den, out=num)
 
 
-def _check_residual(constant, tau, D, c, E, res_tol, work) -> None:
+def _check_residual(constant, tau, D, cw, E, res_tol, work) -> None:
     """Raise unless every root stopped by a small step or a collapsed
     bracket has a residual within 16 times the stopping tolerance (offsets
     below the normal range are exempt: there the float grid is absolute)."""
-    f, psi, phi, _, _ = _terms(constant, tau, D, c, E, work)
-    bad = ~(np.abs(f) <= 16.0 * res_tol * (constant + phi - psi)) & (np.abs(tau) >= _NORMAL)
+    sums = _terms(tau, D, cw, E, work)
+    f = constant + sums[0, 0] + sums[0, 1]
+    scale = constant + sums[0, 1] - sums[0, 0]
+    bad = ~(np.abs(f) <= 16.0 * res_tol * scale) & (np.abs(tau) >= _NORMAL)
     if bad.any():
         raise RootBracketError(
             f"secular solver: {int(bad.sum())} roots fail the residual check")

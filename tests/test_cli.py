@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -159,16 +160,25 @@ class TestSample:
 
     @pytest.mark.parametrize("argv", [
         ("--ensemble", "c-matrix", "--n", "5"),  # 314 of 500 rows with sigma_min = 0
-        ("--ensemble", "chain", "--n", "13"),  # 374 of 500 rows with lambda_min = 0
         ("--ensemble", "laguerre-bidiag", "--n", "10", "--a", "0.005"),  # 415 of 500
     ])
     def test_zero_spectrum_row_exits_two(self, capsys, argv):
-        # at beta = 0.001 these tables have rows whose smallest lambda or
-        # sigma is 0; like the antisym-trid table, they exit 2 and print no row
+        # at beta = 0.001 these tables have rows whose smallest sigma is 0;
+        # like the antisym-trid table, they exit 2 and print no row
         code, out, err = run(capsys, "sample", *argv, "--beta", "0.001", "--reps", "500",
                              "--seed", "1")
         assert code == 2 and out == ""
         assert err == "error: computed positive eigenvalues are not distinct\n"
+
+    def test_chain_below_the_double_range_prints_every_row(self, capsys):
+        # every chain lambda^2 stays at least one _TINY above its pole, so
+        # the 374 rows that had lambda_min = 0 print, on the subnormal grid
+        code, out, _ = run(capsys, "sample", "--ensemble", "chain", "--n", "13", "--beta",
+                           "0.001", "--reps", "500", "--seed", "1")
+        lam = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=2)
+        assert code == 0 and lam.shape == (500, 6)
+        assert np.all(lam >= np.sqrt(np.nextafter(0.0, 1.0)))
+        assert np.count_nonzero(np.any(lam < np.sqrt(np.finfo(float).tiny), axis=1)) == 464
 
     @pytest.mark.parametrize("ensemble", ["antisym-trid", "chain", "c-matrix"])
     def test_zero_reps_writes_header_only(self, capsys, ensemble):

@@ -300,7 +300,7 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
     their anchor poles; adds each final offset to its anchor in ``out``
     (``work`` as in :func:`_terms`).
 
-    ``state`` is ``(idx, rounds, D, cw, E, dz, at_low, gap, tau, bracket)``,
+    ``state`` is ``(idx, rounds, D, cw, E, dz, at_low, inner, tau, bracket)``,
     one column (the last axis) per root: its place in ``out`` and the
     rounds it has taken before this call, every pole's offset from its
     anchor ``D``, the split weights ``cw`` and pole gaps ``E`` of
@@ -324,7 +324,7 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
     :class:`RootBracketError` when a root is unconverged after
     ``_MAX_ITER`` rounds in all, its rounds before this call included.
     """
-    idx, rounds, D, cw, E, dz, at_low, gap, tau, bracket = state
+    idx, rounds, D, cw, E, dz, at_low, inner, tau, bracket = state
     if not idx.size:
         return None
     res_tol = 4.0 * D.shape[0] * _EPS
@@ -345,7 +345,7 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
         if constant:
             scale += constant
         converged = np.abs(f) <= res_tol * scale
-        step = _model_step(A, sums, tau, dz, at_low, gap)
+        step = _model_step(A, sums, tau, dz, at_low, inner)
         inside = (step > lo) & (step < hi)
         stop = inside & (np.abs(step - tau) <= 4.0 * _EPS * np.abs(tau))
         outside = np.flatnonzero(~inside)
@@ -373,16 +373,17 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
             if not left:
                 return None
             keep = np.flatnonzero(~done)
-            idx, rounds, D, cw, E, dz, at_low, gap, step, bracket = (
-                x.take(keep, axis=-1) for x in (idx, rounds, D, cw, E, dz, at_low, gap, step, bracket))
+            state = (idx, rounds, D, cw, E, dz, at_low, inner, step, bracket)
+            idx, rounds, D, cw, E, dz, at_low, inner, step, bracket = (
+                x.take(keep, axis=-1) for x in state)
             if left <= pass_on:
-                return idx, rounds + k, D, cw, E, dz, at_low, gap, step, bracket
+                return idx, rounds + k, D, cw, E, dz, at_low, inner, step, bracket
         elif n_conv:
             np.putmask(step, converged, tau)
         tau, sums = step, None
 
 
-def _model_step(A, sums, tau, dz, at_low, gap):
+def _model_step(A, sums, tau, dz, at_low, inner):
     """New anchor offsets from the model ``A + s/(a_L - y) + S/(a_U - y)``
     that matches ``psi``, ``psi'`` on the pole below the gap and ``phi``,
     ``phi'`` on the pole above (Bunch, Nielsen and Sorensen 1978; R.-C. Li,
@@ -414,7 +415,7 @@ def _model_step(A, sums, tau, dz, at_low, gap):
         e += 1.0
         # the smaller root 2 w0 d / (B e) for B > 0, else B e / (2 A); the
         # top root (d = 0, so B = w0 and e = 2) takes the second: w0 / A
-        pos = (B > 0) & gap
+        pos = (B > 0) & inner
         num, den = qm[0], A + A
         num *= d
         num += num

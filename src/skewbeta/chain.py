@@ -171,31 +171,33 @@ def _product_over(x, y, d, e):
     return np.ldexp(mx * my / d, ex + ey - e)
 
 
-def _terms(tau, D, cw, E, work):
+def _terms(tau, D, c, E, work):
     """The side sums of the secular function at the anchor offsets ``tau``;
     ``work`` is a ``(3, >= 2 p)`` scratch array with room for ``(p, roots)``.
 
     One column per root: ``D`` holds each pole's offset ``a_j`` minus the
-    anchor, ``cw`` the weights of the poles at or below the root's gap (zero
-    above it) and of those above it, and ``E`` each pole's offset from the
-    pole on its side that bounds the gap, ``a_j - a_L`` below the root and
+    anchor, ``c`` the weights and ``E`` each pole's offset from the pole on
+    its side that bounds the gap, ``a_j - a_L`` below the root and
     ``a_j - a_U`` above it.  Returns the ``(2, 2, roots)`` sums
     ``[[psi, phi], [V_L, V_U]]``, each in pole order: ``psi`` and ``phi``
     add the terms ``r = c / (a_j - y)`` of the poles below and above the
-    root, and ``V`` adds ``r E / (a_j - y)`` on each side.  The ratio is in
-    [0, 1), so nothing overflows when the root hugs its anchor, and
+    root, which are the terms of its sign, and ``V`` adds
+    ``r E / (a_j - y)`` on each side.  The ratio is in [0, 1), so nothing
+    overflows when the root hugs its anchor, and
     ``gL = (a_L - y) psi' = psi - V_L`` and ``gU = (a_U - y) phi' = phi - V_U``.
     """
     if tau.size == 1:
         # np.add.reduce sums a lone column pairwise, not in pole order; two
         # equal columns keep every root's bits independent of its company
-        return _terms(*(np.repeat(x, 2, axis=-1) for x in (tau, D, cw, E)), work)[..., :1]
+        return _terms(*(np.repeat(x, 2, axis=-1) for x in (tau, D, c, E)), work)[..., :1]
     p, n = D.shape
     t = work[0, :p * n].reshape(p, n)
     r = work[1:, :p * n].reshape(2, p, n)
     sums = np.empty((2, 2, n))
     np.subtract(D, tau, out=t)  # a_j - y, exactly -tau at the anchor pole
-    np.divide(cw, t, out=r)
+    np.divide(c, t, out=r[1])
+    np.minimum(r[1], 0.0, out=r[0])
+    np.maximum(r[1], 0.0, out=r[1])
     np.add.reduce(r, axis=1, out=sums[0])
     np.divide(E, t, out=t)
     r *= t
@@ -238,9 +240,8 @@ def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, b
     # a gap of zero (or subnormal) width keeps its lower pole as its root,
     # or the floor one _TINY above it where that lies inside the gap
     anchor[~solved & (a_low + _TINY < a_up)] += _TINY
-    # one column per root: each pole's offsets from the poles that bound
-    # the gap, and the weights of the poles at or below the gap apart from
-    # those above it
+    # one column per root: its row's weights and each pole's offsets from
+    # the poles that bound the gap
     by_root = rows >= low.size
     order = (lambda x: x) if by_root else (lambda x: x.T)  # (root, row) to block order
     a_col, c_col = (x[:, None] if by_root else x[..., None] for x in (aT, cT))
@@ -250,13 +251,12 @@ def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, b
     n = gap.size
     # (p, roots) arrays filled through (p, *block) views: so a lone row's
     # poles do not set the memory order
-    D, E, cw = np.empty((p, n)), np.empty((p, n)), np.empty((2, p, n))
+    D, c_rep, E = np.empty((p, n)), np.empty((p, n)), np.empty((p, n))
     D3, E3 = (x.reshape((p,) + a_low.shape) for x in (D, E))
     np.subtract(a_col, a_low, out=D3)
     np.subtract(a_col, a_up, out=E3)
     np.copyto(E3, D3, where=below)  # a_j minus the gap's pole on a_j's side
-    np.multiply(c_col, np.stack([below, ~below]).astype(float),
-                out=cw.reshape((2, p) + a_low.shape))
+    c_rep.reshape((p,) + a_low.shape)[...] = c_col
     idx = base + np.arange(rows) * low.size + np.arange(low.size)[:, None]
     inner = np.broadcast_to(low[:, None] > 0, idx.shape)  # not the top root
     c_low, c_up, gap, half, solved, idx, inner = (
@@ -266,7 +266,7 @@ def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, b
     # A root not solved is evaluated at NaN, which warns of nothing and
     # reaches no other root's sums; it is dropped below
     tau = np.where(solved, half, np.nan)
-    sums = _terms(tau, D, cw, E, work)
+    sums = _terms(tau, D, c_rep, E, work)
     f = constant + sums[0, 0] + sums[0, 1]
     phi = sums[0, 1]
     # a gap root above the midpoint is anchored at the upper pole; as psi
@@ -288,7 +288,7 @@ def _start_block(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray, b
         tau[sw] = bracket[0, sw] = -half[sw]
         bracket[1, sw] = -c_up[sw] / _positive_or_inf(phi - f)[sw]
         out[idx[sw]] = a_up.ravel()[sw]
-    state = [idx, np.zeros(n, dtype=int), D, cw, E, dz, at_low, inner, tau, bracket]
+    state = [idx, np.zeros(n, dtype=int), D, c_rep, E, dz, at_low, inner, tau, bracket]
     if not solved.all():
         live = np.flatnonzero(solved)
         state, sums = [x.take(live, axis=-1) for x in state], sums.take(live, axis=-1)
@@ -300,10 +300,10 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
     their anchor poles; adds each final offset to its anchor in ``out``
     (``work`` as in :func:`_terms`).
 
-    ``state`` is ``(idx, rounds, D, cw, E, dz, at_low, inner, tau, bracket)``,
+    ``state`` is ``(idx, rounds, D, c, E, dz, at_low, inner, tau, bracket)``,
     one column (the last axis) per root: its place in ``out`` and the
     rounds it has taken before this call, every pole's offset from its
-    anchor ``D``, the split weights ``cw`` and pole gaps ``E`` of
+    anchor ``D``, the weights ``c`` and pole gaps ``E`` of
     :func:`_terms`, ``dz = [0, d]`` with the offset ``d`` of the gap's other
     pole, whether the anchor is the pole below the gap, whether the root
     lies in a gap (not above the top pole), and its offset and sign bracket
@@ -324,7 +324,7 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
     :class:`RootBracketError` when a root is unconverged after
     ``_MAX_ITER`` rounds in all, its rounds before this call included.
     """
-    idx, rounds, D, cw, E, dz, at_low, inner, tau, bracket = state
+    idx, rounds, D, c, E, dz, at_low, inner, tau, bracket = state
     if not idx.size:
         return None
     res_tol = 4.0 * D.shape[0] * _EPS
@@ -336,7 +336,7 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
         lo, hi = bracket
         fresh = sums is None
         if fresh:
-            sums = _terms(tau, D, cw, E, work)
+            sums = _terms(tau, D, c, E, work)
         f, A = constant + sums[:, 0] + sums[:, 1]
         if fresh:
             np.putmask(lo, f < 0, tau)
@@ -368,16 +368,16 @@ def _iterate(constant, out, work, state, sums=None, handoff=False):
             out[idx[done]] += np.where(converged, tau, step)[done]
             if stopped:
                 check = np.flatnonzero(stop)
-                _check_residual(constant, *(x.take(check, axis=-1) for x in (step, D, cw, E)),
+                _check_residual(constant, *(x.take(check, axis=-1) for x in (step, D, c, E)),
                                 res_tol, work)
             if not left:
                 return None
             keep = np.flatnonzero(~done)
-            state = (idx, rounds, D, cw, E, dz, at_low, inner, step, bracket)
-            idx, rounds, D, cw, E, dz, at_low, inner, step, bracket = (
+            state = (idx, rounds, D, c, E, dz, at_low, inner, step, bracket)
+            idx, rounds, D, c, E, dz, at_low, inner, step, bracket = (
                 x.take(keep, axis=-1) for x in state)
             if left <= pass_on:
-                return idx, rounds + k, D, cw, E, dz, at_low, inner, step, bracket
+                return idx, rounds + k, D, c, E, dz, at_low, inner, step, bracket
         elif n_conv:
             np.putmask(step, converged, tau)
         tau, sums = step, None
@@ -424,11 +424,11 @@ def _model_step(A, sums, tau, dz, at_low, inner):
         return np.divide(num, den, out=num)
 
 
-def _check_residual(constant, tau, D, cw, E, res_tol, work) -> None:
+def _check_residual(constant, tau, D, c, E, res_tol, work) -> None:
     """Raise unless every root stopped by a small step or a collapsed
     bracket has a residual within 16 times the stopping tolerance (offsets
     below the normal range are exempt: there the float grid is absolute)."""
-    sums = _terms(tau, D, cw, E, work)
+    sums = _terms(tau, D, c, E, work)
     f = constant + sums[0, 0] + sums[0, 1]
     scale = constant + sums[0, 1] - sums[0, 0]
     bad = ~(np.abs(f) <= 16.0 * res_tol * scale) & (np.abs(tau) >= _NORMAL)

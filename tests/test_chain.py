@@ -278,15 +278,11 @@ def _assert_matches_oracle(constant, poles, weights):
 
 
 class TestSharedSolver:
-    @pytest.mark.parametrize("p", [6, 12, 40])
-    @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
-    @pytest.mark.parametrize("constant", [0, 1])
-    def test_random_weights_match_oracle(self, monkeypatch, beta, constant, p):
-        # chain-like rows: squared spectra over a zero pole, border weights
-        # Gamma(beta/2) on each pair and Gamma(beta/4) on the zero pole.  At
-        # p = 12 and 40 a block holds two rows, so the six rows span three
-        # blocks; in all these cases but p = 12, beta = 2, C = 0 some
-        # stragglers are handed to the pool
+    @staticmethod
+    def _gamma_rows(beta, constant, p):
+        """Six chain-like rows: squared spectra over a zero pole, border
+        weights Gamma(beta/2) on each pair and Gamma(beta/4) on the zero
+        pole."""
         stream = RandomStream(31, (int(100 * beta), constant))
         rows = 6
         poles = np.zeros((rows, p))
@@ -295,21 +291,37 @@ class TestSharedSolver:
         weights = np.concatenate([gamma_table([beta / 2.0], [stream], (rows, p - 1))[0, 0],
                                   gamma_table([beta / 4.0], [stream], (rows, 1))[0, 0]], axis=1)
         assert np.all(weights > 0) and np.all(np.diff(poles, axis=1) < 0)
-        handed_on = []
-        if p > 6:
-            monkeypatch.setattr(chain, "_BLOCK", 2 * p * p)
-            iterate = chain._iterate
+        return poles, weights
 
-            def spy(*args, **kwargs):
-                left = iterate(*args, **kwargs)
-                handed_on.append(left is not None)
-                return left
-
-            monkeypatch.setattr(chain, "_iterate", spy)
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_random_weights_match_oracle(self, beta, constant):
+        poles, weights = self._gamma_rows(beta, constant, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             _assert_matches_oracle(constant, poles, weights)
-        assert p == 6 or len(handed_on) >= 3
+
+    @pytest.mark.parametrize("p", [12, 40])
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 2.0])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_random_weights_across_blocks_match_oracle(self, monkeypatch, beta, constant, p):
+        # a block holds two rows, so the six rows span three blocks; in all
+        # these cases but p = 12, beta = 2, C = 0 some stragglers are handed
+        # to the pool
+        poles, weights = self._gamma_rows(beta, constant, p)
+        monkeypatch.setattr(chain, "_BLOCK", 2 * p * p)
+        iterate, handed_on = chain._iterate, []
+
+        def spy(*args, **kwargs):
+            left = iterate(*args, **kwargs)
+            handed_on.append(left is not None)
+            return left
+
+        monkeypatch.setattr(chain, "_iterate", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _assert_matches_oracle(constant, poles, weights)
+        assert len(handed_on) >= 3
 
     @pytest.mark.parametrize("constant,a,c", [
         (1, [1.69, 0.0], [1.0, 1e-14]),             # hugs the zero pole

@@ -160,6 +160,7 @@ class TestSample:
 
     @pytest.mark.parametrize("argv", [
         ("--ensemble", "c-matrix", "--n", "5"),  # 314 of 500 rows with sigma_min = 0
+        ("--ensemble", "laguerre-bidiag", "--n", "6", "--a", "0.005"),  # 33 of 500
         ("--ensemble", "laguerre-bidiag", "--n", "10", "--a", "0.005"),  # 415 of 500
     ])
     def test_zero_spectrum_row_exits_two(self, capsys, argv):

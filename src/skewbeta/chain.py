@@ -31,7 +31,7 @@ _NORMAL = np.finfo(float).tiny
 _MAX_ITER = 100
 # rows * p * max(p, 8) elements per block of rows, and as many in the pool
 # of the blocks' stragglers (_BLOCK // max(p, 8) roots of p poles); bounds
-# the solver's temporaries and so its peak memory
+# the solver's temporaries and so its peak memory, the closed forms' too
 _BLOCK = 1 << 15
 
 
@@ -43,15 +43,15 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
     Returns ``(rows, p)`` roots for ``constant = 1`` (one above the top
     pole, one per pole gap) and ``(rows, p - 1)`` for ``constant = 0``,
     descending per row.  Rows with one or two poles are solved in closed
-    form (:func:`_few_poles`), as LAPACK's ``dlaed4`` hands N = 1 and 2 to
-    ``dlaed5``.  Every other root is solved on its offset from the nearer
-    pole of its gap (the top pole for the root above it) by a safeguarded
-    rational iteration; see :func:`_iterate`.  The iteration runs on
-    blocks of rows (``_BLOCK``); each block hands its last few unconverged
-    roots, with their state, to a pool of at most a block's worth of roots,
-    solved when full and after the last block.  A root's rounds in
-    its block and in the pool count together against ``_MAX_ITER``, and
-    every root equals its one-row solve bit for bit.  A gap of zero width (a
+    form (:func:`_few_poles`), a block of rows at a time, as LAPACK's
+    ``dlaed4`` hands N = 1 and 2 to ``dlaed5``.  Every other root is solved
+    on its offset from the nearer pole of its gap (the top pole for the root
+    above it) by a safeguarded rational iteration; see :func:`_iterate`.
+    The iteration runs on blocks of rows (``_BLOCK``); each block hands its
+    last few unconverged roots, with their state, to a pool of at most a
+    block's worth of roots, solved when full and after the last block.  A
+    root's rounds in its block and in the pool count together against
+    ``_MAX_ITER``, and every root equals its one-row solve bit for bit.  A gap of zero width (a
     repeated pole) returns its lower pole, and one narrower than the
     smallest normal double the floor one ``_TINY`` above that pole where
     it lies inside the gap.  An offset from the lower pole below the normal
@@ -69,9 +69,16 @@ def secular_roots(constant: int, poles, weights) -> np.ndarray:
         raise ParameterError("poles and weights must be (rows, p) arrays with p >= 1")
     if not (np.all(np.diff(a, axis=1) <= 0) and np.all(c >= 0)):
         raise ParameterError("poles must descend and weights be nonnegative")
-    if a.shape[1] > 2:
+    rows, p = a.shape
+    if p > 2:
         return _iterated(constant, a, c)
-    roots, left = _few_poles(constant, a, c)
+    roots = np.empty((rows, p - 1 + constant))
+    # in blocks of rows, as the iteration counts them: the closed forms take
+    # about 20 temporaries a row
+    step = _BLOCK // (p * 8)
+    left = [s + _few_poles(constant, a[s:s + step], c[s:s + step], roots[s:s + step])
+            for s in range(0, rows, step)]
+    left = np.concatenate(left) if len(left) > 1 else left[0]
     if left.size:
         roots[left] = _iterated(constant, a[left], c[left])
     return roots
@@ -110,9 +117,9 @@ def _iterated(constant: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _few_poles(constant: int, a: np.ndarray, c: np.ndarray):
-    """Roots of rows with p <= 2 poles in closed form, and the indices of
-    the rows left to the iterative solver.
+def _few_poles(constant: int, a: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Roots of rows with p <= 2 poles in closed form, written to ``out``,
+    and the indices of the rows left to the iterative solver.
 
     One pole (``C = 1``): ``y = a_0 + c_0``.  Two poles ``a_0 > a_1`` with
     gap ``g = a_0 - a_1``: for ``C = 0`` the root is
@@ -132,11 +139,11 @@ def _few_poles(constant: int, a: np.ndarray, c: np.ndarray):
     the normal range (a zero or subnormal ``c_1``; with one pole, ``c_0``)
     is left to the iterative solver, so those rows keep its floor.
     """
-    rows, p = a.shape
-    if p == 1:
-        if not constant:
-            return np.empty((rows, 0)), np.empty(0, dtype=int)
-        return a + c, np.flatnonzero(c[:, 0] < _NORMAL)
+    if a.shape[1] == 1:
+        if constant:
+            np.add(a, c, out=out)
+            return np.flatnonzero(c[:, 0] < _NORMAL)
+        return np.empty(0, dtype=int)
     (a0, a1), (c0, c1) = a.T, c.T
     g = a0 - a1
     big = np.maximum(c0, c1)
@@ -156,11 +163,10 @@ def _few_poles(constant: int, a: np.ndarray, c: np.ndarray):
             h = c0s + c1s - gs
             P = 0.5 * (R + np.abs(h))
             w = np.where(h >= 0, np.ldexp(P, e), _product_over(c0, g, P, e))
-    left = np.flatnonzero((0.5 * g < _NORMAL) | ~(z >= _NORMAL))
-    lower = a1 + z
-    if not constant:
-        return lower[:, None], left
-    return np.column_stack([a0 + w, lower]), left
+    np.add(a1, z, out=out[:, -1])
+    if constant:
+        np.add(a0, w, out=out[:, 0])
+    return np.flatnonzero((0.5 * g < _NORMAL) | ~(z >= _NORMAL))
 
 
 def _product_over(x, y, d, e):

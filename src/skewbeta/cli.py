@@ -37,24 +37,56 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 
 def _write(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    _write_pieces([text if text.endswith("\n") else text + "\n"], out)
+
+
+def _write_pieces(pieces, out: str | None) -> None:
+    """Write an iterable of text pieces to the file ``out``, or to stdout
+    when it is None, each piece as it is made."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+# replicates per chunk of `sample`, and rows per piece of a table's text: a
+# replicate's stream and generator take about 1.1 KB, so about 10 MB a chunk
+_CHUNK = 1 << 13
+
+
+def _row_chunks(table: np.ndarray):
+    for lo in range(0, table.shape[0], _CHUNK):
+        yield table[lo:lo + _CHUNK].tolist()
+
+
+def _table_pieces(args: argparse.Namespace, header: list[str], table: np.ndarray):
+    """The text of a ``(rows, len(header))`` float array as CSV or JSON,
+    ``_CHUNK`` rows a piece.  The JSON is byte for byte that of
+    ``json.dumps`` with ``indent=2`` on the whole document: each piece's
+    rows are rendered as one list and indented one level deeper."""
+    if args.fmt == "csv":
+        yield f"# {json.dumps(_provenance(args), sort_keys=True)}\n{','.join(header)}\n"
+        for rows in _row_chunks(table):
+            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        return
+    doc = json.dumps({"provenance": _provenance(args), "columns": header, "rows": []},
+                     indent=2)
+    if not table.shape[0]:
+        yield doc + "\n"
+        return
+    yield doc[:-len("]\n}")]  # up to the rows' opening bracket
+    sep = ""
+    for rows in _row_chunks(table):
+        # "[\n  [...],\n  [...]\n]" less its brackets and last newline
+        yield sep + json.dumps(rows, indent=2)[1:-2].replace("\n", "\n  ")
+        sep = ","
+    yield "\n  ]\n}\n"
 
 
 def _emit_table(args: argparse.Namespace, header: list[str], table: np.ndarray) -> None:
     """Write a ``(rows, len(header))`` float array as CSV or JSON."""
-    if args.fmt == "json":
-        text = json.dumps({"provenance": _provenance(args), "columns": header,
-                           "rows": table.tolist()}, indent=2)
-    else:
-        lines = [f"# {json.dumps(_provenance(args), sort_keys=True)}", ",".join(header)]
-        lines += [",".join(map(repr, row)) for row in table.tolist()]
-        text = "\n".join(lines) + "\n"
-    _write(text, args.out)
+    _write_pieces(_table_pieces(args, header, table), args.out)
 
 
 def _spectral_header(n: int) -> list[str]:
@@ -76,12 +108,14 @@ def _spectral_table(b: np.ndarray) -> np.ndarray:
 
 def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     """Header and ``(reps, cols)`` table of ``sample``.  Replicate ``i``
-    draws on ``root.split(i)`` with the calls of the one-replicate builder,
-    in one draw call for all, the streams seeded in one pass; the draws are
-    then solved in one batch.  The first row that fails a check raises: every
-    check of ``spectral_rows`` for the (lambda, q[, z]) tables, and for the
-    lambda and sigma tables its ``DegeneracyError`` on a row that is not
-    finite, positive and strictly descending."""
+    draws on ``root.split(i)`` with the calls of the one-replicate builder.
+    The replicates are taken ``_CHUNK`` at a time: a chunk's streams are
+    seeded in one pass, drawn in one draw call, solved in one batch, checked
+    and dropped, and its rows written to the table; no row depends on the
+    chunking.  The first row that fails a check raises: every check of
+    ``spectral_rows`` for the (lambda, q[, z]) tables, and for the lambda
+    and sigma tables its ``DegeneracyError`` on a row that is not finite,
+    positive and strictly descending."""
     if args.reps < 0:
         raise ParameterError(f"reps must be nonnegative, got {args.reps}")
     spec = EnsembleSpec(kind=args.ensemble, n=args.n, beta=args.beta, a=args.a)
@@ -92,15 +126,21 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
         header = [f"lambda_{i}" for i in range(1, n // 2 + 1)]
     else:
         header = [f"sigma_{i}" for i in range(1, n + 1)]
-    root = RandomStream(args.seed)
-    streams = seed_streams((root.seed, (i,)) for i in range(args.reps))
-    if not streams:
-        return header, np.empty((0, len(header)))
+    seed = RandomStream(args.seed).seed
+    table = np.empty((args.reps, len(header)))
+    for lo in range(0, args.reps, _CHUNK):
+        hi = min(lo + _CHUNK, args.reps)
+        table[lo:hi] = _chunk_rows(spec, seed_streams((seed, (i,)) for i in range(lo, hi)))
+    return header, table
+
+
+def _chunk_rows(spec: EnsembleSpec, streams) -> np.ndarray:
+    """The checked table rows of one chunk of ``sample``'s replicates."""
+    n = spec.n
     if spec.kind == "antisym-trid":
-        return header, _spectral_table(antisym_tridiagonal_rows(n, spec.beta, streams))
+        return _spectral_table(antisym_tridiagonal_rows(n, spec.beta, streams))
     if spec.kind == "antisym-dense-gue":
-        dense = dense_antisym_gue_rows(n, streams)
-        return header, _spectral_table(householder_reduce_batch(dense))
+        return _spectral_table(householder_reduce_batch(dense_antisym_gue_rows(n, streams)))
     if spec.kind == "chain":
         from .chain import chain_sample_rows
         table = chain_sample_rows(n, spec.beta, streams)
@@ -111,7 +151,7 @@ def _sample_rows(args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
             d, e = _c_matrix_chis(n, spec.beta, streams)
         table = positive_spectrum_batch(bidiagonal_read_off(d, e))
     _check_rows(table)
-    return header, table
+    return table
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

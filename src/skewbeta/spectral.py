@@ -172,6 +172,8 @@ def _dbdsqr():
 
 
 _UPLO = ctypes.c_char(b"U")  # B is upper bidiagonal; read-only
+# rows per block of both solvers: bounds their buffers and temporaries
+_ROW_BLOCK = 4096
 
 
 def _dbdsqr_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,32 +181,40 @@ def _dbdsqr_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries of its right singular vectors, ``(reps, m)`` -> ``(reps, k)``
     twice, for finite top-down superdiagonals ``s``: one LAPACK ``dbdsqr``
     call per row.  With ``NCVT=1`` on ``VT = e_1`` it rotates that one row
-    only, O(k^2) time and O(k) memory per row."""
+    only, O(k^2) time and O(k) memory per row.  The rows go through one
+    buffer of ``_ROW_BLOCK`` rows, so it adds no table of its own."""
     reps, m = s.shape
     k, order = (m + 1) // 2, m // 2 + 1  # positive eigenvalues, order of B
+    lam, vt = np.empty((reps, k)), np.empty((reps, k))
+    block = max(1, min(reps, _ROW_BLOCK))
     # one float buffer: per row B's diagonal, superdiagonal (one slot spare)
     # and VT, which dbdsqr overwrites with the singular values and P^T e_1;
     # then the work array.  One int buffer: n, ncvt, nru, ncc, ldvt, 1, then
     # one info per row.
-    buf = np.zeros((3 * reps + 4) * order)
-    rows = buf[:3 * reps * order].reshape(reps, 3, order)
-    rows[:, 0, :k] = s[:, 0::2]
-    rows[:, 1, :order - 1] = s[:, 1::2]
-    rows[:, 2, 0] = 1.0
-    ints = np.zeros(6 + reps, dtype=np.intc)
+    buf = np.zeros((3 * block + 4) * order)
+    ints = np.zeros(6 + block, dtype=np.intc)
     ints[:6] = order, 1, 0, 0, order, 1
     stride, p_buf, p_int = 8 * order, buf.ctypes.data, ints.ctypes.data
     p_n, p_ncvt, p_nru, p_ncc, p_ldvt, p_one = range(p_int, p_int + 24, 4)
-    p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * reps * stride
+    p_uplo, p_work = ctypes.addressof(_UPLO), p_buf + 3 * block * stride
     call = _dbdsqr()
-    for d, info in zip(range(p_buf, p_buf + 3 * reps * stride, 3 * stride),
-                       range(p_int + 24, p_int + 24 + 4 * reps, 4)):
-        call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,
-             p_work, p_one, p_work, p_one, p_work, info)
-    if ints[6:].any():
-        raise ConvergenceError(f"dbdsqr did not converge on {np.count_nonzero(ints[6:])} "
-                               f"of {reps} rows")
-    return rows[:, 0, :k].copy(), rows[:, 2, :k].copy()
+    failed = 0
+    for lo in range(0, reps, block):
+        part = s[lo:lo + block]
+        rows = buf[:3 * part.shape[0] * order].reshape(-1, 3, order)
+        rows[...] = 0.0
+        rows[:, 0, :k] = part[:, 0::2]
+        rows[:, 1, :order - 1] = part[:, 1::2]
+        rows[:, 2, 0] = 1.0
+        for d, info in zip(range(p_buf, p_buf + rows.shape[0] * 3 * stride, 3 * stride),
+                           range(p_int + 24, p_int + 24 + 4 * rows.shape[0], 4)):
+            call(p_uplo, p_n, p_ncvt, p_nru, p_ncc, d, d + stride, d + 2 * stride, p_ldvt,
+                 p_work, p_one, p_work, p_one, p_work, info)
+        failed += np.count_nonzero(ints[6:6 + rows.shape[0]])
+        lam[lo:lo + block], vt[lo:lo + block] = rows[:, 0, :k], rows[:, 2, :k]
+    if failed:
+        raise ConvergenceError(f"dbdsqr did not converge on {failed} of {reps} rows")
+    return lam, vt
 
 
 # LAPACK's safe minimum (la_constants) and DLAMCH('EPS')
@@ -257,9 +267,8 @@ def _dlasv2(f: np.ndarray, g: np.ndarray,
 
 # up to n = 5 (B of order <= 3, b of length <= 4) the per-row call's fixed
 # cost of 1.5-3 us is nearly all of dbdsqr's time, so one dlasv2 step runs
-# all rows at once instead, in blocks that bound its temporaries
+# all rows at once instead
 _SMALL_MAX_M = 4
-_SMALL_BLOCK = 4096
 
 
 def _small_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +294,8 @@ def _small_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wide = np.zeros(reps, dtype=bool)
     # np.where evaluates every branch on every row
     with np.errstate(all="ignore"):
-        for lo in range(0, reps, _SMALL_BLOCK):
-            rows = slice(lo, lo + _SMALL_BLOCK)
+        for lo in range(0, reps, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
             blk = s[rows]
             f, g = blk[:, 0], blk[:, 1]
             h = blk[:, 2] if m > 2 else np.zeros(blk.shape[0])
@@ -319,7 +328,8 @@ def _lam_q_rows(b_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     finite = np.isfinite(b_batch).all(axis=1)
     s = b_batch[:, ::-1] if finite.all() else np.where(finite[:, None], b_batch[:, ::-1], 1.0)
     lam, vt = (_small_rows if 1 <= m <= _SMALL_MAX_M else _dbdsqr_rows)(s)
-    q = np.abs(vt) / math.sqrt(2.0)
+    q = np.abs(vt, out=vt)  # in place: no third table
+    q /= math.sqrt(2.0)
     if not finite.all():
         lam[~finite] = q[~finite] = np.nan
     return lam, q, finite

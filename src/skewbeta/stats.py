@@ -32,26 +32,29 @@ def _ks_pvalue(d: float, en: float) -> float:
     return float(kolmogorov((root + 0.12 + 0.11 / root) * d))
 
 
+# pooled values per block of the two-sample statistic: bounds its temporaries
+_KS_BLOCK = 1 << 16
+
+
 def ks_two_sample(x, y) -> KSResult:
     """Two-sample Kolmogorov-Smirnov test with asymptotic p-value.
 
-    One stable merge of the two sorted samples gives the counts of x and of
-    y up to each pooled value; each run of ties is read at its last entry.
-    NaNs sort last and form one run, as they do for ``np.searchsorted``.
+    The empirical CDFs of the two sorted samples are read at every pooled
+    value, a block of values at a time: ``np.searchsorted(..., "right")``
+    counts the values of each sample up to it, so the counts of a run of
+    ties are those of its last entry.  NaNs sort last and form one run.
     """
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     if x.size == 0 or y.size == 0:
         raise ParameterError("samples must be nonempty")
-    pooled = np.concatenate([x, y])
-    order = np.argsort(pooled, kind="stable")
-    merged = pooled[order]
-    count_x = np.cumsum(order < x.size)
-    last = np.ones(merged.size, dtype=bool)
-    last[:-1] = (merged[1:] != merged[:-1]) & ~np.isnan(merged[:-1])
-    count_x = count_x[last]
-    count_y = np.flatnonzero(last) + 1 - count_x
-    d = float(np.max(np.abs(count_x / x.size - count_y / y.size)))
+    d = 0.0
+    for sample in (x, y):
+        for s in range(0, sample.size, _KS_BLOCK):
+            at = sample[s:s + _KS_BLOCK]
+            gap = np.searchsorted(x, at, "right") / x.size
+            gap -= np.searchsorted(y, at, "right") / y.size
+            d = max(d, float(np.max(np.abs(gap, out=gap))))
     en = x.size * y.size / (x.size + y.size)
     return KSResult(statistic=d, n_x=x.size, n_y=y.size, p_value=_ks_pvalue(d, en))
 

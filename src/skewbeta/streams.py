@@ -215,14 +215,18 @@ def gamma_table(shapes, streams, size=None, scale=None):
     the boost ``Gamma(a) ~ Gamma(a+1) * U**(1/a)``, which avoids the rejection
     pathologies of direct small-shape sampling; one transform then serves the
     whole table.  A chi takes the boost in log space, so it underflows to 0
-    only where its own log falls below about -745, the double floor.
+    only where its own log falls below about -745, the double floor.  With a
+    ``size`` the draws land in the table itself (see :func:`_sized_table`).
     """
     shapes = np.asarray(shapes, dtype=float)
     flat = shapes.ravel().tolist()
-    # a NaN or an infinity makes the sum non-finite
-    if flat and not (math.isfinite(sum(flat)) and min(flat) > 0):
+    # shape by shape: finite shapes can have an infinite sum
+    if not all(0.0 < a < math.inf for a in flat):  # NaN fails both tests
         raise ParameterError(f"gamma shapes must be positive and finite, got {shapes}")
     rows = shapes.tolist() if shapes.ndim == 2 else [flat] * len(streams)
+    cells = shapes if shapes.ndim == 2 else shapes[None].repeat(len(streams), axis=0)
+    if size is not None:
+        return _sized_table(cells, rows, streams, tuple(np.atleast_1d(size)), scale)
     boost, u = [], []
     for stream, row in zip(streams, rows):
         gen = stream.generator
@@ -233,14 +237,12 @@ def gamma_table(shapes, streams, size=None, scale=None):
                 u.append(random(size))
             else:
                 boost.append(gamma(a, size=size))
-    tail = () if size is None else tuple(np.atleast_1d(size))
-    cells = shapes if shapes.ndim == 2 else shapes[None].repeat(len(streams), axis=0)
-    boost = np.array(boost).reshape(cells.shape + tail)
+    boost = np.array(boost).reshape(cells.shape)
     small = cells < 1.0
-    a, u = cells[small], np.array(u).reshape((-1,) + tail)
-    if scale is not None:  # in place: no second table at large sizes
+    a, u = cells[small], np.array(u)
+    if scale is not None:  # in place: no second table
         boost *= scale
-        a, g = a.reshape(a.shape + (1,) * len(tail)), boost[small]
+        g = boost[small]
         np.sqrt(boost, out=boost)
         if u.size:
             boost[small] = np.exp(0.5 * (np.log(g) + np.log(u) / a))
@@ -249,3 +251,59 @@ def gamma_table(shapes, streams, size=None, scale=None):
         # a Python-float exponent, as one column's draw takes it
         boost[cells == shape] *= u[a == shape] ** (1.0 / shape)
     return boost
+
+
+# elements per block of the sized table's boost transform: bounds its
+# temporaries
+_BOOST_BLOCK = 1 << 16
+
+
+def _sized_table(cells, rows, streams, tail, scale):
+    """:func:`gamma_table` with ``size``: each cell's draws are written into
+    the ``cells.shape + tail`` table and each small shape's uniforms into one
+    array of the small cells, which the transform then overwrites block by
+    block (``_BOOST_BLOCK`` elements, contiguous) before it is copied into place.
+    So the working memory is the table, the uniforms and a few blocks, and
+    every value is bit for bit that of the one-transform table (``gamma(a)``
+    is ``standard_gamma(a)`` times 1.0)."""
+    table = np.empty(cells.shape + tail)
+    small = cells < 1.0
+    u = np.empty((np.count_nonzero(small),) + tail)
+    slots = iter(u)
+    for stream, row, out in zip(streams, rows, table):
+        gen = stream.generator
+        gamma, random = gen.standard_gamma, gen.random
+        for a, cell in zip(row, out):
+            if a < 1.0:
+                gamma(a + 1.0, size=tail, out=cell)
+                random(tail, out=next(slots))
+            else:
+                gamma(a, size=tail, out=cell)
+    if scale is not None:
+        table *= scale
+    flat = table.reshape(cells.size, math.prod(tail))
+    if u.size:
+        idx, a = np.flatnonzero(small), cells[small]
+        u = u.reshape(idx.size, flat.shape[1])
+        span = min(u.shape[1], _BOOST_BLOCK)
+        step = max(1, _BOOST_BLOCK // u.shape[1])  # cells per block
+        for s in range(0, idx.size, step):
+            for t in range(0, u.shape[1], span):
+                x, g = u[s:s + step, t:t + span], flat[idx[s:s + step], t:t + span]
+                if scale is not None:
+                    np.log(x, out=x)
+                    x /= a[s:s + step, None]
+                    x += np.log(g, out=g)
+                    x *= 0.5
+                    np.exp(x, out=x)
+                    continue
+                shapes = a[s:s + step]
+                for shape in set(shapes.tolist()):
+                    sel = shapes == shape
+                    x[sel] **= 1.0 / shape
+                x *= g
+    if scale is not None:
+        np.sqrt(table, out=table)
+    if u.size:
+        flat[idx] = u
+    return table

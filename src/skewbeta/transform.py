@@ -92,7 +92,9 @@ def laguerre_map_batch(n: int, beta: float, stream: RandomStream,
         d, e = _laguerre_chis(n // 2, (n - 1) * beta / 4.0, beta, [stream], reps)
     else:
         d, e = _c_matrix_chis(n // 2, beta, [stream], reps)
-    return bidiagonal_read_off(d[0], e[0]) / math.sqrt(2.0)
+    seq = bidiagonal_read_off(d[0], e[0])
+    seq /= math.sqrt(2.0)  # in place: no second table
+    return seq
 
 
 def cholesky_reindex(bsq) -> np.ndarray:

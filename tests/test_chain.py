@@ -448,6 +448,30 @@ class TestSharedSolver:
         for a, c, row in zip(poles, weights, roots):
             assert np.array_equal(secular_roots(constant, a[None], c[None])[0], row)
 
+    @pytest.mark.parametrize("p,constant", [(1, 1), (2, 0), (2, 1)])
+    def test_closed_form_rows_across_blocks_equal_one_row_calls(self, monkeypatch, p,
+                                                                constant):
+        # the closed forms take blocks of 16 rows at p = 2 and 32 at p = 1;
+        # every fifth row has a zero or subnormal weight below its lower
+        # root, so each block hands rows on to the iteration, which solves
+        # them in one call
+        poles, weights = self._chain_rows(100, p, 10 * p + constant)
+        weights[::5, -1] = np.resize([0.0, np.nextafter(0.0, 1.0), 2.9e-320], 20)
+        monkeypatch.setattr(chain, "_BLOCK", 256)
+        handed_on = []
+        iterated = chain._iterated
+
+        def spy(constant, a, c):
+            handed_on.append(a.shape[0])
+            return iterated(constant, a, c)
+
+        monkeypatch.setattr(chain, "_iterated", spy)
+        roots = secular_roots(constant, poles, weights)
+        assert handed_on == [20]
+        monkeypatch.undo()
+        for a, c, row in zip(poles, weights, roots):
+            assert np.array_equal(secular_roots(constant, a[None], c[None])[0], row)
+
     def test_pooled_roots_count_their_block_rounds(self, monkeypatch):
         # a root takes the same rounds pooled or not, so the batch and the
         # one-row calls (one block each, nothing pooled) run out at the same

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -240,12 +241,85 @@ class TestSample:
             sd = positive_spectrum(build_antisym_tridiagonal(6, 2.0, RandomStream(seed).split(i)))
             assert np.allclose(rows[i], np.concatenate([sd.lam, sd.q]), rtol=1e-12, atol=0.0)
 
+    def test_beta_whose_shape_sum_overflows(self, capsys):
+        # the shapes k * beta / 4 are finite up to k = 9; their sum is not
+        code, out, err = run(capsys, "sample", "--n", "10", "--beta", "7e307", "--reps", "3",
+                             "--seed", "1")
+        rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=2)
+        assert code == 0 and err == "" and rows.shape == (3, 10)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0)
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(capsys, "sample", "--n", "4", "--seed", "0",
                            "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("# {")
+
+
+class TestChunks:
+    RUNS = [("antisym-trid", "--n", "7", "--beta", "0.5"),
+            ("antisym-dense-gue", "--n", "6"),
+            ("chain", "--n", "9", "--beta", "0.5"),
+            ("laguerre-bidiag", "--n", "5", "--a", "6"),
+            ("c-matrix", "--n", "4")]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", RUNS, ids=[argv[0] for argv in RUNS])
+    def test_chunks_of_seven_equal_one_chunk(self, capsys, monkeypatch, argv, fmt):
+        # 23 replicates are 3 chunks of 7 and one of 2, whose streams seed on
+        # numpy's SeedSequence; the text comes 7 rows a piece too
+        one = run(capsys, "sample", "--ensemble", *argv, "--reps", "23", "--seed", "5",
+                  "--format", fmt)
+        assert one[0] == 0 and one[2] == ""
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        assert run(capsys, "sample", "--ensemble", *argv, "--reps", "23", "--seed", "5",
+                   "--format", fmt) == one
+
+    @pytest.mark.parametrize("argv", RUNS, ids=[argv[0] for argv in RUNS])
+    def test_streams_die_with_their_chunk(self, capsys, monkeypatch, argv):
+        # each chunk seeds its streams once, and by the next chunk's seeding
+        # none of the last chunk's streams (and generators) is alive
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        seed_streams, alive, chunks = cli.seed_streams, [], []
+
+        def spy(pairs):
+            chunks.append(sum(ref() is not None for ref in alive))
+            streams = seed_streams(pairs)
+            alive[:] = [weakref.ref(stream) for stream in streams]
+            return streams
+
+        monkeypatch.setattr(cli, "seed_streams", spy)
+        assert run(capsys, "sample", "--ensemble", *argv, "--reps", "23", "--seed", "5")[0] == 0
+        assert chunks == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("reps", [0, 1, 6, 7, 15])
+    def test_json_pieces_are_one_document(self, capsys, monkeypatch, reps):
+        # the rows rendered a chunk at a time are json.dumps of the whole
+        # document with indent=2, byte for byte
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        code, out, _ = run(capsys, "sample", "--n", "5", "--reps", str(reps), "--seed", "2",
+                           "--format", "json")
+        assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["rows"]) == reps
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("argv,message", [
+        # first failing rows 3 and 4
+        (("--n", "12", "--beta", "0.05"), "first components must be positive"),
+        (("--ensemble", "laguerre-bidiag", "--n", "6", "--a", "0.005", "--beta", "0.001"),
+         "computed positive eigenvalues are not distinct"),
+    ], ids=["antisym-trid", "laguerre-bidiag"])
+    def test_bad_row_in_a_later_chunk_writes_nothing(self, capsys, monkeypatch, tmp_path,
+                                                      argv, message, to_file):
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+        assert run(capsys, "sample", *argv, "--reps", "3", "--seed", "1")[0] == 0
+        target = tmp_path / "rows.csv"
+        out_file = ("--out", str(target)) if to_file else ()
+        code, out, err = run(capsys, "sample", *argv, "--reps", "200", "--seed", "1",
+                             *out_file)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert not target.exists()
 
 
 class TestVerify:

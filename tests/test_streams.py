@@ -295,6 +295,17 @@ class TestGammaTable:
         with pytest.raises(ParameterError, match="positive and finite"):
             gamma_table([1.0, bad], [RandomStream(0)], None, 1.0)
 
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_shapes_whose_sum_overflows(self, size):
+        # every shape k * 7e307 / 4 up to k = 9 is finite; only their sum
+        # overflows, and each shape is checked on its own
+        shapes = np.arange(1, 10) * (7e307 / 4.0)
+        assert sum(shapes.tolist()) == np.inf
+        table = gamma_table(shapes, [RandomStream(0)], size, 1.0)
+        assert np.all(np.isfinite(table)) and np.all(table > 0)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            gamma_table(np.append(shapes, np.nan), [RandomStream(0)], size, 1.0)
+
     def test_no_streams(self):
         assert gamma_table([0.5, 2.0], [], None, 1.0).shape == (0, 2)
         assert gamma_table([0.5, 2.0], [], 4).shape == (0, 2, 4)
